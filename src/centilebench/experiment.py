@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .cohort import VisitSchedule, generate_cohort
-from .errors import ExperimentError
+from .errors import ExperimentError, FitError
 from .lms import (
     fit_ar1_z,
     fit_lms,
@@ -63,6 +63,10 @@ __all__ = [
 ]
 
 _METHODS = ("QR", "LMS", "MVN")
+
+# What a fit raises on a cohort it cannot fit. Anything else is a bug and
+# propagates instead of counting against the failed-fit budget.
+_FIT_FAILURES = (FitError, ValueError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -210,7 +214,7 @@ def _replication(cfg: ExperimentConfig, rep: int, marginal: bool, conditional: b
     marg: dict = {}
     cond: dict = {}
     failures: list[tuple[str, str]] = []
-    diag = {"qr_subgradient_violations": 0}
+    diag = {"qr_subgradient_violations": 0, "qr_lp_fallbacks": 0}
 
     def drop_method(name: str) -> None:
         """A failed method contributes no cells at all for this replication."""
@@ -234,6 +238,7 @@ def _replication(cfg: ExperimentConfig, rep: int, marginal: bool, conditional: b
                     fit = fit_marginal_qr(t_obs, y_obs, tau, cfg.spline)
                     fits.append(fit)
                     diag["qr_subgradient_violations"] += not fit.subgradient_ok
+                    diag["qr_lp_fallbacks"] += fit.solver == "lp"
                     for week in cfg.eval_weeks_marginal:
                         marg[("QR", week, tau)] = predict_centile(fit, week)
                 diag["qr_crossing_grid_points"] = count_quantile_crossings(fits)
@@ -241,11 +246,12 @@ def _replication(cfg: ExperimentConfig, rep: int, marginal: bool, conditional: b
                 for tau in cfg.tau_grid:
                     fit = fit_conditional_qr(pairs_qr, tau, cfg.spline)
                     diag["qr_subgradient_violations"] += not fit.subgradient_ok
+                    diag["qr_lp_fallbacks"] += fit.solver == "lp"
                     for name, y_prev in priors.items():
                         cond[("QR", name, tau)] = predict_centile(
                             fit, cfg.eval_week_conditional, y_prev=y_prev, dt=dt_eval
                         )
-        except Exception as exc:  # noqa: BLE001 - failed fits are policy, not bugs
+        except _FIT_FAILURES as exc:
             drop_method("QR")
             failures.append(("QR", f"{type(exc).__name__}: {exc}"))
 
@@ -266,7 +272,7 @@ def _replication(cfg: ExperimentConfig, rep: int, marginal: bool, conditional: b
                             fit, rho_hat, cfg.prior_week, y_prev,
                             cfg.eval_week_conditional, tau,
                         )
-        except Exception as exc:  # noqa: BLE001
+        except _FIT_FAILURES as exc:
             drop_method("LMS")
             failures.append(("LMS", f"{type(exc).__name__}: {exc}"))
 
@@ -285,7 +291,7 @@ def _replication(cfg: ExperimentConfig, rep: int, marginal: bool, conditional: b
                         cond[("MVN", name, tau)] = mvn_conditional_centile(
                             fit, cfg.prior_week, y_prev, cfg.eval_week_conditional, tau
                         )
-        except Exception as exc:  # noqa: BLE001
+        except _FIT_FAILURES as exc:
             drop_method("MVN")
             failures.append(("MVN", f"{type(exc).__name__}: {exc}"))
 
@@ -342,11 +348,10 @@ def _run(cfg: ExperimentConfig, marginal: bool, conditional: bool, keep_replicat
         return rows, replicates
 
     diagnostics = {
-        "qr_subgradient_violations": int(
-            sum(res["diag"]["qr_subgradient_violations"] for res in results)
-        ),
-        "n_failed_replications": len(failed_reps),
+        key: int(sum(res["diag"][key] for res in results))
+        for key in ("qr_subgradient_violations", "qr_lp_fallbacks")
     }
+    diagnostics["n_failed_replications"] = len(failed_reps)
     for key in ("lms_rho_hat", "mvn_rho_hat", "mvn_sigma_hat", "qr_crossing_grid_points"):
         vals = [res["diag"][key] for res in results if key in res["diag"]]
         if vals:

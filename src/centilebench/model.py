@@ -102,9 +102,11 @@ class PercentilePath:
 def _check_window(model: LognormalAR1Model, t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
     lo, hi = model.window
-    if np.any(arr < lo) or np.any(arr > hi):
+    # Written so that NaN, which compares false both ways, fails the test.
+    if not np.all((arr >= lo) & (arr <= hi)):
         raise ValueError(
-            f"gestational age {t!r} outside the model window [{lo}, {hi}]"
+            f"gestational age {t!r} is not finite or lies outside the model "
+            f"window [{lo}, {hi}]"
         )
     return arr
 
@@ -117,8 +119,10 @@ def interval_index(t, window=GA_WINDOW, width=VISIT_INTERVAL_WEEKS):
     """
     arr = np.asarray(t, dtype=float)
     lo, hi = window
-    if np.any(arr < lo) or np.any(arr > hi):
-        raise ValueError(f"gestational age {t!r} outside [{lo}, {hi}]")
+    if not np.all((arr >= lo) & (arr <= hi)):
+        raise ValueError(
+            f"gestational age {t!r} is not finite or lies outside [{lo}, {hi}]"
+        )
     n_intervals = int(round((hi - lo) / width))
     idx = np.minimum(np.floor((arr - lo) / width).astype(int), n_intervals - 1)
     return int(idx) if np.isscalar(t) or arr.ndim == 0 else idx

@@ -70,16 +70,17 @@ def design_matrix(spec: SplineSpec, times) -> np.ndarray:
     """Basis matrix with one row per time, by Cox-de Boor recursion.
 
     Rows are nonnegative, sum to one, and have at most degree+1 nonzero
-    entries. Times outside the boundary raise ValueError.
+    entries. Times outside the boundary, and NaN times, raise ValueError.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim == 0:
         t = t[np.newaxis]
     lo, hi = spec.boundary
-    if t.size and (t.min() < lo or t.max() > hi):
+    # min and max propagate NaN, and NaN fails both comparisons.
+    if t.size and not (t.min() >= lo and t.max() <= hi):
         raise ValueError(
-            f"times outside the spline boundary [{lo}, {hi}]: "
-            f"min={t.min() if t.size else None}, max={t.max() if t.size else None}"
+            f"times not finite or outside the spline boundary [{lo}, {hi}]: "
+            f"min={t.min()}, max={t.max()}"
         )
     knots = np.asarray(spec.knots)
     n_spans = len(knots) - 1

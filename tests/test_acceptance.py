@@ -357,7 +357,7 @@ class TestCriterion5OracleEquivalence:
         marg, cond, _ = full_run
         violations = marg.diagnostics["qr_subgradient_violations"]
         report("5 subgradient optimality on every criterion-2 fit", violations == 0,
-               f"{violations} violations")
+               f"{violations} violations, {marg.diagnostics['qr_lp_fallbacks']} LP fallbacks")
         assert violations == 0
         assert cond.diagnostics["qr_subgradient_violations"] == 0
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from centilebench import experiment, quantreg
 from centilebench.cli import build_config, main
 from centilebench.errors import ExperimentError
 from centilebench.experiment import (
@@ -130,6 +131,46 @@ class TestFailurePolicy:
         cfg = ExperimentConfig(n_reps=3, n_subjects=3, master_seed=1, methods=("LMS",))
         with pytest.raises(ExperimentError):
             run_marginal_experiment(cfg)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # Only errors a fit raises on unfittable data are booked as failed
+        # fits; a bug must surface, not spend the 2% budget.
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside a fit")
+
+        monkeypatch.setattr(experiment, "fit_mvn", broken)
+        with pytest.raises(TypeError, match="bug inside a fit"):
+            run_both_experiments(ExperimentConfig(**TINY))
+
+
+class TestSolverDiagnostics:
+    def test_lp_fallbacks_counted(self, monkeypatch):
+        solvers = []
+
+        def recording(fit_fn):
+            def wrapped(*args, **kwargs):
+                fit = fit_fn(*args, **kwargs)
+                solvers.append(fit.solver)
+                return fit
+
+            return wrapped
+
+        for name in ("fit_marginal_qr", "fit_conditional_qr"):
+            monkeypatch.setattr(experiment, name, recording(getattr(experiment, name)))
+        # Refuse every vertex at the median, so those fits take the LP path.
+        certify = quantreg._certified_vertex
+        monkeypatch.setattr(
+            quantreg,
+            "_certified_vertex",
+            lambda X, y, beta, tau: None if tau == 0.5 else certify(X, y, beta, tau),
+        )
+        cfg = ExperimentConfig(**TINY, methods=("QR",))
+        marg, cond = run_both_experiments(cfg)
+        assert len(solvers) == 2 * len(cfg.tau_grid) * cfg.n_reps
+        assert solvers.count("lp") == 2 * cfg.n_reps
+        assert marg.diagnostics["qr_lp_fallbacks"] == solvers.count("lp")
+        assert cond.diagnostics["qr_lp_fallbacks"] == solvers.count("lp")
+        assert marg.diagnostics["qr_subgradient_violations"] == 0
 
 
 class TestTrueCentiles:

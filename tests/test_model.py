@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from centilebench.model import (
     ConditionalParams,
@@ -219,6 +221,26 @@ class TestIntervalIndex:
     def test_out_of_window(self):
         with pytest.raises(ValueError):
             interval_index(40.0)
+
+
+class TestNonFiniteTimes:
+    """NaN compares false against both window ends, so a window check written
+    as `t < lo or t > hi` lets it through."""
+
+    @given(
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        good=st.lists(st.floats(16.0, 36.0), max_size=6),
+        pos=st.integers(0, 6),
+    )
+    def test_rejected(self, model, bad, good, pos):
+        times = good[:pos] + [bad] + good[pos:]
+        for t in (bad, times, np.array(times)):
+            with pytest.raises(ValueError, match="finite"):
+                interval_index(t)
+            with pytest.raises(ValueError, match="finite"):
+                log_mean(model, t)
+            with pytest.raises(ValueError, match="finite"):
+                marginal_percentile(model, t, 0.5)
 
 
 class TestModelValidation:

@@ -3,11 +3,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from centilebench.cohort import VisitSchedule, generate_cohort
 from centilebench.model import LognormalAR1Model
 from centilebench.numerics import RngStream, pinball_loss
 from centilebench.quantreg import (
+    _frisch_newton,
+    _ipm_start,
+    _sign_counts_ok,
+    _solve_check_loss,
     count_quantile_crossings,
     fit_conditional_qr,
     fit_marginal_qr,
@@ -108,6 +116,10 @@ class TestConditionalFit:
         pred_marg = predict_centile(marg, t_cur)
         assert cond.objective == pytest.approx(marg.objective, abs=1e-6)
         assert np.max(np.abs(pred_cond - pred_marg)) < 1e-5
+        # The history columns repeat the intercept, so the interior point's
+        # normal matrix is singular and the fit must come from the LP.
+        assert cond.solver == "lp"
+        assert marg.solver == "ipm"
 
     def test_rho_zero_slope_vanishes(self):
         indep = LognormalAR1Model(rho=0.0)
@@ -155,6 +167,144 @@ class TestConditionalFit:
         )
         with pytest.raises(ValueError):
             fit_conditional_qr(pairs, 0.5, spec5)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+class TestNonFiniteInput:
+    @given(field=st.sampled_from(["times", "values"]), bad=NON_FINITE, pos=st.integers(0, 39))
+    @settings(max_examples=40, deadline=None)
+    def test_marginal_rejects(self, field, bad, pos):
+        data = {"times": np.linspace(17.0, 35.0, 40), "values": np.linspace(60.0, 80.0, 40)}
+        data[field][pos] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_marginal_qr(data["times"], data["values"], 0.5, SplineSpec())
+
+    @given(
+        field=st.sampled_from(["t_prev", "y_prev", "t_cur", "y_cur"]),
+        bad=NON_FINITE,
+        pos=st.integers(0, 59),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_conditional_rejects(self, field, bad, pos):
+        data = dict(
+            t_prev=np.linspace(16.5, 31.0, 60),
+            y_prev=np.linspace(55.0, 80.0, 60),
+            t_cur=np.linspace(20.5, 35.0, 60),
+            y_cur=np.linspace(56.0, 82.0, 60),
+        )
+        data[field][pos] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_conditional_qr(_FakePairs(**data), 0.5, SplineSpec())
+
+
+def _primal_lp_objective(X, y, tau):
+    """Check-loss optimum of the split-residual primal LP, solved by scipy."""
+    n, p = X.shape
+    eye = sp.identity(n, format="csr")
+    res = linprog(
+        np.concatenate([np.zeros(p), np.full(n, tau), np.full(n, 1.0 - tau)]),
+        A_eq=sp.hstack([sp.csr_matrix(X), eye, -eye], format="csr"),
+        b_eq=y,
+        bounds=[(None, None)] * p + [(0.0, None)] * (2 * n),
+        method="highs",
+    )
+    assert res.status == 0
+    return res.fun
+
+
+@st.composite
+def _tied_designs(draw):
+    """Intercept plus p-1 Gaussian columns; y rounded to 0-2 decimals, so
+    residuals tie and some optima are degenerate."""
+    n = draw(st.integers(20, 400))
+    p = draw(st.integers(1, 7))
+    tau = draw(st.floats(0.02, 0.98))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    y = np.round(X @ rng.normal(size=p) + rng.standard_t(3, size=n), draw(st.integers(0, 2)))
+    return X, y, tau
+
+
+def _heavy_tailed_design(n=20_000):
+    """Spline design at uniform times with t(2) noise around 70 mmHg."""
+    rng = np.random.default_rng(0)
+    X = design_matrix(SplineSpec(), rng.uniform(16.0, 36.0, n))
+    return X, 70.0 + 5.0 * rng.standard_t(2, size=n)
+
+
+class TestSolver:
+    @given(design=_tied_designs())
+    @settings(max_examples=100, deadline=None)
+    def test_optimum_matches_primal_lp(self, design):
+        X, y, tau = design
+        beta, _ = _solve_check_loss(X, y, tau)
+        want = _primal_lp_objective(X, y, tau)
+        got = float(np.sum(pinball_loss(y - X @ beta, tau)))
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert _sign_counts_ok(X, y, beta, tau)  # the subgradient_ok condition
+
+    def test_near_zero_start_residual_lifted(self, model):
+        # With an odd count at tau=0.5 the tau-shifted start puts one residual
+        # within rounding of zero; unlifted, its Newton weight is ~1e14.
+        fit = fit_marginal_qr(mid_times(41), np.linspace(50.0, 90.0, 41), 0.5, INTERCEPT_SPEC)
+        assert fit.solver == "ipm"
+        assert predict_centile(fit, 26.0) == pytest.approx(70.0, abs=1e-9)
+        for seed in (0, 2):
+            cohort = generate_cohort(model, VisitSchedule(), 200, RngStream(seed).child(0))
+            t, y = cohort.observed_points()
+            odd = t.size - (1 - t.size % 2)
+            fit = fit_marginal_qr(t[:odd], y[:odd], 0.5, SplineSpec())
+            assert fit.solver == "ipm"
+            assert fit.subgradient_ok
+
+    def test_rank_deficient_design_falls_back(self):
+        # A singular normal matrix raises LinAlgError inside the interior
+        # point; the fit must come from the LP instead of raising.
+        X = np.column_stack([np.ones(50), np.ones(50), np.linspace(0.0, 1.0, 50)])
+        y = np.linspace(0.0, 1.0, 50) ** 2
+        beta, solver = _solve_check_loss(X, y, 0.5)
+        assert solver == "lp"
+        assert _sign_counts_ok(X, y, beta, 0.5)
+
+    def test_gap_stop_is_relative(self):
+        # The stop compares the duality gap with the objective, so rescaling y
+        # leaves the steps unchanged; an absolute gap stop quits early on
+        # small y and runs on past convergence on large y.
+        rng = np.random.default_rng(8)
+        n = 20_000
+        X = design_matrix(SplineSpec(), rng.uniform(16.0, 36.0, n))
+        y = 70.0 * np.exp(0.1 * rng.standard_normal(n))
+        for tau in (0.03, 0.97):
+            _, steps = _frisch_newton(X, y, tau)
+            vertex, solver = _solve_check_loss(X, y, tau)
+            assert solver == "ipm"
+            for scale in (1e-6, 1e-3, 1e3, 1e6):
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    _, scaled_steps = _frisch_newton(X, scale * y, tau)
+                assert abs(scaled_steps - steps) <= 1
+            for scale in (1e3, 1e6):
+                scaled, solver = _solve_check_loss(X, scale * y, tau)
+                assert solver == "ipm"
+                np.testing.assert_allclose(scaled, scale * vertex, rtol=1e-9)
+
+    @pytest.mark.parametrize("tau", [0.02, 0.03, 0.5, 0.97, 0.98])
+    def test_start_sits_at_tau_quantile(self, tau):
+        # The least-squares start itself has about half its residuals below
+        # zero, however extreme tau is; shifted, a tau share is.
+        X, y = _heavy_tailed_design()
+        _, resid = _ipm_start(np.ascontiguousarray(X.T), y, tau)
+        assert abs(np.mean(resid < 0.0) - tau) <= 2.0 / y.size
+
+    def test_heavy_tails_at_extreme_tau(self):
+        # t(2) noise at tau=0.02 and 0.98 takes the most steps seen (about
+        # 55); the iteration cap of 100 must leave room for it.
+        X, y = _heavy_tailed_design()
+        for tau in (0.02, 0.98):
+            _, steps = _frisch_newton(X, y, tau)
+            assert steps <= 90
+            assert _solve_check_loss(X, y, tau)[1] == "ipm"
 
 
 class TestPredictErrors:

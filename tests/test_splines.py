@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 from centilebench.splines import SplineSpec, basis_row, design_matrix
@@ -98,3 +102,16 @@ class TestDesignMatrix:
         spec = SplineSpec(degree=0, n_basis=1)
         rows = design_matrix(spec, [16.0, 25.3, 36.0])
         assert np.array_equal(rows, np.ones((3, 1)))
+
+
+class TestNonFiniteTimes:
+    @given(
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        good=st.lists(st.floats(16.0, 36.0), max_size=6),
+        pos=st.integers(0, 6),
+    )
+    def test_rejected(self, spec5, bad, good, pos):
+        with pytest.raises(ValueError, match="finite"):
+            design_matrix(spec5, good[:pos] + [bad] + good[pos:])
+        with pytest.raises(ValueError, match="finite"):
+            design_matrix(spec5, bad)
