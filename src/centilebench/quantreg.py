@@ -16,8 +16,9 @@ solved in three stages. A Frisch-Newton interior point (Portnoy & Koenker
 1997) follows the central path with one p x p normal solve per step. Its
 answer is then polished to the vertex through the p observations with the
 smallest residuals, which is accepted only with an exact optimality
-certificate: no other residual is zero, the basis multipliers lie in
-[tau - 1, tau], and the residual sign counts pass the subgradient audit.
+certificate: every other residual is nonzero beyond its rounding error, so
+its sign is known, the basis multipliers lie in [tau - 1, tau], and the
+residual sign counts pass the subgradient audit.
 Every other case (singular normal matrix, non-finite iterate,
 uncertified vertex) is solved by the HiGHS simplex on the same LP,
 re-solved on the primal if its answer fails the audit. Either way the
@@ -61,6 +62,9 @@ _IPM_START_LIFT = 0.1
 # overshoot [tau - 1, tau] by this much from rounding alone.
 _VERTEX_MAX_COND = 1e10
 _DUAL_SLACK = 1e-9
+# A residual evaluated in floating point carries at most about p+1 rounding
+# errors of its terms' size; this many ulps per column leaves a margin.
+_RESID_EVAL_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -241,11 +245,15 @@ def _step_lengths(a, s, z, w, da, ds, dz, dw) -> tuple[float, float]:
 def _certified_vertex(X: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float):
     """The vertex through the p smallest residuals at beta, if provably optimal.
 
-    The basis h interpolates exactly; every other residual must be nonzero
-    beyond _ZERO_REL_TOL, and the basis multipliers v solving
+    The basis h interpolates to within _ZERO_REL_TOL; every other residual
+    must be nonzero beyond its rounding error (_residual_rounding), so that
+    its sign is known, and the basis multipliers v solving
     X_h'v = -X_N'psi_tau(r_N) must lie in [tau - 1, tau]. Then zero lies in
     the subdifferential of the check loss, so the vertex is an exact
-    minimizer. Returns None when any condition fails.
+    minimizer. A non-basis residual inside the audit's zero band but beyond
+    rounding (1e-6 mmHg, say) is an ordinary residual of known sign; only a
+    degenerate vertex, with more than p residuals within rounding of zero,
+    is left to the LP. Returns None when any condition fails.
     """
     p = X.shape[1]
     resid = y - X @ beta
@@ -255,17 +263,39 @@ def _certified_vertex(X: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float
         return None
     vertex = np.linalg.solve(X_h, y[h])
     resid = y - X @ vertex
-    zero = np.abs(resid) <= _zero_tol(y)
-    if np.count_nonzero(zero) != p or not zero[h].all():
+    if np.any(np.abs(resid[h]) > _zero_tol(y)):
+        return None
+    # Column i holds X_h^{-T} x_i: row i of X in the basis rows' coordinates.
+    coords = np.linalg.solve(X_h.T, X.T)
+    nonbasis = np.ones(y.size, dtype=bool)
+    nonbasis[h] = False
+    rounding = _residual_rounding(X, y, vertex, resid, h, coords)
+    if np.any(np.abs(resid[nonbasis]) <= rounding[nonbasis]):
         return None
     psi = np.where(resid < 0.0, tau - 1.0, tau)
     psi[h] = 0.0
-    v = np.linalg.solve(X_h.T, -(X.T @ psi))
+    v = -(coords @ psi)
     if np.any(v < tau - 1.0 - _DUAL_SLACK) or np.any(v > tau + _DUAL_SLACK):
         return None
     if not _sign_counts_ok(X, y, vertex, tau):
         return None
     return vertex
+
+
+def _residual_rounding(X, y, vertex, resid, h, coords) -> np.ndarray:
+    """Bound on |computed - exact| residual at the exact vertex through h.
+
+    The exact vertex differs from the computed one by X_h^{-1} rho, rho
+    being the exact basis residuals, so the exact residual i is
+    r_i - coords_i . rho. Each computed residual is within
+    _RESID_EVAL_ULPS * p units in the last place of |y_i| + |x_i| . |vertex|
+    of its exact value.
+    """
+    p = X.shape[1]
+    evaluation = (
+        _RESID_EVAL_ULPS * p * np.finfo(float).eps * (np.abs(y) + np.abs(X) @ np.abs(vertex))
+    )
+    return evaluation + np.abs(coords).T @ (np.abs(resid[h]) + evaluation[h])
 
 
 def _solve_check_loss(X: np.ndarray, y: np.ndarray, tau: float) -> tuple[np.ndarray, str]:

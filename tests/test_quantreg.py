@@ -16,6 +16,8 @@ from centilebench.quantreg import (
     _ipm_start,
     _sign_counts_ok,
     _solve_check_loss,
+    _solve_check_loss_lp,
+    _zero_tol,
     count_quantile_crossings,
     fit_conditional_qr,
     fit_marginal_qr,
@@ -267,6 +269,38 @@ class TestSolver:
         beta, solver = _solve_check_loss(X, y, 0.5)
         assert solver == "lp"
         assert _sign_counts_ok(X, y, beta, 0.5)
+
+    @pytest.mark.parametrize("tau", [0.03, 0.5, 0.9])
+    def test_small_nonbasis_residual_is_certified(self, tau):
+        # Move one positive residual to 2e-6, inside the audit's zero band
+        # but far beyond rounding: its sign is unchanged, so the vertex stays
+        # the optimum and must be certified, not left to the LP.
+        X, y = _heavy_tailed_design(2_000)
+        vertex, solver = _solve_check_loss(X, y, tau)
+        assert solver == "ipm"
+        resid = y - X @ vertex
+        i = int(np.argmax(resid))
+        y[i] -= resid[i] - 2e-6
+        assert abs(y[i] - X[i] @ vertex) < _zero_tol(y)
+        moved, solver = _solve_check_loss(X, y, tau)
+        assert solver == "ipm"
+        np.testing.assert_allclose(moved, vertex, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(moved, _solve_check_loss_lp(X, y, tau), rtol=1e-9)
+
+    def test_degenerate_vertex_falls_back(self):
+        # A non-basis observation exactly on the fitted hyperplane leaves its
+        # sign to rounding; such a vertex is left to the LP.
+        X, y = _heavy_tailed_design(2_000)
+        vertex, _ = _solve_check_loss(X, y, 0.5)
+        resid = y - X @ vertex
+        i = int(np.argmax(resid))
+        y[i] = X[i] @ vertex
+        beta, solver = _solve_check_loss(X, y, 0.5)
+        assert solver == "lp"
+        assert _sign_counts_ok(X, y, beta, 0.5)
+        assert np.sum(pinball_loss(y - X @ beta, 0.5)) == pytest.approx(
+            np.sum(pinball_loss(y - X @ vertex, 0.5)), rel=1e-12
+        )
 
     def test_gap_stop_is_relative(self):
         # The stop compares the duality gap with the objective, so rescaling y
