@@ -9,7 +9,7 @@ charts analytically as screening tools.
 __version__ = "0.1.0"
 
 from .model import LognormalAR1Model, PercentilePath
-from .cohort import VisitSchedule, Cohort, Measurement, generate_cohort, lag1_pairs
+from .cohort import VisitSchedule, Cohort, generate_cohort
 from .splines import SplineSpec
 from .numerics import RngStream
 from .errors import FitError, ExperimentError
@@ -19,9 +19,7 @@ __all__ = [
     "PercentilePath",
     "VisitSchedule",
     "Cohort",
-    "Measurement",
     "generate_cohort",
-    "lag1_pairs",
     "SplineSpec",
     "RngStream",
     "FitError",

@@ -16,14 +16,7 @@ import numpy as np
 from .model import GA_WINDOW, VISIT_INTERVAL_WEEKS, LognormalAR1Model, log_mean
 from .numerics import RngStream, std_normal_quantile, _MIN_UNIFORM
 
-__all__ = [
-    "VisitSchedule",
-    "Measurement",
-    "Cohort",
-    "PairSet",
-    "generate_cohort",
-    "lag1_pairs",
-]
+__all__ = ["VisitSchedule", "Cohort", "PairSet", "generate_cohort"]
 
 _DEFAULT_WINDOWS = tuple(
     (GA_WINDOW[0] + k * VISIT_INTERVAL_WEEKS, GA_WINDOW[0] + (k + 1) * VISIT_INTERVAL_WEEKS)
@@ -63,16 +56,23 @@ class VisitSchedule:
     def span(self) -> tuple[float, float]:
         return (self.windows[0][0], self.windows[-1][1])
 
+    def interval_index(self, t):
+        """0-based index of the window containing gestational age t.
 
-@dataclass(frozen=True)
-class Measurement:
-    """One scheduled measurement slot; ``observed`` marks clinic attendance."""
-
-    subject_id: int
-    interval_index: int
-    time: float
-    value: float
-    observed: bool
+        The last window is closed on the right so the span's upper endpoint
+        maps to the last visit; times outside the span, and NaN, raise
+        ValueError.
+        """
+        arr = np.asarray(t, dtype=float)
+        lo, hi = self.span
+        if not np.all((arr >= lo) & (arr <= hi)):
+            raise ValueError(
+                f"gestational age {t!r} is not finite or lies outside the "
+                f"schedule span [{lo}, {hi}]"
+            )
+        starts = [w[0] for w in self.windows]
+        idx = np.searchsorted(starts, arr, side="right") - 1
+        return int(idx) if arr.ndim == 0 else idx
 
 
 @dataclass(frozen=True)
@@ -114,20 +114,6 @@ class Cohort:
     def n_intervals(self) -> int:
         return self.times.shape[1]
 
-    def measurements(self) -> list[Measurement]:
-        """All slots as records, ordered by subject then interval."""
-        return [
-            Measurement(
-                subject_id=i,
-                interval_index=j,
-                time=float(self.times[i, j]),
-                value=float(self.values[i, j]),
-                observed=bool(self.observed[i, j]),
-            )
-            for i in range(self.n_subjects)
-            for j in range(self.n_intervals)
-        ]
-
     def observed_points(self) -> tuple[np.ndarray, np.ndarray]:
         """Times and values of observed measurements only."""
         mask = self.observed
@@ -141,26 +127,19 @@ class Cohort:
         every consecutive pair of observed visits qualifies, whatever the
         gap.
         """
-        subj, ia, ib = [], [], []
-        for i in range(self.n_subjects):
-            idx = np.nonzero(self.observed[i])[0]
-            for a, b in zip(idx[:-1], idx[1:]):
-                if max_gap is not None and b - a > max_gap:
-                    continue
-                subj.append(i)
-                ia.append(int(a))
-                ib.append(int(b))
-        subj = np.asarray(subj, dtype=int)
-        ia = np.asarray(ia, dtype=int)
-        ib = np.asarray(ib, dtype=int)
+        subj, slot = np.nonzero(self.observed)
+        keep = subj[1:] == subj[:-1]
+        if max_gap is not None:
+            keep &= np.diff(slot) <= max_gap
+        subj, ia, ib = subj[:-1][keep], slot[:-1][keep], slot[1:][keep]
         return PairSet(
             subject_id=subj,
             idx_prev=ia,
             idx_cur=ib,
-            t_prev=self.times[subj, ia] if len(subj) else np.empty(0),
-            y_prev=self.values[subj, ia] if len(subj) else np.empty(0),
-            t_cur=self.times[subj, ib] if len(subj) else np.empty(0),
-            y_cur=self.values[subj, ib] if len(subj) else np.empty(0),
+            t_prev=self.times[subj, ia],
+            y_prev=self.values[subj, ia],
+            t_cur=self.times[subj, ib],
+            y_cur=self.values[subj, ib],
         )
 
     def to_csv(self, path_or_file, metadata: dict | None = None) -> None:
@@ -224,24 +203,3 @@ def generate_cohort(
     return Cohort(
         model=model, schedule=schedule, times=times, values=values, observed=observed
     )
-
-
-def lag1_pairs(cohort: Cohort) -> list[tuple[Measurement, Measurement]]:
-    """Ordered pairs of observed measurements exactly one interval apart.
-
-    Pairs spanning a missed visit are excluded.
-    """
-    pairs = cohort.pair_set(max_gap=1)
-    return [
-        (
-            Measurement(
-                int(pairs.subject_id[n]), int(pairs.idx_prev[n]),
-                float(pairs.t_prev[n]), float(pairs.y_prev[n]), True,
-            ),
-            Measurement(
-                int(pairs.subject_id[n]), int(pairs.idx_cur[n]),
-                float(pairs.t_cur[n]), float(pairs.y_cur[n]), True,
-            ),
-        )
-        for n in range(len(pairs))
-    ]

@@ -270,7 +270,7 @@ def _replication(cfg: ExperimentConfig, rep: int, marginal: bool, conditional: b
                     for tau in cfg.tau_grid:
                         cond[("LMS", name, tau)] = lms_conditional_centile(
                             fit, rho_hat, cfg.prior_week, y_prev,
-                            cfg.eval_week_conditional, tau,
+                            cfg.eval_week_conditional, tau, schedule=cfg.schedule,
                         )
         except _FIT_FAILURES as exc:
             drop_method("LMS")

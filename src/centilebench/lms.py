@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .cohort import PairSet
+from .cohort import PairSet, VisitSchedule
 from .errors import FitError
-from .model import interval_index
 from .numerics import std_normal_quantile
 from .splines import SplineSpec, design_matrix
 
@@ -203,19 +202,25 @@ def lms_centile(fit: LMSFit, t: float, tau: float) -> float:
 
 
 def lms_conditional_centile(
-    fit: LMSFit, rho_hat: float, t_prev: float, y_prev: float, t_cur: float, tau: float
+    fit: LMSFit,
+    rho_hat: float,
+    t_prev: float,
+    y_prev: float,
+    t_cur: float,
+    tau: float,
+    *,
+    schedule: VisitSchedule = VisitSchedule(),
 ) -> float:
-    """Conditional tau-centile at t_cur given the adjacent-interval y_prev.
+    """Conditional tau-centile at t_cur given y_prev in the interval before.
 
     The previous value is scored, shrunk by rho_hat, combined with the
     standard normal quantile at the conditional scale sqrt(1 - rho_hat^2),
-    and mapped back through the inverse transform at t_cur.
+    and mapped back through the inverse transform at t_cur. Adjacency is
+    judged on ``schedule``, the one rho_hat was estimated over.
     """
     if not abs(rho_hat) < 1.0:
         raise ValueError(f"rho_hat must lie strictly in (-1, 1), got {rho_hat!r}")
-    if interval_index(t_cur, fit.spec.boundary) - interval_index(
-        t_prev, fit.spec.boundary
-    ) != 1:
+    if schedule.interval_index(t_cur) - schedule.interval_index(t_prev) != 1:
         raise ValueError(
             f"times {t_prev!r} and {t_cur!r} are not in adjacent visit intervals"
         )

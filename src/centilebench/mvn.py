@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .cohort import Cohort
+from .cohort import Cohort, VisitSchedule
 from .errors import FitError
-from .model import interval_index
 from .numerics import std_normal_quantile
 from .splines import SplineSpec, design_matrix
 
@@ -29,7 +28,6 @@ __all__ = [
     "fit_mvn",
     "mvn_marginal_centile",
     "mvn_conditional_centile",
-    "gaussian_log_likelihood",
 ]
 
 _RHO_BOUNDS = (-0.995, 0.995)
@@ -37,7 +35,11 @@ _RHO_BOUNDS = (-0.995, 0.995)
 
 @dataclass(frozen=True)
 class MVNFit:
-    """Fitted mean-curve coefficients (log scale) and covariance parameters."""
+    """Fitted mean-curve coefficients (log scale) and covariance parameters.
+
+    ``schedule`` is the fitted cohort's visit schedule; rho_hat is the
+    correlation between its adjacent intervals.
+    """
 
     spec: SplineSpec
     mean_coefs: tuple[float, ...]
@@ -45,6 +47,7 @@ class MVNFit:
     rho_hat: float
     loglik: float = float("nan")
     n_obs: int = 0
+    schedule: VisitSchedule = VisitSchedule()
 
     def __post_init__(self):
         if not self.sigma_hat > 0.0:
@@ -72,20 +75,26 @@ def _pattern_moments(cohort: Cohort, spec: SplineSpec, center: float):
 
     For each pattern the per-rho GLS pieces reduce to contractions of the
     inverse correlation matrix with fixed tensors, so the optimizer never
-    revisits the data.
+    revisits the data. The basis is evaluated once for all observed times.
+    Patterns are kept in order of first appearance, which fixes the order
+    _profile sums them in; the all-missing pattern is skipped.
     """
+    observed = cohort.observed
     logs = np.log(cohort.values) - center
-    by_pattern: dict[tuple[int, ...], list[int]] = {}
-    for i in range(cohort.n_subjects):
-        key = tuple(np.nonzero(cohort.observed[i])[0])
-        if key:
-            by_pattern.setdefault(key, []).append(i)
+    basis = np.zeros(observed.shape + (spec.n_basis,))
+    basis[observed] = design_matrix(spec, cohort.times[observed])
+    patterns, first, inverse = np.unique(
+        observed, axis=0, return_index=True, return_inverse=True
+    )
+    inverse = inverse.ravel()
     groups = []
     n_obs = 0
-    for key, members in by_pattern.items():
-        idx = np.asarray(members)
-        k = np.asarray(key)
-        bases = np.stack([design_matrix(spec, cohort.times[i, k]) for i in idx])
+    for g in np.argsort(first, kind="stable"):
+        k = np.flatnonzero(patterns[g])
+        if k.size == 0:
+            continue
+        idx = np.flatnonzero(inverse == g)
+        bases = basis[np.ix_(idx, k)]
         ys = logs[np.ix_(idx, k)]
         groups.append(
             {
@@ -148,6 +157,7 @@ def fit_mvn(cohort: Cohort, spec: SplineSpec) -> MVNFit:
         rho_hat=rho,
         loglik=float(ll),
         n_obs=n_obs,
+        schedule=cohort.schedule,
     )
 
 
@@ -160,12 +170,13 @@ def mvn_marginal_centile(fit: MVNFit, t, tau: float):
 def mvn_conditional_centile(
     fit: MVNFit, t_prev: float, y_prev: float, t_cur: float, tau: float
 ) -> float:
-    """Conditional tau-centile at t_cur given the adjacent-interval y_prev."""
+    """Conditional tau-centile at t_cur given y_prev in the interval before.
+
+    Adjacency is judged on the fitted cohort's visit schedule.
+    """
     if y_prev <= 0.0:
         raise ValueError(f"previous measurement must be positive, got {y_prev!r}")
-    if interval_index(t_cur, fit.spec.boundary) - interval_index(
-        t_prev, fit.spec.boundary
-    ) != 1:
+    if fit.schedule.interval_index(t_cur) - fit.schedule.interval_index(t_prev) != 1:
         raise ValueError(
             f"times {t_prev!r} and {t_cur!r} are not in adjacent visit intervals"
         )
@@ -174,32 +185,3 @@ def mvn_conditional_centile(
     )
     scale = fit.sigma_hat * math.sqrt(1.0 - fit.rho_hat * fit.rho_hat)
     return float(np.exp(mu_cond + std_normal_quantile(tau) * scale))
-
-
-def gaussian_log_likelihood(
-    cohort: Cohort, spec: SplineSpec, mean_coefs, sigma: float, rho: float
-) -> float:
-    """Exact joint log-likelihood of the observed data at given parameters.
-
-    Straightforward per-subject evaluation, deliberately independent of the
-    moment-based path used by fit_mvn.
-    """
-    if sigma <= 0.0 or not abs(rho) < 1.0:
-        raise ValueError("need sigma > 0 and |rho| < 1")
-    beta = np.asarray(mean_coefs, dtype=float)
-    total = 0.0
-    for i in range(cohort.n_subjects):
-        k = np.nonzero(cohort.observed[i])[0]
-        if k.size == 0:
-            continue
-        resid = np.log(cohort.values[i, k]) - design_matrix(
-            spec, cohort.times[i, k]
-        ) @ beta
-        cov = sigma ** 2 * rho ** np.abs(np.subtract.outer(k, k)).astype(float)
-        sign, log_det = np.linalg.slogdet(cov)
-        total += -0.5 * (
-            k.size * math.log(2.0 * math.pi)
-            + log_det
-            + resid @ np.linalg.solve(cov, resid)
-        )
-    return float(total)

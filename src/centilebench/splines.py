@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SplineSpec", "basis_row", "design_matrix"]
+__all__ = ["SplineSpec", "design_matrix"]
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,3 @@ def design_matrix(spec: SplineSpec, times) -> np.ndarray:
         basis = nxt
 
     return basis[:, : spec.n_basis]
-
-
-def basis_row(spec: SplineSpec, t: float) -> np.ndarray:
-    """Basis values at a single gestational age."""
-    return design_matrix(spec, [t])[0]

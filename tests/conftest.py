@@ -10,6 +10,12 @@ from centilebench.splines import SplineSpec
 # in the tests are frozen against this draw.
 RECOVERY_SEED = 404
 
+# Ten 2-week visit windows over the default span: weeks 22 and 26 are two
+# intervals apart, 22 and 24 adjacent.
+TWO_WEEK_SCHEDULE = VisitSchedule(
+    windows=tuple((16.0 + 2 * k, 18.0 + 2 * k) for k in range(10))
+)
+
 
 @pytest.fixture(scope="session")
 def model():

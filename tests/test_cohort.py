@@ -1,21 +1,19 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import kstest
 
-from centilebench.cohort import (
-    Cohort,
-    Measurement,
-    VisitSchedule,
-    generate_cohort,
-    lag1_pairs,
-)
-from centilebench.model import LognormalAR1Model, marginal_percentile
+from centilebench.cohort import Cohort, VisitSchedule, generate_cohort
+from centilebench.model import LognormalAR1Model, interval_index, marginal_percentile
 from centilebench.numerics import RngStream
 
-from conftest import true_log_mean
+from conftest import TWO_WEEK_SCHEDULE, true_log_mean
 
 
 def make_cohort(observed_rows, model=None, schedule=None):
@@ -27,6 +25,32 @@ def make_cohort(observed_rows, model=None, schedule=None):
     times = np.tile([18.0, 22.0, 26.0, 30.0, 34.0][:k], (n, 1))
     values = np.full((n, k), 70.0) + np.arange(k)
     return Cohort(model=model, schedule=schedule, times=times, values=values, observed=observed)
+
+
+def scan_pairs(cohort, max_gap):
+    """Reference pair builder: a per-subject scan of the attendance mask."""
+    subj, ia, ib = [], [], []
+    for i in range(cohort.n_subjects):
+        idx = np.nonzero(cohort.observed[i])[0]
+        for a, b in zip(idx[:-1], idx[1:]):
+            if max_gap is not None and b - a > max_gap:
+                continue
+            subj.append(i)
+            ia.append(int(a))
+            ib.append(int(b))
+    subj = np.asarray(subj, dtype=int)
+    ia = np.asarray(ia, dtype=int)
+    ib = np.asarray(ib, dtype=int)
+    empty = not len(subj)
+    return {
+        "subject_id": subj,
+        "idx_prev": ia,
+        "idx_cur": ib,
+        "t_prev": np.empty(0) if empty else cohort.times[subj, ia],
+        "y_prev": np.empty(0) if empty else cohort.values[subj, ia],
+        "t_cur": np.empty(0) if empty else cohort.times[subj, ib],
+        "y_cur": np.empty(0) if empty else cohort.values[subj, ib],
+    }
 
 
 class TestVisitSchedule:
@@ -44,6 +68,23 @@ class TestVisitSchedule:
         with pytest.raises(ValueError):
             VisitSchedule(attendance_prob=0.0)
         VisitSchedule(attendance_prob=1.0)  # closed at one
+
+    def test_interval_index_default_matches_model(self, schedule):
+        grid = np.concatenate([np.linspace(16.0, 36.0, 401), [20.0 - 1e-12, 36.0]])
+        assert np.array_equal(schedule.interval_index(grid), interval_index(grid))
+        assert schedule.interval_index(36.0) == 4
+        assert isinstance(schedule.interval_index(22.0), int)
+
+    def test_interval_index_follows_windows(self):
+        weeks = [16.0, 18.0, 22.0, 24.0, 26.0, 36.0]
+        assert list(TWO_WEEK_SCHEDULE.interval_index(weeks)) == [0, 1, 3, 4, 5, 9]
+        uneven = VisitSchedule(windows=((16.0, 19.0), (19.0, 27.0), (27.0, 36.0)))
+        assert list(uneven.interval_index([18.9, 19.0, 26.9, 27.0, 36.0])) == [0, 1, 1, 2, 2]
+
+    @pytest.mark.parametrize("t", [15.9, 36.1, math.nan, math.inf])
+    def test_interval_index_rejects_outside_span(self, schedule, t):
+        with pytest.raises(ValueError, match="finite"):
+            schedule.interval_index(t)
 
 
 class TestGenerateCohort:
@@ -106,17 +147,17 @@ class TestGenerateCohort:
 class TestPairs:
     def test_lag1_enumeration(self):
         cohort = make_cohort([[True, True, True, False, False]])
-        pairs = lag1_pairs(cohort)
-        assert [(a.interval_index, b.interval_index) for a, b in pairs] == [(0, 1), (1, 2)]
-        assert all(isinstance(a, Measurement) and a.observed for a, _ in pairs)
+        pairs = cohort.pair_set(max_gap=1)
+        assert list(zip(pairs.idx_prev, pairs.idx_cur)) == [(0, 1), (1, 2)]
+        assert list(pairs.subject_id) == [0, 0]
 
     def test_gap_excluded(self):
         cohort = make_cohort([[True, False, True, False, False]])
-        assert lag1_pairs(cohort) == []
+        assert len(cohort.pair_set(max_gap=1)) == 0
 
     def test_full_attendance_count(self):
         cohort = make_cohort(np.ones((7, 5), dtype=bool))
-        assert len(lag1_pairs(cohort)) == 4 * 7
+        assert len(cohort.pair_set(max_gap=1)) == 4 * 7
 
     def test_successive_pairs_keep_gaps(self):
         cohort = make_cohort([[True, False, True, False, True]])
@@ -134,6 +175,31 @@ class TestPairs:
         cohort = make_cohort(np.zeros((3, 5), dtype=bool))
         assert len(cohort.pair_set(max_gap=None)) == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mask=st.integers(0, 12).flatmap(
+            lambda n: arrays(bool, (n, 5), elements=st.booleans())
+        )
+    )
+    @example(mask=np.zeros((0, 5), dtype=bool))
+    @example(mask=np.zeros((4, 5), dtype=bool))
+    @example(mask=np.eye(5, dtype=bool))
+    @example(mask=np.ones((3, 5), dtype=bool))
+    def test_matches_per_subject_scan(self, mask):
+        cohort = make_cohort(mask)
+        # distinct times and values per subject, so a misaligned row shows
+        step = np.arange(mask.shape[0])[:, None]
+        cohort = replace(
+            cohort, times=cohort.times + step / 100.0, values=cohort.values + step
+        )
+        for max_gap in (1, None):
+            pairs = cohort.pair_set(max_gap=max_gap)
+            for name, want in scan_pairs(cohort, max_gap).items():
+                got = getattr(pairs, name)
+                assert got.dtype == want.dtype, name
+                assert got.shape == want.shape, name
+                assert np.array_equal(got, want), name
+
 
 class TestExport:
     def test_csv_roundtrip(self, model, schedule):
@@ -149,10 +215,3 @@ class TestExport:
         assert float(first[2]) == cohort.times[0, 0]
         assert float(first[3]) == cohort.values[0, 0]
         assert first[4] in {"0", "1"}
-
-    def test_measurements_view(self):
-        cohort = make_cohort([[True, False, True, True, False]])
-        records = cohort.measurements()
-        assert len(records) == 5
-        assert [m.observed for m in records] == [True, False, True, True, False]
-        assert records[2].time == 26.0

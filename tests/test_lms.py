@@ -16,7 +16,7 @@ from centilebench.model import conditional_percentile
 from centilebench.numerics import std_normal_quantile
 from centilebench.splines import design_matrix
 
-from conftest import true_log_mean
+from conftest import TWO_WEEK_SCHEDULE, true_log_mean
 
 
 def constant_fit(spec, L, M, S):
@@ -172,6 +172,15 @@ class TestConditionalCentile:
     def test_requires_adjacent_intervals(self, fitted):
         with pytest.raises(ValueError):
             lms_conditional_centile(fitted, 0.6, 18.0, 64.0, 26.0, 0.5)
+
+    def test_adjacency_follows_schedule(self, fitted):
+        with pytest.raises(ValueError, match="adjacent"):
+            lms_conditional_centile(
+                fitted, 0.6, 22.0, 64.0, 26.0, 0.5, schedule=TWO_WEEK_SCHEDULE
+            )
+        assert lms_conditional_centile(
+            fitted, 0.6, 22.0, 64.0, 24.0, 0.5, schedule=TWO_WEEK_SCHEDULE
+        ) > 0.0
 
     def test_domain_edge_raises(self, spec5):
         fit = constant_fit(spec5, L=-2.0, M=70.0, S=0.5)

@@ -1,22 +1,93 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import centilebench.mvn
 from centilebench.cohort import Cohort, VisitSchedule, generate_cohort
 from centilebench.model import LognormalAR1Model, conditional_percentile
 from centilebench.mvn import (
     MVNFit,
+    _pattern_moments,
     fit_mvn,
-    gaussian_log_likelihood,
     mvn_conditional_centile,
     mvn_marginal_centile,
 )
 from centilebench.numerics import RngStream, std_normal_quantile
 from centilebench.splines import design_matrix
 
-from conftest import true_log_mean
+from conftest import TWO_WEEK_SCHEDULE, true_log_mean
+
+def gaussian_log_likelihood(cohort, spec, mean_coefs, sigma, rho) -> float:
+    """Exact joint log-likelihood of the observed data at given parameters.
+
+    Straightforward per-subject evaluation, deliberately independent of the
+    moment-based path used by fit_mvn.
+    """
+    beta = np.asarray(mean_coefs, dtype=float)
+    total = 0.0
+    for i in range(cohort.n_subjects):
+        k = np.nonzero(cohort.observed[i])[0]
+        if k.size == 0:
+            continue
+        resid = np.log(cohort.values[i, k]) - design_matrix(
+            spec, cohort.times[i, k]
+        ) @ beta
+        cov = sigma ** 2 * rho ** np.abs(np.subtract.outer(k, k)).astype(float)
+        sign, log_det = np.linalg.slogdet(cov)
+        total += -0.5 * (
+            k.size * math.log(2.0 * math.pi)
+            + log_det
+            + resid @ np.linalg.solve(cov, resid)
+        )
+    return float(total)
+
+
+def reference_pattern_moments(cohort, spec, center):
+    """Per-subject moment builder: one basis call per subject, patterns kept
+    in order of first appearance, the all-missing pattern skipped."""
+    logs = np.log(cohort.values) - center
+    by_pattern = {}
+    for i in range(cohort.n_subjects):
+        key = tuple(np.nonzero(cohort.observed[i])[0])
+        if key:
+            by_pattern.setdefault(key, []).append(i)
+    groups = []
+    n_obs = 0
+    for key, members in by_pattern.items():
+        idx = np.asarray(members)
+        k = np.asarray(key)
+        bases = np.stack([design_matrix(spec, cohort.times[i, k]) for i in idx])
+        ys = logs[np.ix_(idx, k)]
+        groups.append(
+            {
+                "gaps": np.abs(np.subtract.outer(k, k)).astype(float),
+                "count": len(idx),
+                "sxx": np.einsum("nka,nlb->klab", bases, bases),
+                "sxy": np.einsum("nka,nl->kla", bases, ys),
+                "syy": np.einsum("nk,nl->kl", ys, ys),
+            }
+        )
+        n_obs += ys.size
+    return groups, n_obs
+
+
+def _fit_or_error(cohort, spec):
+    try:
+        return fit_mvn(cohort, spec)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+_MASK_SOURCE = generate_cohort(
+    LognormalAR1Model(), VisitSchedule(), 40, RngStream(31).child(0)
+)
+_ALL_PATTERNS = (np.arange(32)[:, None] >> np.arange(5) & 1).astype(bool)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +158,56 @@ class TestFit:
         assert np.allclose(shift, math.log(3.0), atol=1e-6)
 
 
+class TestPatternMoments:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mask=st.integers(1, 40).flatmap(
+            lambda n: arrays(bool, (n, 5), elements=st.booleans())
+        )
+    )
+    @example(mask=np.ones((40, 5), dtype=bool))
+    @example(mask=_ALL_PATTERNS)
+    @example(mask=np.concatenate([np.zeros((3, 5), bool), np.eye(5, dtype=bool)] * 4))
+    @example(mask=np.concatenate([np.zeros((20, 5), bool), np.ones((20, 5), bool)]))
+    def test_matches_per_subject_reference(self, spec5, mask):
+        n = mask.shape[0]
+        cohort = Cohort(
+            model=_MASK_SOURCE.model, schedule=_MASK_SOURCE.schedule,
+            times=_MASK_SOURCE.times[:n], values=_MASK_SOURCE.values[:n],
+            observed=mask,
+        )
+        center = 4.2
+        got, got_n = _pattern_moments(cohort, spec5, center)
+        want, want_n = reference_pattern_moments(cohort, spec5, center)
+        assert got_n == want_n
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g["count"] == w["count"]
+            for name in ("gaps", "sxx", "sxy", "syy"):
+                assert g[name].shape == w[name].shape, name
+                assert np.array_equal(g[name], w[name]), name
+
+        if mask.any():
+            fit = _fit_or_error(cohort, spec5)
+            with mock.patch.object(
+                centilebench.mvn, "_pattern_moments", reference_pattern_moments
+            ):
+                assert fit == _fit_or_error(cohort, spec5)
+
+    @pytest.mark.parametrize("n_subjects", [30, 1000])
+    def test_one_basis_call_per_fit(self, model, schedule, spec5, monkeypatch, n_subjects):
+        calls = []
+
+        def counting(spec, times):
+            calls.append(np.size(times))
+            return design_matrix(spec, times)
+
+        cohort = generate_cohort(model, schedule, n_subjects, RngStream(6).child(0))
+        monkeypatch.setattr(centilebench.mvn, "design_matrix", counting)
+        fit_mvn(cohort, spec5)
+        assert calls == [int(cohort.observed.sum())]
+
+
 class TestMarginalCentile:
     def test_median_is_exp_mean(self, fitted):
         assert mvn_marginal_centile(fitted, 24.0, 0.5) == pytest.approx(
@@ -133,6 +254,14 @@ class TestConditionalCentile:
             mvn_conditional_centile(fitted, 22.0, -1.0, 26.0, 0.5)
         with pytest.raises(ValueError):
             mvn_conditional_centile(fitted, 18.0, 66.0, 26.0, 0.5)
+
+    def test_adjacency_follows_fitted_schedule(self, model, spec5):
+        cohort = generate_cohort(model, TWO_WEEK_SCHEDULE, 300, RngStream(12).child(0))
+        fit = fit_mvn(cohort, spec5)
+        assert fit.schedule == TWO_WEEK_SCHEDULE
+        with pytest.raises(ValueError, match="adjacent"):
+            mvn_conditional_centile(fit, 22.0, 70.0, 26.0, 0.5)
+        assert mvn_conditional_centile(fit, 22.0, 70.0, 24.0, 0.5) > 0.0
 
 
 class TestExport:

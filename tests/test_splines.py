@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
-from centilebench.splines import SplineSpec, basis_row, design_matrix
+from centilebench.splines import SplineSpec, design_matrix
 
 
 class TestSplineSpec:
@@ -44,10 +44,10 @@ class TestBasisRow:
         assert rows.min() >= 0.0
 
     def test_clamped_left_end(self, spec5):
-        assert np.allclose(basis_row(spec5, 16.0), [1, 0, 0, 0, 0], atol=1e-15)
+        assert np.allclose(design_matrix(spec5, [16.0])[0], [1, 0, 0, 0, 0], atol=1e-15)
 
     def test_clamped_right_end(self, spec5):
-        assert np.allclose(basis_row(spec5, 36.0), [0, 0, 0, 0, 1], atol=1e-15)
+        assert np.allclose(design_matrix(spec5, [36.0])[0], [0, 0, 0, 0, 1], atol=1e-15)
 
     def test_local_support(self, spec5):
         rng = np.random.default_rng(7)
@@ -57,7 +57,7 @@ class TestBasisRow:
 
     def test_out_of_range(self, spec5):
         with pytest.raises(ValueError):
-            basis_row(spec5, 36.5)
+            design_matrix(spec5, [36.5])
         with pytest.raises(ValueError):
             design_matrix(spec5, [20.0, 15.0])
 
