@@ -21,10 +21,11 @@ from .experiment import (
     run_conditional_experiment,
     run_drift_report,
     run_marginal_experiment,
+    run_metadata,
     run_screening_report,
 )
 from .model import LognormalAR1Model
-from .numerics import PRNG_NAME, RngStream
+from .numerics import RngStream
 from .splines import SplineSpec
 
 __all__ = ["main", "build_config"]
@@ -129,13 +130,7 @@ def _csv_cell(value) -> str:
 
 
 def _summary_metadata(cfg: ExperimentConfig, command: str) -> dict:
-    return {
-        "command": command,
-        "config": cfg.describe(),
-        "prng": PRNG_NAME,
-        "knots": list(cfg.spline.knots),
-        "version": __version__,
-    }
+    return {"command": command, **run_metadata(cfg)}
 
 
 def _cmd_simulate(args) -> int:

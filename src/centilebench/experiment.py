@@ -56,6 +56,7 @@ __all__ = [
     "run_marginal_experiment",
     "run_conditional_experiment",
     "run_both_experiments",
+    "run_metadata",
     "emit_true_centiles",
     "run_drift_report",
     "run_screening_report",
@@ -102,6 +103,17 @@ class ExperimentConfig:
             )
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if {"LMS", "MVN"} & set(self.methods) and (
+            self.schedule.interval_index(self.eval_week_conditional)
+            - self.schedule.interval_index(self.prior_week)
+            != 1
+        ):
+            raise ValueError(
+                f"prior_week {self.prior_week!r} and eval_week_conditional "
+                f"{self.eval_week_conditional!r} must lie in adjacent intervals of "
+                f"the visit schedule: the LMS and MVN conditional centiles chain "
+                f"one interval's correlation"
+            )
         object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
         object.__setattr__(
             self, "eval_weeks_marginal", tuple(float(w) for w in self.eval_weeks_marginal)
@@ -199,6 +211,16 @@ class ReplicationSummary:
         }
 
 
+def run_metadata(cfg: ExperimentConfig) -> dict:
+    """Run metadata shared by every output: design, PRNG, knots and version."""
+    return {
+        "config": cfg.describe(),
+        "prng": PRNG_NAME,
+        "knots": list(cfg.spline.knots),
+        "version": __version__,
+    }
+
+
 def _replication(cfg: ExperimentConfig, rep: int, marginal: bool, conditional: bool):
     """Fit every requested method on one simulated cohort.
 
@@ -214,7 +236,7 @@ def _replication(cfg: ExperimentConfig, rep: int, marginal: bool, conditional: b
     marg: dict = {}
     cond: dict = {}
     failures: list[tuple[str, str]] = []
-    diag = {"qr_subgradient_violations": 0, "qr_lp_fallbacks": 0}
+    diag = {"qr_subgradient_violations": 0, "qr_lp_fallbacks": 0, "lms_newton_steps": 0}
 
     def drop_method(name: str) -> None:
         """A failed method contributes no cells at all for this replication."""
@@ -258,6 +280,7 @@ def _replication(cfg: ExperimentConfig, rep: int, marginal: bool, conditional: b
     if "LMS" in cfg.methods:
         try:
             fit = fit_lms(t_obs, y_obs, cfg.spline)
+            diag["lms_newton_steps"] = fit.newton_steps
             if marginal:
                 for tau in cfg.tau_grid:
                     for week in cfg.eval_weeks_marginal:
@@ -349,7 +372,7 @@ def _run(cfg: ExperimentConfig, marginal: bool, conditional: bool, keep_replicat
 
     diagnostics = {
         key: int(sum(res["diag"][key] for res in results))
-        for key in ("qr_subgradient_violations", "qr_lp_fallbacks")
+        for key in ("qr_subgradient_violations", "qr_lp_fallbacks", "lms_newton_steps")
     }
     diagnostics["n_failed_replications"] = len(failed_reps)
     for key in ("lms_rho_hat", "mvn_rho_hat", "mvn_sigma_hat", "qr_crossing_grid_points"):
@@ -361,12 +384,7 @@ def _run(cfg: ExperimentConfig, marginal: bool, conditional: bool, keep_replicat
         if vals:
             diagnostics[f"{key}_mean"] = float(np.mean(vals))
 
-    metadata = {
-        "config": cfg.describe(),
-        "prng": PRNG_NAME,
-        "knots": list(cfg.spline.knots),
-        "version": __version__,
-    }
+    metadata = run_metadata(cfg)
 
     marg_rows, marg_reps = (), {}
     cond_rows, cond_reps = (), {}

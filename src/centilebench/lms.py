@@ -4,11 +4,15 @@ The measurement distribution at age t is summarized by a skewness power
 L(t), median M(t) and coefficient of variation S(t), each a spline in age;
 an observation maps to its z-score
 
-    z = ((y / M)^L - 1) / (L * S)      (log form as L -> 0)
+    z = ((y / M)^L - 1) / (L * S) = u * E(L * u) / S,    u = ln(y / M),
 
-and the three curves are estimated jointly by unpenalized maximum
-likelihood. M and S are fitted through log links so they stay positive; L
-is fitted directly with its coefficients boxed to [-3, 3]. Conditional
+with E(x) = expm1(x) / x and E(0) = 1, so the transform and its
+derivatives are smooth through L = 0. The three curves are estimated
+jointly by unpenalized maximum likelihood. M and S are fitted through log
+links so they stay positive; L is fitted directly with its coefficients
+boxed to [-3, 3]. The likelihood is maximized by Newton's method with the
+analytic Hessian, as Cole & Green (1992) fit LMS curves by Newton-type
+scoring, with the box handled by projection (Bertsekas 1982). Conditional
 centiles chain a first-order autoregression of lag-1 z-scores through the
 inverse transform.
 """
@@ -16,10 +20,10 @@ inverse transform.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .cohort import PairSet, VisitSchedule
 from .errors import FitError
@@ -36,22 +40,36 @@ __all__ = [
     "fit_ar1_z",
 ]
 
-# Below this |L| the Box-Cox transform switches to its log-form limit.
-_L_EPS = 1e-4
-
 _L_BOUND = 3.0
 _LNM_BOUNDS = (0.0, 10.0)
 _LNS_BOUNDS = (np.log(1e-4), np.log(2.0))
 
+# Below this |x| the derivatives of E(x) are summed as Taylor series, whose
+# closed forms lose digits to cancellation near 0.
+_SERIES_CUTOFF = 1e-2
+_SERIES_TERMS = 8
+
+# Newton stops once the predicted gain of a step (the Newton decrement
+# g'H^-1 g / 2) is at most this fraction of max(|nll|, 1).
+_DECREMENT_RTOL = 1e-10
+_MAX_NEWTON_STEPS = 50
+_MAX_HALVINGS = 60
+_ARMIJO = 1e-4
+
 
 @dataclass(frozen=True)
 class LMSFit:
-    """Fitted L/M/S spline coefficients; M and S are stored on the log scale."""
+    """Fitted L/M/S spline coefficients; M and S are stored on the log scale.
+
+    ``newton_steps`` counts the Newton steps the fit took; it is a solver
+    diagnostic and not part of the serialized fit.
+    """
 
     spec: SplineSpec
     l_coefs: tuple[float, ...]
     m_coefs: tuple[float, ...]  # coefficients of ln M(t)
     s_coefs: tuple[float, ...]  # coefficients of ln S(t)
+    newton_steps: int = 0
 
     def curves_at(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(L, M, S) evaluated at the given ages."""
@@ -77,47 +95,189 @@ class LMSFit:
         return json.dumps(self.to_dict(rho_hat), sort_keys=True)
 
 
+def _expm1_ratio(x):
+    """E(x) = expm1(x) / x elementwise, with E(0) = 1; accurate for every x."""
+    zero = x == 0.0
+    return np.where(zero, 1.0, np.expm1(x) / np.where(zero, 1.0, x))
+
+
+def _expm1_ratio_derivs(x):
+    """E(x) and its first two derivatives, E' = (e^x - E) / x and
+    E'' = (e^x - 2E') / x, elementwise.
+
+    Below _SERIES_CUTOFF the derivatives come from the Taylor series
+    E^(j)(x) = sum_m x^m / (m! (m + j + 1)), which is exact to rounding there.
+    """
+    e0 = _expm1_ratio(x)
+    small = np.abs(x) < _SERIES_CUTOFF
+    xs = np.where(small, 1.0, x)
+    ex = np.exp(x)
+    e1 = (ex - e0) / xs
+    e2 = (ex - 2.0 * e1) / xs
+    if np.any(small):
+        xm = x[small]
+        s1 = np.zeros_like(xm)
+        s2 = np.zeros_like(xm)
+        for m in reversed(range(_SERIES_TERMS)):
+            m_fact = math.factorial(m)
+            s1 = s1 * xm + 1.0 / (m_fact * (m + 2))
+            s2 = s2 * xm + 1.0 / (m_fact * (m + 3))
+        e1[small] = s1
+        e2[small] = s2
+    return e0, e1, e2
+
+
 def _boxcox_z(L, S, u):
     """z-scores from log-ratios u = ln(y/M), elementwise in L."""
-    big = np.abs(L) > _L_EPS
-    l_safe = np.where(big, L, 1.0)
-    return np.where(big, np.expm1(L * u) / (l_safe * S), u / S)
+    return u * _expm1_ratio(L * u) / S
 
 
-def _nll_and_grad(x, basis, ln_y):
-    k = basis.shape[1]
-    L = basis @ x[:k]
-    ln_m = basis @ x[k : 2 * k]
-    ln_s = basis @ x[2 * k :]
-    S = np.exp(ln_s)
+def _curves(x, basis):
+    """L, ln M and ln S at the basis rows for the stacked coefficients x."""
+    eta = basis @ x.reshape(3, -1).T
+    return eta[:, 0], eta[:, 1], eta[:, 2]
+
+
+def _nll(x, basis, ln_y) -> float:
+    """Negative Box-Cox log-likelihood, up to a constant that depends on y."""
+    L, ln_m, ln_s = _curves(x, basis)
     u = ln_y - ln_m
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _boxcox_z(L, np.exp(ln_s), u)
+        return float(-np.sum(L * u - ln_s - 0.5 * z * z))
 
-    big = np.abs(L) > _L_EPS
-    l_safe = np.where(big, L, 1.0)
-    w = np.exp(L * u)
-    z = np.where(big, (w - 1.0) / (l_safe * S), u / S)
 
-    ll = L * u - ln_s - 0.5 * z * z
-    d_l = np.where(
-        big,
-        u - z * (u * w / (l_safe * S) - z / l_safe),
-        u - u ** 3 / (2.0 * S * S),
+def _basis_products(basis):
+    """Row (i, j) is the elementwise product of basis columns i <= j, in
+    np.triu_indices order."""
+    rows, cols = np.triu_indices(basis.shape[1])
+    basis_t = np.ascontiguousarray(basis.T)
+    return basis_t[rows] * basis_t[cols]
+
+
+def _nll_grad_hess(x, basis, ln_y, products):
+    """Negative log-likelihood with its gradient and Hessian in x.
+
+    ``products`` is _basis_products(basis).
+
+    Per observation, with w = e^(Lu), the z-derivatives are
+    z_L = u^2 E'(Lu)/S, z_lnM = -w/S, z_lnS = -z and
+    z_LL = u^3 E''(Lu)/S, z_L,lnM = -u w/S, z_lnM,lnM = L w/S,
+    z_lnM,lnS = w/S, z_L,lnS = -z_L, z_lnS,lnS = z. The per-observation
+    nll is -L u + ln S + z^2/2, so its second derivatives are
+    z_a z_b + z z_ab, plus 1 in (L, ln M) from -L u. Each Hessian block is
+    B' diag(h) B.
+    """
+    k = basis.shape[1]
+    L, ln_m, ln_s = _curves(x, basis)
+    u = ln_y - ln_m
+    inv_s = np.exp(-ln_s)
+    lu = L * u
+    e0, e1, e2 = _expm1_ratio_derivs(lu)
+    w = np.exp(lu)
+    z = u * e0 * inv_s
+    z_l = u * u * e1 * inv_s
+    z_m = -w * inv_s
+
+    nll = float(-np.sum(lu - ln_s - 0.5 * z * z))
+    grad = (basis.T @ np.column_stack([z * z_l - u, z * z_m + L, 1.0 - z * z])).T.ravel()
+
+    # The six distinct blocks B' diag(h_ab) B in one product.
+    h = np.column_stack([
+        z_l * z_l + z * (u * u * u * e2 * inv_s),  # (L, L)
+        z_l * z_m + 1.0 - z * u * w * inv_s,  # (L, ln M)
+        -2.0 * z * z_l,  # (L, ln S)
+        z_m * z_m + z * L * w * inv_s,  # (ln M, ln M)
+        -2.0 * z * z_m,  # (ln M, ln S)
+        2.0 * z * z,  # (ln S, ln S)
+    ])
+    rows, cols = np.triu_indices(k)
+    sym = np.empty((k, k, 6))
+    sym[rows, cols] = sym[cols, rows] = products @ h
+    hess = np.empty((3 * k, 3 * k))
+    for n, (a, b) in enumerate(((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))):
+        hess[a * k : (a + 1) * k, b * k : (b + 1) * k] = sym[:, :, n]
+        hess[b * k : (b + 1) * k, a * k : (a + 1) * k] = sym[:, :, n]
+    return nll, grad, hess
+
+
+def _newton_direction(hess, grad):
+    """Solve hess d = -grad, shifting hess by a multiple of the identity
+    (Levenberg) until it is positive definite."""
+    shift = 0.0
+    eye = np.eye(grad.size)
+    scale = max(float(np.max(np.abs(np.diag(hess)), initial=0.0)), 1.0)
+    while True:
+        shifted = hess + shift * eye
+        try:
+            np.linalg.cholesky(shifted)
+            return -np.linalg.solve(shifted, grad)
+        except np.linalg.LinAlgError:
+            shift = max(10.0 * shift, 1e-10 * scale)
+
+
+def _coefficient_box(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of the stacked L, ln M and ln S coefficients."""
+    lower = np.repeat([-_L_BOUND, _LNM_BOUNDS[0], _LNS_BOUNDS[0]], k)
+    upper = np.repeat([_L_BOUND, _LNM_BOUNDS[1], _LNS_BOUNDS[1]], k)
+    return lower, upper
+
+
+def _projected_newton(x, lower, upper, basis, ln_y):
+    """Minimize the nll over the box [lower, upper] from the feasible x.
+
+    Each step holds fixed the coefficients at a bound whose gradient points
+    out of the box, takes the Newton step on the others (also holding any
+    at a bound that the step would push out), and backtracks along the
+    projected path until the Armijo condition holds. Returns the minimizer
+    and the number of steps taken.
+    """
+    products = _basis_products(basis)
+    for step in range(_MAX_NEWTON_STEPS + 1):
+        nll, grad, hess = _nll_grad_hess(x, basis, ln_y, products)
+        at_lo = x <= lower
+        at_hi = x >= upper
+        held = (at_lo & (grad > 0.0)) | (at_hi & (grad < 0.0))
+        while True:
+            free = ~held
+            d = np.zeros_like(x)
+            d[free] = _newton_direction(hess[np.ix_(free, free)], grad[free])
+            outward = free & ((at_lo & (d < 0.0)) | (at_hi & (d > 0.0)))
+            if not outward.any():
+                break
+            held |= outward
+        decrement = -0.5 * float(grad @ d)
+        if decrement <= _DECREMENT_RTOL * max(abs(nll), 1.0):
+            return x, step
+        if step == _MAX_NEWTON_STEPS:
+            break
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = np.clip(x + alpha * d, lower, upper)
+            if _nll(trial, basis, ln_y) <= nll + _ARMIJO * float(grad @ (trial - x)):
+                break
+            alpha *= 0.5
+        else:
+            raise FitError(
+                f"LMS Newton line search failed at step {step}: no decrease "
+                f"along the projected path (nll {nll:.6f}, decrement {decrement:.3g})"
+            )
+        x = trial
+    raise FitError(
+        f"LMS likelihood maximization did not converge in {_MAX_NEWTON_STEPS} "
+        f"Newton steps: nll {nll:.6f}, Newton decrement {decrement:.3g}"
     )
-    d_lnm = np.where(big, z * w / S - L, z / S - L)
-    d_lns = z * z - 1.0
-
-    grad = np.concatenate([basis.T @ d_l, basis.T @ d_lnm, basis.T @ d_lns])
-    return -np.sum(ll), -grad
 
 
 def fit_lms(times, values, spec: SplineSpec) -> LMSFit:
     """Maximize the Box-Cox normal likelihood over the L/M/S coefficients.
 
     Starts from L identically zero, the least-squares log-median curve, and
-    a constant S equal to the SD of the log residuals, then runs bounded
-    L-BFGS-B with analytic gradients. The relative log-likelihood change at
-    termination is below 1e-9; non-convergence raises FitError with the
-    optimizer's diagnostics.
+    a constant S equal to the SD of the log residuals, then runs a damped
+    projected Newton method with the analytic Hessian inside the coefficient
+    box. It stops when the Newton decrement on the free coefficients is at
+    most 1e-10 of max(|nll|, 1); a line search that cannot decrease the
+    likelihood, or no convergence within 50 steps, raises FitError.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -127,8 +287,8 @@ def fit_lms(times, values, spec: SplineSpec) -> LMSFit:
         raise ValueError(
             f"need at least 3*n_basis={3 * spec.n_basis} observations, got {t.size}"
         )
-    if np.any(y <= 0.0):
-        raise ValueError("all measurements must be positive")
+    if not np.all(np.isfinite(y) & (y > 0.0)):
+        raise ValueError("all measurements must be positive and finite")
 
     basis = design_matrix(spec, t)
     ln_y = np.log(y)
@@ -137,38 +297,13 @@ def fit_lms(times, values, spec: SplineSpec) -> LMSFit:
     s0 = np.clip(np.log(max(float(np.std(ln_y - basis @ m0)), 1e-3)), *_LNS_BOUNDS)
     k = spec.n_basis
     x0 = np.concatenate([np.zeros(k), m0, np.full(k, s0)])
-    bounds = (
-        [(-_L_BOUND, _L_BOUND)] * k
-        + [_LNM_BOUNDS] * k
-        + [_LNS_BOUNDS] * k
-    )
-    options = {"maxiter": 2000, "ftol": 1e-9, "gtol": 1e-7}
-
-    def run(start):
-        return minimize(
-            _nll_and_grad, start, args=(basis, ln_y), jac=True,
-            method="L-BFGS-B", bounds=bounds, options=options,
-        )
-
-    res = run(x0)
-    if not res.success:
-        # A failed line search near the optimum reports an abnormal stop;
-        # restart with fresh curvature memory and accept if no further
-        # relative improvement is available (the convergence rule itself).
-        retry = run(res.x)
-        improvement = (res.fun - retry.fun) / max(abs(res.fun), abs(retry.fun), 1.0)
-        if not retry.success and improvement > 1e-9:
-            raise FitError(
-                f"LMS likelihood maximization did not converge after "
-                f"{res.nit}+{retry.nit} iterations: {retry.message}; "
-                f"best nll {retry.fun:.6f}"
-            )
-        res = retry if retry.fun <= res.fun else res
+    x, steps = _projected_newton(x0, *_coefficient_box(k), basis, ln_y)
     return LMSFit(
         spec=spec,
-        l_coefs=tuple(res.x[:k]),
-        m_coefs=tuple(res.x[k : 2 * k]),
-        s_coefs=tuple(res.x[2 * k :]),
+        l_coefs=tuple(x[:k]),
+        m_coefs=tuple(x[k : 2 * k]),
+        s_coefs=tuple(x[2 * k :]),
+        newton_steps=steps,
     )
 
 
@@ -183,16 +318,18 @@ def lms_zscore(fit: LMSFit, t, y):
 
 
 def _from_zscore(L: float, M: float, S: float, z: float) -> float:
-    """Inverse Box-Cox transform of a z-score; exact inverse of the forward map."""
-    if abs(L) > _L_EPS:
-        arg = 1.0 + L * S * z
-        if arg <= 0.0:
-            raise ValueError(
-                f"z-score {z:.4f} is outside the Box-Cox domain at L={L:.4f}, "
-                f"S={S:.4f} (1 + L*S*z = {arg:.4g} <= 0)"
-            )
-        return float(M * arg ** (1.0 / L))
-    return float(M * np.exp(S * z))
+    """Inverse Box-Cox transform of a z-score; exact inverse of the forward map.
+
+    With x = L S z the log-ratio is u = S z log1p(x) / x, smooth through L = 0.
+    """
+    x = L * S * z
+    if 1.0 + x <= 0.0:
+        raise ValueError(
+            f"z-score {z:.4f} is outside the Box-Cox domain at L={L:.4f}, "
+            f"S={S:.4f} (1 + L*S*z = {1.0 + x:.4g} <= 0)"
+        )
+    ratio = math.log1p(x) / x if x != 0.0 else 1.0
+    return float(M * math.exp(S * z * ratio))
 
 
 def lms_centile(fit: LMSFit, t: float, tau: float) -> float:

@@ -5,7 +5,7 @@ B(t) . beta and covariance sigma^2 * rho^|j-k| over visit-interval indices,
 so a missed visit simply raises the power on rho. The mean coefficients
 are profiled out by generalized least squares and sigma has a closed form
 given rho, leaving a one-dimensional profile likelihood that is maximized
-by bounded search. Centiles come from back-transforming normal quantiles
+by Brent's bounded search. Centiles come from back-transforming normal quantiles
 to the measurement scale.
 """
 
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .cohort import Cohort, VisitSchedule
 from .errors import FitError
@@ -31,6 +30,7 @@ __all__ = [
 ]
 
 _RHO_BOUNDS = (-0.995, 0.995)
+_RHO_XATOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,101 @@ def _profile(rho: float, groups, n_obs: int, n_basis: int):
     return ll, beta, math.sqrt(sigma2)
 
 
+def _minimize_bounded(func, lower: float, upper: float, xatol: float, maxfun: int = 500):
+    """Brent's minimization of a scalar function on [lower, upper].
+
+    The arithmetic of scipy.optimize.minimize_scalar(method="bounded")
+    (scipy's _minimize_scalar_bounded), step for step, so the minimizer and
+    the evaluation count are the same. Returns (x, f(x), evaluations, status)
+    with status 0 on convergence, 1 when maxfun evaluations were used and 2
+    when x or f(x) is NaN.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lower, upper
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    fu = np.inf
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    status = 0
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # Check for a parabolic fit.
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+
+            # Is the parabola acceptable?
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = 1
+
+        if golden:  # a golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            status = 1
+            break
+
+    if np.isnan(xf) or np.isnan(fx) or np.isnan(fu):
+        status = 2
+    return xf, fx, num, status
+
+
 def fit_mvn(cohort: Cohort, spec: SplineSpec) -> MVNFit:
     """Maximum likelihood fit of (beta, sigma, rho); empty subjects are skipped."""
     center = float(np.log(cohort.values[cohort.observed]).mean())
@@ -138,15 +233,15 @@ def fit_mvn(cohort: Cohort, spec: SplineSpec) -> MVNFit:
     if n_obs < spec.n_basis + 2:
         raise ValueError(f"too few observed measurements ({n_obs}) to fit")
 
-    result = minimize_scalar(
+    rho, _, nfev, status = _minimize_bounded(
         lambda rho: -_profile(rho, groups, n_obs, spec.n_basis)[0],
-        bounds=_RHO_BOUNDS,
-        method="bounded",
-        options={"xatol": 1e-7},
+        *_RHO_BOUNDS,
+        xatol=_RHO_XATOL,
     )
-    if not result.success:
-        raise FitError(f"profile-likelihood search failed: {result.message}")
-    rho = float(result.x)
+    if status != 0:
+        reason = "NaN encountered" if status == 2 else "evaluation limit reached"
+        raise FitError(f"profile-likelihood search failed after {nfev} evaluations: {reason}")
+    rho = float(rho)
     ll, beta, sigma = _profile(rho, groups, n_obs, spec.n_basis)
     # Undo the centering of the log values: the basis sums to one, so the
     # offset moves entirely into the mean coefficients.

@@ -31,8 +31,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .cohort import PairSet
 from .errors import FitError
@@ -319,7 +317,14 @@ def _solve_check_loss(X: np.ndarray, y: np.ndarray, tau: float) -> tuple[np.ndar
 
 
 def _solve_check_loss_lp(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
-    """Exact check-loss minimizer via the dual LP, with primal fallback."""
+    """Exact check-loss minimizer via the dual LP, with primal fallback.
+
+    scipy.optimize and scipy.sparse are imported here, on the rare path
+    that needs them, so a study that never falls back does not load them.
+    """
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     res = linprog(
         -y,
         A_eq=sp.csr_matrix(X.T),

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import centilebench
 from centilebench import experiment, quantreg
-from centilebench.cli import build_config, main
+from centilebench.cli import _summary_metadata, build_config, main
+from centilebench.cohort import generate_cohort
 from centilebench.errors import ExperimentError
 from centilebench.experiment import (
     DRIFT_SCENARIOS,
@@ -15,11 +20,14 @@ from centilebench.experiment import (
     run_conditional_experiment,
     run_drift_report,
     run_marginal_experiment,
+    run_metadata,
     run_screening_report,
 )
+from centilebench.lms import fit_lms
 from centilebench.model import marginal_percentile
+from centilebench.numerics import RngStream
 
-from conftest import true_log_mean
+from conftest import TWO_WEEK_SCHEDULE, true_log_mean
 
 TINY = dict(n_reps=4, n_subjects=150, master_seed=314)
 
@@ -54,6 +62,17 @@ class TestConfig:
             ExperimentConfig(qr_pair_mode="all")
         with pytest.raises(ValueError):
             ExperimentConfig(tau_grid=(0.5, 1.0))
+
+    def test_conditional_weeks_must_be_adjacent_intervals(self):
+        # Under 2-week windows, weeks 22 and 26 are two intervals apart: the
+        # LMS and MVN conditional centiles would fail in every replication.
+        for methods in (("LMS",), ("MVN",), ("QR", "LMS", "MVN")):
+            with pytest.raises(ValueError, match="adjacent intervals"):
+                ExperimentConfig(schedule=TWO_WEEK_SCHEDULE, methods=methods)
+        ExperimentConfig(schedule=TWO_WEEK_SCHEDULE, methods=("QR",))
+        ExperimentConfig(schedule=TWO_WEEK_SCHEDULE, eval_week_conditional=24.0)
+        with pytest.raises(ValueError, match="schedule span"):
+            ExperimentConfig(prior_week=12.0)
 
     def test_describe_is_jsonable_and_stable(self):
         cfg = ExperimentConfig(**TINY)
@@ -101,6 +120,19 @@ class TestRunStructure:
         assert marg.metadata["prng"].startswith("numpy PCG64")
         assert marg.metadata["knots"] == [16.0] * 4 + [26.0] + [36.0] * 4
         assert marg.metadata["config"]["n_reps"] == 4
+        cfg = ExperimentConfig(**TINY)
+        assert marg.metadata == run_metadata(cfg)
+        assert _summary_metadata(cfg, "drift") == {"command": "drift", **run_metadata(cfg)}
+
+    def test_lms_newton_steps_totalled(self, tiny_run):
+        cfg = ExperimentConfig(**TINY)
+        steps = 0
+        for rep in range(cfg.n_reps):
+            stream = RngStream(cfg.master_seed).child(rep)
+            cohort = generate_cohort(cfg.model, cfg.schedule, cfg.n_subjects, stream)
+            steps += fit_lms(*cohort.observed_points(), cfg.spline).newton_steps
+        for summary in tiny_run:
+            assert summary.diagnostics["lms_newton_steps"] == steps >= cfg.n_reps
 
 
 class TestDeterminism:
@@ -123,6 +155,27 @@ class TestDeterminism:
             twin = full.cell(row.method, row.week, row.tau)
             assert row.mean_mmhg == twin.mean_mmhg
             assert row.sd_mmhg == twin.sd_mmhg
+
+
+class TestImports:
+    def test_study_does_not_load_scipy_optimize(self):
+        # scipy.optimize costs about 20 MB of resident memory; only a QR fit
+        # that falls back to the LP solver needs it.
+        src = os.path.dirname(os.path.dirname(centilebench.__file__))
+        code = (
+            "import sys\n"
+            "import centilebench\n"
+            "from centilebench.experiment import ExperimentConfig, run_both_experiments\n"
+            "marg, _ = run_both_experiments(ExperimentConfig(n_reps=1, n_subjects=200))\n"
+            "assert marg.diagnostics['qr_lp_fallbacks'] == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=300, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestFailurePolicy:

@@ -1,8 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from centilebench import lms
+from centilebench.cohort import VisitSchedule, generate_cohort
 from centilebench.lms import (
     LMSFit,
     fit_ar1_z,
@@ -12,8 +17,9 @@ from centilebench.lms import (
     lms_zscore,
     zscore_pairs,
 )
-from centilebench.model import conditional_percentile
-from centilebench.numerics import std_normal_quantile
+from centilebench.model import LognormalAR1Model, conditional_percentile
+from centilebench.numerics import RngStream, std_normal_quantile
+from centilebench.errors import FitError
 from centilebench.splines import design_matrix
 
 from conftest import TWO_WEEK_SCHEDULE, true_log_mean
@@ -85,6 +91,11 @@ class TestFitRecovery:
             fit_lms([20.0] * 5, [60.0] * 5, spec5)
         with pytest.raises(ValueError):
             fit_lms(np.linspace(17, 35, 60), np.full(60, -1.0), spec5)
+        for bad in (np.nan, np.inf):
+            y = np.full(60, 70.0)
+            y[7] = bad
+            with pytest.raises(ValueError, match="finite"):
+                fit_lms(np.linspace(17, 35, 60), y, spec5)
 
 
 class TestZScore:
@@ -98,11 +109,17 @@ class TestZScore:
         assert lms_zscore(fit, 26.0, 110.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_continuity_at_l_zero(self, spec5):
-        near = constant_fit(spec5, L=1e-5, M=70.0, S=0.1)
+        # z = u E(L u) / S with E(x) = 1 + x/2 + O(x^2), so z(L) - z(0) is
+        # L u^2 / (2 S) to first order on both sides of L = 0: no switch to
+        # the log form, and no kink, at any |L|.
         zero = constant_fit(spec5, L=0.0, M=70.0, S=0.1)
-        for ratio in (0.7, 0.9, 1.0, 1.2, 1.4):
-            y = 70.0 * ratio
-            assert abs(lms_zscore(near, 25.0, y) - lms_zscore(zero, 25.0, y)) < 1e-6
+        for L in (-1e-3, -1e-4, -1e-5, -1e-8, 1e-8, 1e-5, 1e-4, 1e-3):
+            near = constant_fit(spec5, L=L, M=70.0, S=0.1)
+            for ratio in (0.7, 0.9, 1.0, 1.2, 1.4):
+                y = 70.0 * ratio
+                u = math.log(ratio)
+                diff = lms_zscore(near, 25.0, y) - lms_zscore(zero, 25.0, y)
+                assert diff == pytest.approx(L * u * u / 0.2, rel=1e-3, abs=1e-14)
 
     def test_strictly_increasing_in_y(self, fitted):
         ys = np.linspace(45.0, 95.0, 60)
@@ -202,3 +219,183 @@ class TestZscorePairsGuard:
     def test_gap_pairs_rejected(self, fitted, recovery_cohort):
         with pytest.raises(ValueError, match="one visit interval"):
             zscore_pairs(fitted, recovery_cohort.pair_set(max_gap=None))
+
+
+def oracle_nll(x, basis, ln_y):
+    """Box-Cox negative log-likelihood (up to a constant), written from the
+    density ((y/M)^L - 1) / (L S) directly; complex x gives complex-step
+    derivatives."""
+    k = basis.shape[1]
+    L = basis @ x[:k]
+    u = ln_y - basis @ x[k : 2 * k]
+    ln_s = basis @ x[2 * k :]
+    tiny = np.abs(L.real) < 1e-8
+    lu = L * u
+    z = np.where(
+        tiny,
+        u * (1.0 + lu / 2.0 + lu * lu / 6.0),
+        np.expm1(lu) / np.where(tiny, 1.0, L),
+    ) / np.exp(ln_s)
+    return -np.sum(lu - ln_s - 0.5 * z * z)
+
+
+def oracle_grad(x, basis, ln_y, h=1e-20):
+    g = np.empty(x.size)
+    for j in range(x.size):
+        xc = x.astype(complex)
+        xc[j] += 1j * h
+        g[j] = oracle_nll(xc, basis, ln_y).imag / h
+    return g
+
+
+def cohort_points(n_subjects, seed):
+    cohort = generate_cohort(
+        LognormalAR1Model(), VisitSchedule(), n_subjects, RngStream(seed).child(0)
+    )
+    return cohort.observed_points()
+
+
+def coefs_of(fit):
+    return np.array(fit.l_coefs + fit.m_coefs + fit.s_coefs)
+
+
+def assert_box_optimal(fit, t, y):
+    """First- and second-order conditions for a minimum over the box, with
+    the gradient taken by complex step of the oracle likelihood."""
+    basis = design_matrix(fit.spec, t)
+    ln_y = np.log(y)
+    x = coefs_of(fit)
+    nll = float(oracle_nll(x, basis, ln_y))
+    g = oracle_grad(x, basis, ln_y)
+    lower, upper = lms._coefficient_box(fit.spec.n_basis)
+    assert np.all((x >= lower) & (x <= upper))
+    at_lo, at_hi = x == lower, x == upper
+    # a coefficient at a bound is held there by its gradient
+    assert np.all(g[at_lo] > 0.0) and np.all(g[at_hi] < 0.0)
+    free = ~(at_lo | at_hi)
+    _, _, hess = lms._nll_grad_hess(x, basis, ln_y, lms._basis_products(basis))
+    h_free = hess[np.ix_(free, free)]
+    assert np.linalg.eigvalsh(h_free)[0] > 0.0
+    # the Newton step still open on the free coefficients gains at most
+    # 1e-6 nat and moves no coefficient by more than 1e-3
+    step = np.linalg.solve(h_free, g[free])
+    assert 0.5 * g[free] @ step <= 1e-6
+    assert np.max(np.abs(step)) <= 1e-3
+    return basis, ln_y, nll
+
+
+class TestExpm1Ratio:
+    @given(x=st.floats(-3.0, 3.0) | st.sampled_from([0.0, 1e-2, -1e-2, 1e-300, 5e-3]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_mpmath(self, x):
+        e0, e1, e2 = (float(v[0]) for v in lms._expm1_ratio_derivs(np.array([x])))
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(x)
+            f = lambda s: mpmath.expm1(s) / s if s != 0 else mpmath.mpf(1)
+            want = [f(xm), mpmath.diff(f, xm, 1), mpmath.diff(f, xm, 2)]
+        # The closed forms of E' and E'' lose about eps/x and eps/x^2 to
+        # cancellation just above the series cutoff x = 1e-2.
+        for got, ref, rel in zip((e0, e1, e2), want, (1e-14, 1e-12, 1e-10)):
+            assert got == pytest.approx(float(ref), rel=rel)
+
+
+@st.composite
+def likelihood_points(draw):
+    """Coefficients with L(t) at 0, or straddling |L| = 1e-4, or anywhere in
+    the box, on a small synthetic data set."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    level = draw(
+        st.sampled_from([0.0, 1e-4, -1e-4, 5e-5, -5e-5, 2e-4, -2e-4, 1e-2])
+        | st.floats(-2.5, 2.5)
+    )
+    spread = draw(st.sampled_from([0.0, 5e-5, 2e-4]) | st.floats(0.0, 0.5))
+    k = 5
+    x = np.concatenate([
+        level + spread * rng.uniform(-1.0, 1.0, k),
+        np.log(70.0) + 0.05 * rng.standard_normal(k),
+        np.log(0.1) + 0.3 * rng.standard_normal(k),
+    ])
+    t = rng.uniform(16.0, 36.0, 80)
+    y = np.exp(true_log_mean(t) + 0.1 * rng.standard_normal(t.size))
+    return x, t, y
+
+
+class TestNewtonDerivatives:
+    @given(point=likelihood_points())
+    @settings(max_examples=60, deadline=None)
+    def test_hessian_matches_central_differences(self, point, spec5):
+        x, t, y = point
+        basis = design_matrix(spec5, t)
+        ln_y = np.log(y)
+        products = lms._basis_products(basis)
+        nll, grad, hess = lms._nll_grad_hess(x, basis, ln_y, products)
+        assert np.array_equal(hess, hess.T)
+        assert nll == pytest.approx(lms._nll(x, basis, ln_y), rel=1e-13)
+        assert nll == pytest.approx(float(oracle_nll(x, basis, ln_y)), rel=1e-12)
+        assert np.allclose(grad, oracle_grad(x, basis, ln_y), rtol=1e-9, atol=1e-9 * np.max(np.abs(grad)))
+        h = 1e-6
+        fd = np.empty_like(hess)
+        for j in range(x.size):
+            step = np.zeros(x.size)
+            step[j] = h
+            fd[:, j] = (
+                lms._nll_grad_hess(x + step, basis, ln_y, products)[1]
+                - lms._nll_grad_hess(x - step, basis, ln_y, products)[1]
+            ) / (2.0 * h)
+        assert np.max(np.abs(hess - fd)) <= 1e-6 * np.max(np.abs(hess))
+
+
+class TestNewtonFit:
+    # (subjects, seed); RngStream(2) at 200 subjects ends with an L
+    # coefficient on its bound.
+    COHORTS = [(200, 2), (200, 5), (1000, 7), (5000, 3)]
+
+    @pytest.mark.parametrize("n_subjects, seed", COHORTS)
+    def test_box_optimal(self, n_subjects, seed, spec5):
+        t, y = cohort_points(n_subjects, seed)
+        fit = fit_lms(t, y, spec5)
+        assert 1 <= fit.newton_steps <= 10
+        assert_box_optimal(fit, t, y)
+        if (n_subjects, seed) == (200, 2):
+            assert lms._L_BOUND in np.abs(fit.l_coefs)
+
+    @pytest.mark.parametrize("n_subjects, seed", COHORTS)
+    def test_not_beaten_by_lbfgsb(self, n_subjects, seed, spec5):
+        from scipy.optimize import minimize
+
+        t, y = cohort_points(n_subjects, seed)
+        fit = fit_lms(t, y, spec5)
+        basis = design_matrix(spec5, t)
+        ln_y = np.log(y)
+        products = lms._basis_products(basis)
+        x = coefs_of(fit)
+        nll = lms._nll(x, basis, ln_y)
+        lower, upper = lms._coefficient_box(spec5.n_basis)
+        res = minimize(
+            lambda v: lms._nll_grad_hess(v, basis, ln_y, products)[:2],
+            x, jac=True, method="L-BFGS-B", bounds=list(zip(lower, upper)),
+            options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-12},
+        )
+        assert nll <= res.fun + 1e-10 * abs(nll)
+
+    @pytest.mark.parametrize("n_subjects, seed", [(200, 82), (200, 202), (1000, 39)])
+    def test_converges_with_l_near_zero(self, n_subjects, seed, spec5):
+        # Each of these fits has L(t) within 4e-5 of zero at some observed
+        # age, where a switch to the log form used to put a kink in the
+        # likelihood that Newton could not converge across.
+        t, y = cohort_points(n_subjects, seed)
+        fit = fit_lms(t, y, spec5)
+        assert fit.newton_steps <= 6
+        l_obs = design_matrix(spec5, t) @ np.array(fit.l_coefs)
+        assert np.min(np.abs(l_obs)) < 4e-5
+        assert_box_optimal(fit, t, y)
+
+    def test_steps_not_serialized(self, fitted):
+        assert fitted.newton_steps >= 1
+        assert "newton_steps" not in fitted.to_dict()
+
+    def test_step_cap_raises(self, spec5, monkeypatch):
+        monkeypatch.setattr(lms, "_MAX_NEWTON_STEPS", 1)
+        t, y = cohort_points(200, 5)
+        with pytest.raises(FitError, match="did not converge"):
+            fit_lms(t, y, spec5)

@@ -12,8 +12,12 @@ import centilebench.mvn
 from centilebench.cohort import Cohort, VisitSchedule, generate_cohort
 from centilebench.model import LognormalAR1Model, conditional_percentile
 from centilebench.mvn import (
+    _RHO_BOUNDS,
+    _RHO_XATOL,
     MVNFit,
+    _minimize_bounded,
     _pattern_moments,
+    _profile,
     fit_mvn,
     mvn_conditional_centile,
     mvn_marginal_centile,
@@ -206,6 +210,47 @@ class TestPatternMoments:
         monkeypatch.setattr(centilebench.mvn, "design_matrix", counting)
         fit_mvn(cohort, spec5)
         assert calls == [int(cohort.observed.sum())]
+
+
+class TestBoundedBrent:
+    """The port of Brent's bounded search against scipy's, as a test-only
+    oracle: the same minimizer, value, evaluation count and status."""
+
+    @staticmethod
+    def assert_same_as_scipy(func, lower, upper, xatol, maxiter=500):
+        from scipy.optimize import minimize_scalar
+
+        want = minimize_scalar(
+            func, bounds=(lower, upper), method="bounded",
+            options={"xatol": xatol, "maxiter": maxiter},
+        )
+        x, fx, nfev, status = _minimize_bounded(func, lower, upper, xatol, maxiter)
+        assert (x, fx, nfev, status) == (want.x, want.fun, want.nfev, want.status)
+
+    @given(
+        c=arrays(float, 5, elements=st.floats(-3.0, 3.0)),
+        lower=st.floats(-5.0, 1.0),
+        width=st.floats(1e-3, 10.0),
+        xatol=st.sampled_from([1e-3, 1e-5, 1e-7, 1e-9]),
+        maxiter=st.sampled_from([3, 8, 500]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy_on_smooth_functions(self, c, lower, width, xatol, maxiter):
+        def func(x):
+            return c[0] * x + c[1] * x * x + c[2] * math.sin(c[3] * x) + c[4] * math.cos(x)
+
+        self.assert_same_as_scipy(func, lower, lower + width, xatol, maxiter)
+
+    @pytest.mark.parametrize("n_subjects, seed", [(200, 1), (1000, 2), (5000, 3)])
+    def test_matches_scipy_on_profile(self, model, schedule, spec5, n_subjects, seed):
+        cohort = generate_cohort(model, schedule, n_subjects, RngStream(seed).child(0))
+        center = float(np.log(cohort.values[cohort.observed]).mean())
+        groups, n_obs = _pattern_moments(cohort, spec5, center)
+
+        def neg_profile(rho):
+            return -_profile(rho, groups, n_obs, spec5.n_basis)[0]
+
+        self.assert_same_as_scipy(neg_profile, *_RHO_BOUNDS, _RHO_XATOL)
 
 
 class TestMarginalCentile:
