@@ -171,7 +171,10 @@ def generate_cohort(
 
     Subject i consumes the child stream ``stream.child(i)`` and draws
     3 * n_intervals uniforms: visit times, attendance coins, then the
-    innovations of the latent AR(1) via the inverse normal CDF. The latent
+    innovations of the latent AR(1) via the inverse normal CDF. Every
+    subject's stream is expanded in one vectorised pass
+    (``RngStream.child_uniforms``), bit-identical to drawing from
+    ``stream.child(i).generator()`` subject by subject. The latent
     start is stationary, so every marginal is exactly N(mu(t), sigma^2) on
     the log scale, and missingness is a mask applied afterwards.
     """
@@ -183,9 +186,7 @@ def generate_cohort(
             f"schedule span {schedule.span} exceeds the model window {model.window}"
         )
     k = schedule.n_intervals
-    uniforms = np.empty((n_subjects, 3 * k))
-    for i in range(n_subjects):
-        uniforms[i] = stream.child(i).generator().random(3 * k)
+    uniforms = stream.child_uniforms(n_subjects, 3 * k)
 
     lows = np.array([w[0] for w in schedule.windows])
     widths = np.array([w[1] - w[0] for w in schedule.windows])

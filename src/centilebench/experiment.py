@@ -236,7 +236,12 @@ def _replication(cfg: ExperimentConfig, rep: int, marginal: bool, conditional: b
     marg: dict = {}
     cond: dict = {}
     failures: list[tuple[str, str]] = []
-    diag = {"qr_subgradient_violations": 0, "qr_lp_fallbacks": 0, "lms_newton_steps": 0}
+    diag = {
+        "qr_subgradient_violations": 0,
+        "qr_lp_fallbacks": 0,
+        "qr_ipm_steps": 0,
+        "lms_newton_steps": 0,
+    }
 
     def drop_method(name: str) -> None:
         """A failed method contributes no cells at all for this replication."""
@@ -261,6 +266,7 @@ def _replication(cfg: ExperimentConfig, rep: int, marginal: bool, conditional: b
                     fits.append(fit)
                     diag["qr_subgradient_violations"] += not fit.subgradient_ok
                     diag["qr_lp_fallbacks"] += fit.solver == "lp"
+                    diag["qr_ipm_steps"] += fit.ipm_steps
                     for week in cfg.eval_weeks_marginal:
                         marg[("QR", week, tau)] = predict_centile(fit, week)
                 diag["qr_crossing_grid_points"] = count_quantile_crossings(fits)
@@ -269,6 +275,7 @@ def _replication(cfg: ExperimentConfig, rep: int, marginal: bool, conditional: b
                     fit = fit_conditional_qr(pairs_qr, tau, cfg.spline)
                     diag["qr_subgradient_violations"] += not fit.subgradient_ok
                     diag["qr_lp_fallbacks"] += fit.solver == "lp"
+                    diag["qr_ipm_steps"] += fit.ipm_steps
                     for name, y_prev in priors.items():
                         cond[("QR", name, tau)] = predict_centile(
                             fit, cfg.eval_week_conditional, y_prev=y_prev, dt=dt_eval
@@ -372,7 +379,9 @@ def _run(cfg: ExperimentConfig, marginal: bool, conditional: bool, keep_replicat
 
     diagnostics = {
         key: int(sum(res["diag"][key] for res in results))
-        for key in ("qr_subgradient_violations", "qr_lp_fallbacks", "lms_newton_steps")
+        for key in (
+            "qr_subgradient_violations", "qr_lp_fallbacks", "qr_ipm_steps", "lms_newton_steps"
+        )
     }
     diagnostics["n_failed_replications"] = len(failed_reps)
     for key in ("lms_rho_hat", "mvn_rho_hat", "mvn_sigma_hat", "qr_crossing_grid_points"):

@@ -19,7 +19,6 @@ inverse transform.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -90,9 +89,6 @@ class LMSFit:
         if rho_hat is not None:
             out["rho_hat"] = rho_hat
         return out
-
-    def to_json(self, rho_hat: float | None = None) -> str:
-        return json.dumps(self.to_dict(rho_hat), sort_keys=True)
 
 
 def _expm1_ratio(x):

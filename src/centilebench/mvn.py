@@ -11,7 +11,6 @@ to the measurement scale.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -65,9 +64,6 @@ class MVNFit:
             "sigma_hat": self.sigma_hat,
             "rho_hat": self.rho_hat,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _pattern_moments(cohort: Cohort, spec: SplineSpec, center: float):

@@ -9,14 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
     "pinball_loss",
     "RngStream",
-    "draw_uniform",
     "draw_normal",
     "PRNG_NAME",
 ]
@@ -41,8 +39,11 @@ def _as_float_array(x, name: str) -> np.ndarray:
 def std_normal_cdf(z):
     """Standard normal CDF, accurate to well below 1e-12 absolute error.
 
-    Accepts a scalar or array; non-finite input raises ValueError.
+    Accepts a scalar or array; non-finite input raises ValueError. scipy.special
+    is imported here, so a study, which never calls this, does not load it.
     """
+    from scipy.special import erfc
+
     arr = _as_float_array(z, "z")
     out = 0.5 * erfc(-arr / _SQRT2)
     return float(out) if np.isscalar(z) or arr.ndim == 0 else out
@@ -137,6 +138,65 @@ def pinball_loss(residual, tau: float):
     return float(out) if np.isscalar(residual) or out.ndim == 0 else out
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe): a pool of four uint32
+# words, mixed with these constants. NEP 19 keeps them stable.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+# PCG64's 128-bit LCG multiplier (O'Neill 2014) as 64-bit words.
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_U64 = np.uint64
+
+
+def _u32_words(value: int) -> list[int]:
+    """SeedSequence's split of a nonnegative int into uint32 words, low first."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hashmix(value, const: int, mult: int):
+    """One SeedSequence hash step on a Python int or a uint32 array.
+
+    Returns the hashed value and the next hash constant.
+    """
+    const_next = (const * mult) & _MASK32
+    value = ((value ^ const) * const_next) & _MASK32
+    return value ^ (value >> _XSHIFT), const_next
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x with a hashed word y (ints or arrays)."""
+    result = ((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)
+    result = result & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b, by 32-bit limbs."""
+    a_lo, a_hi = a & _U64(_MASK32), a >> _U64(32)
+    b_lo, b_hi = _U64(b & _MASK32), _U64(b >> 32)
+    t = a_lo * b_lo
+    u = a_hi * b_lo + (t >> _U64(32))
+    v = a_lo * b_hi + (u & _U64(_MASK32))
+    return a_hi * b_hi + (u >> _U64(32)) + (v >> _U64(32))
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One 128-bit LCG step, state * multiplier + inc mod 2^128, on (hi, lo) words."""
+    new_hi = _mulhi64(lo, _PCG_MULT_LO) + lo * _U64(_PCG_MULT_HI) + hi * _U64(_PCG_MULT_LO)
+    new_lo = lo * _U64(_PCG_MULT_LO) + inc_lo
+    return new_hi + inc_hi + (new_lo < inc_lo), new_lo
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Immutable descriptor of a deterministic random-number stream.
@@ -145,6 +205,8 @@ class RngStream:
     sequence; distinct paths give statistically independent streams. Path
     mixing is delegated to numpy's SeedSequence hash, and draws come from
     PCG64, so behaviour is reproducible across platforms and parallelism.
+    ``generator`` materializes one stream; ``child_uniforms`` expands many
+    sibling streams at once, bit-identical to their generators.
     """
 
     master_seed: int
@@ -164,18 +226,74 @@ class RngStream:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
         return np.random.Generator(np.random.PCG64(seq))
 
+    def child_uniforms(self, n: int, size: int) -> np.ndarray:
+        """The first ``size`` uniforms of each of the children 0 .. n-1.
 
-def draw_uniform(stream: RngStream, size=None):
-    """Uniform [0, 1) draws from the start of the stream's sequence.
+        Row i equals ``self.child(i).generator().random(size)`` bit for bit.
+        The streams are expanded in one vectorised pass: the SeedSequence
+        hash of the master seed and the path runs once on Python ints, and
+        the hash of the child index, ``generate_state(4, uint64)``, PCG64
+        seeding, its XSL-RR output and the doubles ``(x >> 11) * 2^-53`` run
+        on arrays over the children. Child indices must fit one uint32 word,
+        so n may not exceed 2^32; a negative path entry raises the
+        ValueError SeedSequence raises.
+        """
+        n, size = int(n), int(size)
+        if not 0 <= n <= 2 ** 32:
+            raise ValueError(f"n must lie in [0, 2**32], got {n}")
+        if size < 0:
+            raise ValueError(f"size must be nonnegative, got {size}")
+        seed_words = _u32_words(int(self.master_seed))
+        path_words = [w for k in self.path for w in _u32_words(k)]
 
-    Calling twice with the same descriptor replays the same values; take a
-    child stream (or a larger size) for fresh variates.
-    """
-    return stream.generator().random(size)
+        # SeedSequence.mix_entropy on the entropy words. A spawn key is
+        # present, so the seed's words are zero-padded to the pool size.
+        entropy = seed_words + [0] * (_POOL_SIZE - len(seed_words)) + path_words
+        pool, const = [], _INIT_A
+        for word in entropy[:_POOL_SIZE]:
+            word, const = _hashmix(word, const, _MULT_A)
+            pool.append(word)
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    word, const = _hashmix(pool[src], const, _MULT_A)
+                    pool[dst] = _mix(pool[dst], word)
+        # The child index is the last entropy word, so only its round runs on
+        # arrays; it leaves every pool word an array over the children.
+        for word in entropy[_POOL_SIZE:] + [np.arange(n, dtype=np.uint32)]:
+            for dst in range(_POOL_SIZE):
+                hashed, const = _hashmix(word, const, _MULT_A)
+                pool[dst] = _mix(pool[dst], hashed)
+
+        # generate_state(4, uint64): eight uint32 words, paired low first.
+        state32, const = [], _INIT_B
+        for k in range(2 * _POOL_SIZE):
+            word, const = _hashmix(pool[k % _POOL_SIZE], const, _MULT_B)
+            state32.append(word.astype(np.uint64))
+        seed_hi, seed_lo, seq_hi, seq_lo = (
+            state32[2 * k] | (state32[2 * k + 1] << _U64(32)) for k in range(4)
+        )
+
+        # pcg_setseq_128_srandom_r: inc = 2 * initseq + 1; the state starts at
+        # inc (one step from zero), adds initstate and steps again.
+        inc_hi = (seq_hi << _U64(1)) | (seq_lo >> _U64(63))
+        inc_lo = (seq_lo << _U64(1)) | _U64(1)
+        lo = inc_lo + seed_lo
+        hi = inc_hi + seed_hi + (lo < seed_lo)
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+
+        out = np.empty((n, size))
+        for j in range(size):
+            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+            # XSL-RR 128/64: xor the halves, rotate right by the top six bits.
+            x, rot = hi ^ lo, hi >> _U64(58)
+            x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+            out[:, j] = (x >> _U64(11)) * 2.0 ** -53
+        return out
 
 
 def draw_normal(stream: RngStream, size=None):
-    """Standard normal draws: the inverse-CDF transform of draw_uniform.
+    """Standard normal draws: the inverse-CDF transform of the stream's uniforms.
 
     Normal variates are a pure function of the uniform sequence, which makes
     them directly comparable across implementations of the same stream.

@@ -27,7 +27,6 @@ solution is vertex-exact, and each fit records which path produced it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +73,7 @@ class QuantileFit:
     subgradient optimality requires n_neg <= tau*n and n_pos <= (1-tau)*n.
     ``solver`` names the path that produced the coefficients: "ipm" for the
     interior point with a certified vertex, "lp" for the HiGHS fallback.
+    ``ipm_steps`` counts the interior-point steps, 0 on the "lp" path.
     """
 
     tau: float
@@ -87,6 +87,7 @@ class QuantileFit:
     n_neg: int = 0
     n_pos: int = 0
     solver: str = "ipm"
+    ipm_steps: int = 0
 
     @property
     def n_params(self) -> int:
@@ -108,9 +109,6 @@ class QuantileFit:
             "beta1": self.beta1,
             "conditional": self.conditional,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _check_finite(**arrays) -> None:
@@ -296,24 +294,28 @@ def _residual_rounding(X, y, vertex, resid, h, coords) -> np.ndarray:
     return evaluation + np.abs(coords).T @ (np.abs(resid[h]) + evaluation[h])
 
 
-def _solve_check_loss(X: np.ndarray, y: np.ndarray, tau: float) -> tuple[np.ndarray, str]:
-    """Exact check-loss minimizer and the path that produced it.
+def _solve_check_loss(
+    X: np.ndarray, y: np.ndarray, tau: float
+) -> tuple[np.ndarray, str, int]:
+    """Exact check-loss minimizer, the path that produced it, and its
+    interior-point step count.
 
     "ipm": the interior point, polished to a certified vertex. "lp": the
     HiGHS dual LP, with the primal LP as its own fallback; it runs whenever
     the interior point fails (singular normal matrix, non-finite iterate)
-    or its vertex is not certified optimal.
+    or its vertex is not certified optimal. The step count is 0 on the LP
+    path.
     """
     try:
         with np.errstate(all="ignore"):
-            beta, _ = _frisch_newton(X, y, tau)
+            beta, steps = _frisch_newton(X, y, tau)
             if np.all(np.isfinite(beta)):
                 vertex = _certified_vertex(X, y, beta, tau)
                 if vertex is not None:
-                    return vertex, "ipm"
+                    return vertex, "ipm", steps
     except np.linalg.LinAlgError:
         pass
-    return _solve_check_loss_lp(X, y, tau), "lp"
+    return _solve_check_loss_lp(X, y, tau), "lp", 0
 
 
 def _solve_check_loss_lp(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
@@ -388,7 +390,7 @@ def fit_marginal_qr(times, values, tau: float, spec: SplineSpec) -> QuantileFit:
     _check_finite(times=t, values=y)
     X = design_matrix(spec, t)
     _check_design(X, "marginal")
-    beta, solver = _solve_check_loss(X, y, tau)
+    beta, solver, ipm_steps = _solve_check_loss(X, y, tau)
     n_neg, n_pos = _sign_counts(X, y, beta, tau)
     return QuantileFit(
         tau=tau,
@@ -400,6 +402,7 @@ def fit_marginal_qr(times, values, tau: float, spec: SplineSpec) -> QuantileFit:
         n_neg=n_neg,
         n_pos=n_pos,
         solver=solver,
+        ipm_steps=ipm_steps,
     )
 
 
@@ -428,7 +431,7 @@ def fit_conditional_qr(pairs: PairSet, tau: float, spec: SplineSpec) -> Quantile
         [basis, pairs.y_prev, pairs.y_prev * (pairs.t_cur - pairs.t_prev)]
     )
     y = pairs.y_cur
-    beta, solver = _solve_check_loss(X, y, tau)
+    beta, solver, ipm_steps = _solve_check_loss(X, y, tau)
     n_neg, n_pos = _sign_counts(X, y, beta, tau)
     return QuantileFit(
         tau=tau,
@@ -442,6 +445,7 @@ def fit_conditional_qr(pairs: PairSet, tau: float, spec: SplineSpec) -> Quantile
         n_neg=n_neg,
         n_pos=n_pos,
         solver=solver,
+        ipm_steps=ipm_steps,
     )
 
 

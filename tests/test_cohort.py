@@ -138,6 +138,36 @@ class TestGenerateCohort:
         with pytest.raises(ValueError):
             generate_cohort(model, schedule, 0, RngStream(1))
 
+    @pytest.mark.parametrize(
+        "seed,rep,n_subjects,two_week",
+        [
+            (20260809, 0, 1000, False),
+            (20260809, 499, 1, False),
+            (2**64 - 1, 2**33, 37, False),
+            (404, 0, 250, True),
+            (0, 3, 1, True),
+        ],
+    )
+    def test_matches_per_subject_generators(
+        self, model, schedule, monkeypatch, seed, rep, n_subjects, two_week
+    ):
+        # The per-subject Generator is the oracle for the vectorised pass.
+        sched = TWO_WEEK_SCHEDULE if two_week else schedule
+        stream = RngStream(seed).child(rep)
+        fast = generate_cohort(model, sched, n_subjects, stream)
+        monkeypatch.setattr(
+            RngStream,
+            "child_uniforms",
+            lambda self, n, size: np.stack(
+                [self.child(i).generator().random(size) for i in range(n)]
+            ),
+        )
+        slow = generate_cohort(model, sched, n_subjects, stream)
+        for name in ("times", "values", "observed"):
+            got, want = getattr(fast, name), getattr(slow, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+
     def test_schedule_must_fit_window(self, model):
         wide = VisitSchedule(windows=((12.0, 16.0), (16.0, 20.0)))
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -177,6 +178,24 @@ class TestImports:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_study_does_not_load_scipy_special(self):
+        # scipy.special costs about 0.3 s of start-up; only the truth layer's
+        # normal CDF needs it, and no study calls that.
+        src = os.path.dirname(os.path.dirname(centilebench.__file__))
+        code = (
+            "import sys\n"
+            "import centilebench\n"
+            "from centilebench.experiment import ExperimentConfig, run_both_experiments\n"
+            "run_both_experiments(ExperimentConfig(n_reps=1, n_subjects=200))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=300, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
 
 class TestFailurePolicy:
     def test_budget_exceeded_raises(self):
@@ -224,6 +243,34 @@ class TestSolverDiagnostics:
         assert marg.diagnostics["qr_lp_fallbacks"] == solvers.count("lp")
         assert cond.diagnostics["qr_lp_fallbacks"] == solvers.count("lp")
         assert marg.diagnostics["qr_subgradient_violations"] == 0
+
+
+class TestIpmSteps:
+    def test_total_positive_and_worker_independent(self):
+        cfg = dict(TINY, n_reps=3, methods=("QR",))
+        serial, _ = run_both_experiments(ExperimentConfig(**cfg, workers=1))
+        pooled, _ = run_both_experiments(ExperimentConfig(**cfg, workers=2))
+        steps = serial.diagnostics["qr_ipm_steps"]
+        assert isinstance(steps, int) and steps > 0
+        assert pooled.diagnostics["qr_ipm_steps"] == steps
+
+    def test_total_sums_fits(self, monkeypatch):
+        fits = []
+
+        def recording(fit_fn):
+            def wrapped(*args, **kwargs):
+                fit = fit_fn(*args, **kwargs)
+                fits.append(fit)
+                return fit
+
+            return wrapped
+
+        for name in ("fit_marginal_qr", "fit_conditional_qr"):
+            monkeypatch.setattr(experiment, name, recording(getattr(experiment, name)))
+        marg, cond = run_both_experiments(ExperimentConfig(**TINY, methods=("QR",)))
+        assert all(fit.ipm_steps > 0 for fit in fits if fit.solver == "ipm")
+        assert marg.diagnostics["qr_ipm_steps"] == sum(fit.ipm_steps for fit in fits)
+        assert cond.diagnostics["qr_ipm_steps"] == marg.diagnostics["qr_ipm_steps"]
 
 
 class TestTrueCentiles:
@@ -319,6 +366,34 @@ class TestCli:
         header_at = next(i for i, l in enumerate(lines) if not l.startswith("#"))
         assert lines[header_at] == "subject_id,interval_index,time_weeks,value_mmhg,observed"
         assert len(lines) - header_at - 1 == 25 * 5
+
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            (
+                ["--subjects", "25", "--seed", "5"],
+                "099dae65ad5cd4a1893dbf45dd318e12b3fa44282e2d862d218c61bc9c18b631",
+            ),
+            (
+                ["--subjects", "1000"],
+                "50ec83759529ed3a43705fcbcea698f01776da0dfbf315e51555c8843e056093",
+            ),
+            (
+                ["--subjects", "300", "--seed", str(2**64 - 1)],
+                "27331f95ce98b5719f4ab9a44c433db5d103fdd3c8b119a992242a4b2462b211",
+            ),
+            (
+                ["--subjects", "1", "--seed", "0"],
+                "ff1a51354b2693e7217f0df64bdb8df666cbc8211490e2d441908c6f6abe3f8a",
+            ),
+        ],
+    )
+    def test_simulate_bytes_pinned(self, tmp_path, args, digest):
+        # Digests of the output written by the per-subject Generator loop
+        # that RngStream.child_uniforms replaced.
+        out = tmp_path / "cohort.csv"
+        assert main(["simulate", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_drift_and_screening_commands(self, tmp_path, capsys):
         assert main(["drift", "--format", "json"]) == 0

@@ -209,7 +209,7 @@ class TestExport:
     def test_json_with_rho(self, fitted):
         import json
 
-        payload = json.loads(fitted.to_json(rho_hat=0.61))
+        payload = json.loads(json.dumps(fitted.to_dict(rho_hat=0.61)))
         assert set(payload) == {"knots", "l_coefs", "m_coefs", "s_coefs", "rho_hat"}
         assert payload["rho_hat"] == 0.61
         assert len(payload["m_coefs"]) == 5

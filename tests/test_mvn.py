@@ -311,7 +311,7 @@ class TestConditionalCentile:
 
 class TestExport:
     def test_json_fields(self, fitted):
-        payload = json.loads(fitted.to_json())
+        payload = json.loads(json.dumps(fitted.to_dict()))
         assert set(payload) == {"knots", "mean_coefs", "sigma_hat", "rho_hat"}
         assert len(payload["mean_coefs"]) == 5
         assert 0.5 < payload["rho_hat"] < 0.7

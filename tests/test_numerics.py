@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from centilebench.numerics import (
     RngStream,
     draw_normal,
-    draw_uniform,
     pinball_loss,
     std_normal_cdf,
     std_normal_quantile,
@@ -130,7 +129,7 @@ class TestPinballLoss:
 class TestRngStream:
     def test_replay_is_identical(self):
         stream = RngStream(12345, (3, 7))
-        assert np.array_equal(draw_uniform(stream, 50), draw_uniform(stream, 50))
+        assert np.array_equal(stream.generator().random(50), stream.generator().random(50))
         assert np.array_equal(draw_normal(stream, 50), draw_normal(stream, 50))
 
     def test_child_extends_path(self):
@@ -138,8 +137,8 @@ class TestRngStream:
         assert stream.path == (2, 5, 9)
 
     def test_distinct_paths_differ(self):
-        a = draw_uniform(RngStream(1, (0,)), 10)
-        b = draw_uniform(RngStream(1, (1,)), 10)
+        a = RngStream(1, (0,)).generator().random(10)
+        b = RngStream(1, (1,)).generator().random(10)
         assert not np.array_equal(a, b)
 
     def test_seed_must_be_u64(self):
@@ -149,7 +148,7 @@ class TestRngStream:
             RngStream(2**64)
 
     def test_uniform_mean(self):
-        u = draw_uniform(RngStream(2024, (0,)), 1_000_000)
+        u = RngStream(2024, (0,)).generator().random(1_000_000)
         assert abs(u.mean() - 0.5) < 0.002
 
     def test_normal_variance(self):
@@ -158,13 +157,75 @@ class TestRngStream:
 
     def test_cross_stream_independence(self):
         n = 100_000
-        a = draw_uniform(RngStream(77, (0,)), n)
-        b = draw_uniform(RngStream(77, (1,)), n)
+        a = RngStream(77, (0,)).generator().random(n)
+        b = RngStream(77, (1,)).generator().random(n)
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(n)
 
     def test_normals_are_inverse_cdf_of_uniforms(self):
         stream = RngStream(5, (4,))
-        u = draw_uniform(stream, 100)
+        u = stream.generator().random(100)
         z = draw_normal(stream, 100)
         assert np.allclose(z, std_normal_quantile(np.maximum(u, 2.0**-55)), atol=0)
+
+
+def oracle_child_uniforms(stream: RngStream, n: int, size: int) -> np.ndarray:
+    """The per-child loop that RngStream.child_uniforms replaces."""
+    return np.stack([stream.child(i).generator().random(size) for i in range(n)])
+
+
+class TestChildUniforms:
+    """The vectorised expansion against numpy's per-child Generator."""
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        path=st.lists(st.integers(0, 2**64 - 1), max_size=3),
+        n=st.integers(1, 40),
+        size=st.integers(0, 20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_child_generator(self, seed, path, n, size):
+        stream = RngStream(seed, tuple(path))
+        got = stream.child_uniforms(n, size)
+        want = oracle_child_uniforms(stream, n, size)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "seed,path,n",
+        [
+            (20260809, (0,), 5000),
+            (1, (3,), 1000),
+            (2**40 + 5, (7,), 300),
+            (2**64 - 1, (2**33,), 50),
+            (0, (0,), 10),
+            (0, (), 1),
+        ],
+    )
+    def test_pinned_cases(self, seed, path, n):
+        stream = RngStream(seed, path)
+        got = stream.child_uniforms(n, 15)
+        assert got.tobytes() == oracle_child_uniforms(stream, n, 15).tobytes()
+
+    def test_empty_block(self):
+        assert RngStream(3).child_uniforms(0, 15).shape == (0, 15)
+        assert RngStream(3).child_uniforms(4, 0).shape == (4, 0)
+
+    def test_negative_path_entry_raises_like_seed_sequence(self):
+        stream = RngStream(7, (2, -1))
+        with pytest.raises(ValueError, match="non-negative") as ours:
+            stream.child_uniforms(3, 5)
+        with pytest.raises(ValueError) as numpys:
+            stream.child(0).generator()
+        assert str(ours.value) == str(numpys.value)
+
+    @pytest.mark.parametrize("n", [-1, 2**32 + 1, 2**40])
+    def test_child_index_out_of_range_raises(self, n):
+        # Indices above 2**32 - 1 take two SeedSequence words; they are refused
+        # before anything is allocated rather than hashed as one word.
+        with pytest.raises(ValueError, match="n must lie"):
+            RngStream(7, (2,)).child_uniforms(n, 5)
+
+    def test_negative_size_raises(self):
+        with pytest.raises(ValueError, match="size"):
+            RngStream(7).child_uniforms(3, -1)

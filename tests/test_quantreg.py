@@ -241,7 +241,7 @@ class TestSolver:
     @settings(max_examples=100, deadline=None)
     def test_optimum_matches_primal_lp(self, design):
         X, y, tau = design
-        beta, _ = _solve_check_loss(X, y, tau)
+        beta, _, _ = _solve_check_loss(X, y, tau)
         want = _primal_lp_objective(X, y, tau)
         got = float(np.sum(pinball_loss(y - X @ beta, tau)))
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -266,7 +266,7 @@ class TestSolver:
         # point; the fit must come from the LP instead of raising.
         X = np.column_stack([np.ones(50), np.ones(50), np.linspace(0.0, 1.0, 50)])
         y = np.linspace(0.0, 1.0, 50) ** 2
-        beta, solver = _solve_check_loss(X, y, 0.5)
+        beta, solver, _ = _solve_check_loss(X, y, 0.5)
         assert solver == "lp"
         assert _sign_counts_ok(X, y, beta, 0.5)
 
@@ -276,13 +276,13 @@ class TestSolver:
         # but far beyond rounding: its sign is unchanged, so the vertex stays
         # the optimum and must be certified, not left to the LP.
         X, y = _heavy_tailed_design(2_000)
-        vertex, solver = _solve_check_loss(X, y, tau)
+        vertex, solver, _ = _solve_check_loss(X, y, tau)
         assert solver == "ipm"
         resid = y - X @ vertex
         i = int(np.argmax(resid))
         y[i] -= resid[i] - 2e-6
         assert abs(y[i] - X[i] @ vertex) < _zero_tol(y)
-        moved, solver = _solve_check_loss(X, y, tau)
+        moved, solver, _ = _solve_check_loss(X, y, tau)
         assert solver == "ipm"
         np.testing.assert_allclose(moved, vertex, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(moved, _solve_check_loss_lp(X, y, tau), rtol=1e-9)
@@ -291,11 +291,11 @@ class TestSolver:
         # A non-basis observation exactly on the fitted hyperplane leaves its
         # sign to rounding; such a vertex is left to the LP.
         X, y = _heavy_tailed_design(2_000)
-        vertex, _ = _solve_check_loss(X, y, 0.5)
+        vertex, _, _ = _solve_check_loss(X, y, 0.5)
         resid = y - X @ vertex
         i = int(np.argmax(resid))
         y[i] = X[i] @ vertex
-        beta, solver = _solve_check_loss(X, y, 0.5)
+        beta, solver, _ = _solve_check_loss(X, y, 0.5)
         assert solver == "lp"
         assert _sign_counts_ok(X, y, beta, 0.5)
         assert np.sum(pinball_loss(y - X @ beta, 0.5)) == pytest.approx(
@@ -312,14 +312,14 @@ class TestSolver:
         y = 70.0 * np.exp(0.1 * rng.standard_normal(n))
         for tau in (0.03, 0.97):
             _, steps = _frisch_newton(X, y, tau)
-            vertex, solver = _solve_check_loss(X, y, tau)
+            vertex, solver, _ = _solve_check_loss(X, y, tau)
             assert solver == "ipm"
             for scale in (1e-6, 1e-3, 1e3, 1e6):
                 with np.errstate(over="raise", divide="raise", invalid="raise"):
                     _, scaled_steps = _frisch_newton(X, scale * y, tau)
                 assert abs(scaled_steps - steps) <= 1
             for scale in (1e3, 1e6):
-                scaled, solver = _solve_check_loss(X, scale * y, tau)
+                scaled, solver, _ = _solve_check_loss(X, scale * y, tau)
                 assert solver == "ipm"
                 np.testing.assert_allclose(scaled, scale * vertex, rtol=1e-9)
 
@@ -368,7 +368,7 @@ class TestReporting:
     def test_json_export(self, recovery_cohort, spec5):
         pairs = recovery_cohort.pair_set(max_gap=None)
         fit = fit_conditional_qr(pairs, 0.9, spec5)
-        payload = json.loads(fit.to_json())
+        payload = json.loads(json.dumps(fit.to_dict()))
         assert payload["tau"] == 0.9
         assert len(payload["knots"]) == 9
         assert len(payload["coefficients"]) == 5
