@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 
@@ -90,10 +91,32 @@ class ExperimentConfig:
     spline: SplineSpec = SplineSpec()
 
     def __post_init__(self):
+        object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
+        object.__setattr__(
+            self, "eval_weeks_marginal", tuple(float(w) for w in self.eval_weeks_marginal)
+        )
+        object.__setattr__(
+            self, "paths", tuple((str(n), float(r)) for n, r in self.paths)
+        )
+        object.__setattr__(self, "methods", tuple(self.methods))
         if self.n_reps < 1 or self.n_subjects < 1:
             raise ValueError("n_reps and n_subjects must be positive")
         if any(not 0.0 < t < 1.0 for t in self.tau_grid):
             raise ValueError("tau grid levels must lie strictly in (0, 1)")
+        if any(not 0.0 < r < 1.0 for _, r in self.paths):
+            raise ValueError("path ranks must lie strictly in (0, 1)")
+        # Each value names one summary row, so a repeat would merge two rows.
+        names = [n for n, _ in self.paths]
+        for what, values in (
+            ("tau levels", self.tau_grid),
+            ("marginal weeks", self.eval_weeks_marginal),
+            ("path names", names),
+            ("methods", self.methods),
+        ):
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {what} in {values!r}")
+        if "" in names:
+            raise ValueError("path names must be nonempty: the empty path marks marginal rows")
         unknown = set(self.methods) - set(_METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; choose from {_METHODS}")
@@ -114,14 +137,16 @@ class ExperimentConfig:
                 f"the visit schedule: the LMS and MVN conditional centiles chain "
                 f"one interval's correlation"
             )
-        object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
-        object.__setattr__(
-            self, "eval_weeks_marginal", tuple(float(w) for w in self.eval_weeks_marginal)
-        )
-        object.__setattr__(
-            self, "paths", tuple((str(n), float(r)) for n, r in self.paths)
-        )
-        object.__setattr__(self, "methods", tuple(self.methods))
+        # Every cell must evaluate, so a bad week fails here and not as a
+        # failed fit in every replication.
+        lo = max(self.spline.boundary[0], self.model.window[0])
+        hi = min(self.spline.boundary[1], self.model.window[1])
+        weeks = (*self.eval_weeks_marginal, self.prior_week, self.eval_week_conditional)
+        if not all(lo <= w <= hi for w in weeks):
+            raise ValueError(
+                f"evaluation weeks {weeks!r} must lie in [{lo}, {hi}], inside both "
+                f"the spline boundary and the model window"
+            )
 
     def prior_values(self) -> dict[str, float]:
         """Prior-week measurement for each named path (exact percentile value)."""
@@ -165,7 +190,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SummaryRow:
-    """Mean and SD of one centile estimate across replications."""
+    """Mean and SD of one centile estimate across replications; the first
+    four fields are the row's key."""
 
     method: str
     week: float
@@ -221,20 +247,32 @@ def run_metadata(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _replication(cfg: ExperimentConfig, rep: int, marginal: bool, conditional: bool):
+def _grid_rows(cfg: ExperimentConfig, marginal: bool, conditional: bool) -> list:
+    """(week, path) of each row of a method's cell grid: the marginal weeks,
+    then the paths at the conditional week. The grid has one column per tau."""
+    rows = [(week, "") for week in cfg.eval_weeks_marginal] if marginal else []
+    if conditional:
+        rows += [(cfg.eval_week_conditional, name) for name, _ in cfg.paths]
+    return rows
+
+
+def _replication(cfg: ExperimentConfig, marginal: bool, conditional: bool, rep: int):
     """Fit every requested method on one simulated cohort.
 
-    Returns per-cell estimates plus diagnostics; a failed fit is recorded
-    under its method and its cells are omitted.
+    Returns the centile estimates keyed by their summary row (method, week,
+    tau, path), plus failures and diagnostics. Each method fills its cell
+    grid (see _grid_rows) with one call per fit; a failed method is recorded
+    and contributes no cells at all.
     """
     stream = RngStream(cfg.master_seed).child(rep)
     cohort = generate_cohort(cfg.model, cfg.schedule, cfg.n_subjects, stream)
     t_obs, y_obs = cohort.observed_points()
-    priors = cfg.prior_values()
-    dt_eval = cfg.eval_week_conditional - cfg.prior_week
+    weeks = np.array(cfg.eval_weeks_marginal)
+    taus = np.array(cfg.tau_grid)
+    week_p, week_c = cfg.prior_week, cfg.eval_week_conditional
+    y_prev = np.array(list(cfg.prior_values().values()))
 
-    marg: dict = {}
-    cond: dict = {}
+    cells: dict = {}
     failures: list[tuple[str, str]] = []
     diag = {
         "qr_subgradient_violations": 0,
@@ -242,12 +280,6 @@ def _replication(cfg: ExperimentConfig, rep: int, marginal: bool, conditional: b
         "qr_ipm_steps": 0,
         "lms_newton_steps": 0,
     }
-
-    def drop_method(name: str) -> None:
-        """A failed method contributes no cells at all for this replication."""
-        for cells in (marg, cond):
-            for key in [k for k in cells if k[0] == name]:
-                del cells[key]
 
     pairs_adj = pairs_qr = None
     if conditional:
@@ -257,88 +289,77 @@ def _replication(cfg: ExperimentConfig, rep: int, marginal: bool, conditional: b
         diag["n_pairs_successive"] = len(pairs_succ)
         diag["n_pairs_adjacent"] = len(pairs_adj)
 
-    if "QR" in cfg.methods:
+    def qr_audited(fit):
+        diag["qr_subgradient_violations"] += not fit.subgradient_ok
+        diag["qr_lp_fallbacks"] += fit.solver == "lp"
+        diag["qr_ipm_steps"] += fit.ipm_steps
+        return fit
+
+    def qr_grid():
+        blocks = []
+        if marginal:
+            fits = [
+                qr_audited(fit_marginal_qr(t_obs, y_obs, tau, cfg.spline))
+                for tau in cfg.tau_grid
+            ]
+            blocks.append(np.column_stack([predict_centile(f, weeks) for f in fits]))
+            diag["qr_crossing_grid_points"] = count_quantile_crossings(fits)
+        if conditional:
+            fits = [
+                qr_audited(fit_conditional_qr(pairs_qr, tau, cfg.spline))
+                for tau in cfg.tau_grid
+            ]
+            blocks.append(np.column_stack([
+                predict_centile(f, week_c, y_prev=y_prev, dt=week_c - week_p) for f in fits
+            ]))
+        return blocks
+
+    def lms_grid():
+        fit = fit_lms(t_obs, y_obs, cfg.spline)
+        diag["lms_newton_steps"] = fit.newton_steps
+        blocks = [lms_centile(fit, weeks, taus[:, None]).T] if marginal else []
+        if conditional:
+            rho_hat = fit_ar1_z(*zscore_pairs(fit, pairs_adj))
+            diag["lms_rho_hat"] = rho_hat
+            blocks.append(lms_conditional_centile(
+                fit, rho_hat, week_p, y_prev[:, None], week_c, taus, schedule=cfg.schedule
+            ))
+        return blocks
+
+    def mvn_grid():
+        fit = fit_mvn(cohort, cfg.spline)
+        diag["mvn_rho_hat"] = fit.rho_hat
+        diag["mvn_sigma_hat"] = fit.sigma_hat
+        blocks = [mvn_marginal_centile(fit, weeks, taus[:, None]).T] if marginal else []
+        if conditional:
+            blocks.append(mvn_conditional_centile(fit, week_p, y_prev[:, None], week_c, taus))
+        return blocks
+
+    evaluate = {"QR": qr_grid, "LMS": lms_grid, "MVN": mvn_grid}
+    grid_rows = _grid_rows(cfg, marginal, conditional)
+    # The fixed order keeps the failure list independent of cfg.methods' order.
+    for method in _METHODS:
+        if method not in cfg.methods:
+            continue
         try:
-            if marginal:
-                fits = []
-                for tau in cfg.tau_grid:
-                    fit = fit_marginal_qr(t_obs, y_obs, tau, cfg.spline)
-                    fits.append(fit)
-                    diag["qr_subgradient_violations"] += not fit.subgradient_ok
-                    diag["qr_lp_fallbacks"] += fit.solver == "lp"
-                    diag["qr_ipm_steps"] += fit.ipm_steps
-                    for week in cfg.eval_weeks_marginal:
-                        marg[("QR", week, tau)] = predict_centile(fit, week)
-                diag["qr_crossing_grid_points"] = count_quantile_crossings(fits)
-            if conditional:
-                for tau in cfg.tau_grid:
-                    fit = fit_conditional_qr(pairs_qr, tau, cfg.spline)
-                    diag["qr_subgradient_violations"] += not fit.subgradient_ok
-                    diag["qr_lp_fallbacks"] += fit.solver == "lp"
-                    diag["qr_ipm_steps"] += fit.ipm_steps
-                    for name, y_prev in priors.items():
-                        cond[("QR", name, tau)] = predict_centile(
-                            fit, cfg.eval_week_conditional, y_prev=y_prev, dt=dt_eval
-                        )
+            grid = np.vstack(evaluate[method]())
         except _FIT_FAILURES as exc:
-            drop_method("QR")
-            failures.append(("QR", f"{type(exc).__name__}: {exc}"))
+            failures.append((method, f"{type(exc).__name__}: {exc}"))
+            continue
+        for (week, path), values in zip(grid_rows, grid.tolist()):
+            for tau, value in zip(cfg.tau_grid, values):
+                cells[(method, week, tau, path)] = value
 
-    if "LMS" in cfg.methods:
-        try:
-            fit = fit_lms(t_obs, y_obs, cfg.spline)
-            diag["lms_newton_steps"] = fit.newton_steps
-            if marginal:
-                for tau in cfg.tau_grid:
-                    for week in cfg.eval_weeks_marginal:
-                        marg[("LMS", week, tau)] = lms_centile(fit, week, tau)
-            if conditional:
-                z_prev, z_cur = zscore_pairs(fit, pairs_adj)
-                rho_hat = fit_ar1_z(z_prev, z_cur)
-                diag["lms_rho_hat"] = rho_hat
-                for name, y_prev in priors.items():
-                    for tau in cfg.tau_grid:
-                        cond[("LMS", name, tau)] = lms_conditional_centile(
-                            fit, rho_hat, cfg.prior_week, y_prev,
-                            cfg.eval_week_conditional, tau, schedule=cfg.schedule,
-                        )
-        except _FIT_FAILURES as exc:
-            drop_method("LMS")
-            failures.append(("LMS", f"{type(exc).__name__}: {exc}"))
-
-    if "MVN" in cfg.methods:
-        try:
-            fit = fit_mvn(cohort, cfg.spline)
-            diag["mvn_rho_hat"] = fit.rho_hat
-            diag["mvn_sigma_hat"] = fit.sigma_hat
-            if marginal:
-                for tau in cfg.tau_grid:
-                    for week in cfg.eval_weeks_marginal:
-                        marg[("MVN", week, tau)] = mvn_marginal_centile(fit, week, tau)
-            if conditional:
-                for name, y_prev in priors.items():
-                    for tau in cfg.tau_grid:
-                        cond[("MVN", name, tau)] = mvn_conditional_centile(
-                            fit, cfg.prior_week, y_prev, cfg.eval_week_conditional, tau
-                        )
-        except _FIT_FAILURES as exc:
-            drop_method("MVN")
-            failures.append(("MVN", f"{type(exc).__name__}: {exc}"))
-
-    return {"marginal": marg, "conditional": cond, "failures": failures, "diag": diag}
-
-
-def _replication_star(args):
-    return _replication(*args)
+    return {"cells": cells, "failures": failures, "diag": diag}
 
 
 def _run(cfg: ExperimentConfig, marginal: bool, conditional: bool, keep_replicates=False):
-    tasks = [(cfg, rep, marginal, conditional) for rep in range(cfg.n_reps)]
+    replicate = partial(_replication, cfg, marginal, conditional)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_replication_star, tasks, chunksize=1))
+            results = list(pool.map(replicate, range(cfg.n_reps), chunksize=1))
     else:
-        results = [_replication(*t) for t in tasks]
+        results = [replicate(rep) for rep in range(cfg.n_reps)]
 
     failures = tuple(
         {"rep": rep, "method": method, "error": msg}
@@ -352,31 +373,6 @@ def _run(cfg: ExperimentConfig, marginal: bool, conditional: bool, keep_replicat
             f"(> 2% budget); first failure: {failures[0]}"
         )
 
-    def aggregate(kind: str, keys) -> tuple[list[SummaryRow], dict]:
-        rows = []
-        replicates = {}
-        for method, week, tau, path in keys:
-            cell_key = (method, week, tau) if kind == "marginal" else (method, path, tau)
-            values = np.array(
-                [res[kind][cell_key] for res in results if cell_key in res[kind]]
-            )
-            if values.size == 0:
-                continue
-            if keep_replicates:
-                replicates[(method, week, tau, path)] = values
-            rows.append(
-                SummaryRow(
-                    method=method,
-                    week=week,
-                    tau=tau,
-                    path=path,
-                    mean_mmhg=float(values.mean()),
-                    sd_mmhg=float(values.std(ddof=1)) if values.size > 1 else 0.0,
-                    n_reps=int(values.size),
-                )
-            )
-        return rows, replicates
-
     diagnostics = {
         key: int(sum(res["diag"][key] for res in results))
         for key in (
@@ -384,48 +380,45 @@ def _run(cfg: ExperimentConfig, marginal: bool, conditional: bool, keep_replicat
         )
     }
     diagnostics["n_failed_replications"] = len(failed_reps)
-    for key in ("lms_rho_hat", "mvn_rho_hat", "mvn_sigma_hat", "qr_crossing_grid_points"):
-        vals = [res["diag"][key] for res in results if key in res["diag"]]
-        if vals:
-            diagnostics[f"{key}_mean"] = float(np.mean(vals))
-    for key in ("n_pairs_successive", "n_pairs_adjacent"):
+    for key in (
+        "lms_rho_hat", "mvn_rho_hat", "mvn_sigma_hat", "qr_crossing_grid_points",
+        "n_pairs_successive", "n_pairs_adjacent",
+    ):
         vals = [res["diag"][key] for res in results if key in res["diag"]]
         if vals:
             diagnostics[f"{key}_mean"] = float(np.mean(vals))
 
     metadata = run_metadata(cfg)
 
-    marg_rows, marg_reps = (), {}
-    cond_rows, cond_reps = (), {}
-    if marginal:
-        keys = [
-            (m, w, tau, "")
-            for m in cfg.methods
-            for w in cfg.eval_weeks_marginal
+    def summarize(grid_rows) -> ReplicationSummary:
+        rows = []
+        replicates = {}
+        keys = (
+            (method, week, tau, path)
+            for method in cfg.methods
+            for week, path in grid_rows
             for tau in cfg.tau_grid
-        ]
-        rows, marg_reps = aggregate("marginal", keys)
-        marg_rows = tuple(rows)
-    if conditional:
-        keys = [
-            (m, cfg.eval_week_conditional, tau, name)
-            for m in cfg.methods
-            for name, _ in cfg.paths
-            for tau in cfg.tau_grid
-        ]
-        rows, cond_reps = aggregate("conditional", keys)
-        cond_rows = tuple(rows)
-
-    def summarize(rows, replicates):
+        )
+        for key in keys:
+            values = np.array([res["cells"][key] for res in results if key in res["cells"]])
+            if values.size == 0:
+                continue
+            if keep_replicates:
+                replicates[key] = values
+            sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
+            rows.append(SummaryRow(*key, float(values.mean()), sd, int(values.size)))
         return ReplicationSummary(
-            rows=rows,
+            rows=tuple(rows),
             metadata=metadata,
             failures=failures,
             diagnostics=diagnostics,
             replicates=replicates,
         )
 
-    return summarize(marg_rows, marg_reps), summarize(cond_rows, cond_reps)
+    return (
+        summarize(_grid_rows(cfg, marginal, False)),
+        summarize(_grid_rows(cfg, False, conditional)),
+    )
 
 
 def run_marginal_experiment(cfg: ExperimentConfig) -> ReplicationSummary:

@@ -79,17 +79,6 @@ class LMSFit:
             np.exp(basis @ np.asarray(self.s_coefs)),
         )
 
-    def to_dict(self, rho_hat: float | None = None) -> dict:
-        out = {
-            "knots": list(self.spec.knots),
-            "l_coefs": list(self.l_coefs),
-            "m_coefs": list(self.m_coefs),
-            "s_coefs": list(self.s_coefs),
-        }
-        if rho_hat is not None:
-            out["rho_hat"] = rho_hat
-        return out
-
 
 def _expm1_ratio(x):
     """E(x) = expm1(x) / x elementwise, with E(0) = 1; accurate for every x."""
@@ -328,28 +317,41 @@ def _from_zscore(L: float, M: float, S: float, z: float) -> float:
     return float(M * math.exp(S * z * ratio))
 
 
-def lms_centile(fit: LMSFit, t: float, tau: float) -> float:
-    """Marginal tau-centile: the inverse transform of the normal quantile."""
-    L, M, S = fit.curves_at(t)
-    return _from_zscore(float(L[0]), float(M[0]), float(S[0]), std_normal_quantile(tau))
+def lms_centile(fit: LMSFit, t, tau):
+    """Marginal tau-centile: the inverse transform of the normal quantile.
+
+    t broadcasts against tau, and scalars give a float. Each row of the one
+    basis is multiplied on its own, since a multi-row product may round
+    differently, and the inverse runs per cell in ``math``, whose log1p and
+    exp numpy does not match: every element has the bits of its scalar call.
+    """
+    t, z = np.broadcast_arrays(np.asarray(t, dtype=float), std_normal_quantile(tau))
+    basis = design_matrix(fit.spec, t.ravel())
+    l, m, s = (np.asarray(c) for c in (fit.l_coefs, fit.m_coefs, fit.s_coefs))
+    M, S = np.exp([[row @ m for row in basis], [row @ s for row in basis]]).tolist()
+    cells = zip([float(row @ l) for row in basis], M, S, z.ravel().tolist())
+    out = np.array([_from_zscore(*cell) for cell in cells]).reshape(t.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def lms_conditional_centile(
     fit: LMSFit,
     rho_hat: float,
     t_prev: float,
-    y_prev: float,
+    y_prev,
     t_cur: float,
-    tau: float,
+    tau,
     *,
     schedule: VisitSchedule = VisitSchedule(),
-) -> float:
+):
     """Conditional tau-centile at t_cur given y_prev in the interval before.
 
     The previous value is scored, shrunk by rho_hat, combined with the
     standard normal quantile at the conditional scale sqrt(1 - rho_hat^2),
     and mapped back through the inverse transform at t_cur. Adjacency is
-    judged on ``schedule``, the one rho_hat was estimated over.
+    judged on ``schedule``, the one rho_hat was estimated over. y_prev
+    broadcasts against tau, and scalars give a float; each element has the
+    bits of its scalar call.
     """
     if not abs(rho_hat) < 1.0:
         raise ValueError(f"rho_hat must lie strictly in (-1, 1), got {rho_hat!r}")
@@ -361,8 +363,10 @@ def lms_conditional_centile(
     z_cond = rho_hat * z_prev + std_normal_quantile(tau) * np.sqrt(
         1.0 - rho_hat * rho_hat
     )
-    L, M, S = fit.curves_at(t_cur)
-    return _from_zscore(float(L[0]), float(M[0]), float(S[0]), float(z_cond))
+    L, M, S = (float(c[0]) for c in fit.curves_at(t_cur))
+    out = np.array([_from_zscore(L, M, S, z) for z in np.ravel(z_cond).tolist()])
+    out = out.reshape(np.shape(z_cond))
+    return float(out) if out.ndim == 0 else out
 
 
 def zscore_pairs(fit: LMSFit, pairs: PairSet) -> tuple[np.ndarray, np.ndarray]:

@@ -55,15 +55,10 @@ class MVNFit:
             raise ValueError("rho_hat must lie strictly in (-1, 1)")
 
     def mean_at(self, t) -> np.ndarray:
-        return design_matrix(self.spec, t) @ np.asarray(self.mean_coefs)
-
-    def to_dict(self) -> dict:
-        return {
-            "knots": list(self.spec.knots),
-            "mean_coefs": list(self.mean_coefs),
-            "sigma_hat": self.sigma_hat,
-            "rho_hat": self.rho_hat,
-        }
+        """Log-scale mean at the given times. Each basis row is multiplied on
+        its own, so an element has the bits of a call at that time alone."""
+        coefs = np.asarray(self.mean_coefs)
+        return np.array([row @ coefs for row in design_matrix(self.spec, t)])
 
 
 def _pattern_moments(cohort: Cohort, spec: SplineSpec, center: float):
@@ -252,27 +247,31 @@ def fit_mvn(cohort: Cohort, spec: SplineSpec) -> MVNFit:
     )
 
 
-def mvn_marginal_centile(fit: MVNFit, t, tau: float):
-    """Marginal tau-centile in mmHg: exp(mean(t) + quantile(tau) * sigma)."""
-    out = np.exp(fit.mean_at(t) + std_normal_quantile(tau) * fit.sigma_hat)
-    return float(out[0]) if np.ndim(t) == 0 else out
+def mvn_marginal_centile(fit: MVNFit, t, tau):
+    """Marginal tau-centile in mmHg: exp(mean(t) + quantile(tau) * sigma).
+    t broadcasts against tau, and scalars give a float."""
+    t, q = np.broadcast_arrays(np.asarray(t, dtype=float), std_normal_quantile(tau))
+    out = np.exp(fit.mean_at(t.ravel()).reshape(t.shape) + q * fit.sigma_hat)
+    return float(out) if out.ndim == 0 else out
 
 
-def mvn_conditional_centile(
-    fit: MVNFit, t_prev: float, y_prev: float, t_cur: float, tau: float
-) -> float:
+def mvn_conditional_centile(fit: MVNFit, t_prev: float, y_prev, t_cur: float, tau):
     """Conditional tau-centile at t_cur given y_prev in the interval before.
 
-    Adjacency is judged on the fitted cohort's visit schedule.
+    Adjacency is judged on the fitted cohort's visit schedule. y_prev
+    broadcasts against tau, and scalars give a float; ``math`` takes the log
+    of y_prev, so each element has the bits of its scalar call.
     """
-    if y_prev <= 0.0:
+    if np.any(np.asarray(y_prev) <= 0.0):
         raise ValueError(f"previous measurement must be positive, got {y_prev!r}")
     if fit.schedule.interval_index(t_cur) - fit.schedule.interval_index(t_prev) != 1:
         raise ValueError(
             f"times {t_prev!r} and {t_cur!r} are not in adjacent visit intervals"
         )
-    mu_cond = float(fit.mean_at(t_cur)[0]) + fit.rho_hat * (
-        math.log(y_prev) - float(fit.mean_at(t_prev)[0])
-    )
+    y_prev, q = np.broadcast_arrays(np.asarray(y_prev, dtype=float), std_normal_quantile(tau))
+    log_prev = np.array([math.log(y) for y in y_prev.ravel().tolist()]).reshape(y_prev.shape)
+    mean_cur, mean_prev = fit.mean_at([t_cur, t_prev])
+    mu_cond = mean_cur + fit.rho_hat * (log_prev - mean_prev)
     scale = fit.sigma_hat * math.sqrt(1.0 - fit.rho_hat * fit.rho_hat)
-    return float(np.exp(mu_cond + std_normal_quantile(tau) * scale))
+    out = np.exp(mu_cond + q * scale)
+    return float(out) if out.ndim == 0 else out

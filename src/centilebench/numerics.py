@@ -215,7 +215,11 @@ class RngStream:
     def __post_init__(self):
         if not 0 <= int(self.master_seed) < 2 ** 64:
             raise ValueError("master_seed must be an unsigned 64-bit integer")
-        object.__setattr__(self, "path", tuple(int(k) for k in self.path))
+        path = tuple(int(k) for k in self.path)
+        if any(k < 0 for k in path):
+            # SeedSequence's own message, raised where the descriptor is built.
+            raise ValueError("expected non-negative integer")
+        object.__setattr__(self, "path", path)
 
     def child(self, *indices: int) -> "RngStream":
         """Sub-stream descriptor with the given indices appended to the path."""

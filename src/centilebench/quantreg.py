@@ -100,16 +100,6 @@ class QuantileFit:
             and self.n_pos <= (1.0 - self.tau) * self.n_obs + 1e-9
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "knots": list(self.spec.knots),
-            "coefficients": list(self.spline_coefs),
-            "beta0": self.beta0,
-            "beta1": self.beta1,
-            "conditional": self.conditional,
-        }
-
 
 def _check_finite(**arrays) -> None:
     for name, arr in arrays.items():
@@ -453,33 +443,39 @@ def predict_centile(fit: QuantileFit, t, y_prev=None, dt=None):
     """Evaluate the fitted centile: B(t) . c plus the history adjustment.
 
     Conditional fits require both y_prev and dt; marginal fits accept
-    neither.
+    neither. Arguments broadcast, and scalars give a float. Each row of the
+    one basis is multiplied on its own, since a multi-row product may round
+    differently: every element has the bits of its own scalar call.
     """
     if fit.conditional:
         if y_prev is None or dt is None:
             raise ValueError("conditional fit requires y_prev and dt")
     elif y_prev is not None or dt is not None:
         raise ValueError("marginal fit takes no y_prev or dt")
-    base = design_matrix(fit.spec, t) @ np.asarray(fit.spline_coefs)
+    coefs = np.asarray(fit.spline_coefs)
+    basis = design_matrix(fit.spec, np.ravel(t))
+    base = np.array([row @ coefs for row in basis]).reshape(np.shape(t))
     if fit.conditional:
         base = base + (fit.beta0 + fit.beta1 * np.asarray(dt, dtype=float)) * np.asarray(
             y_prev, dtype=float
         )
-    return float(base[0]) if np.ndim(t) == 0 and base.size == 1 else base
+    return float(base) if base.ndim == 0 else base
 
 
 def count_quantile_crossings(fits, step: float = 0.5) -> int:
     """Number of grid points where fitted curves violate quantile ordering.
 
     Curves fitted separately per tau may cross; this reports how often,
-    over the spline boundary at the given step, rather than hiding it.
+    over the spline boundary at the given step, rather than hiding it. The
+    fits must share one spline basis, which is evaluated once.
     """
     fits = sorted(fits, key=lambda f: f.tau)
     if len(fits) < 2:
         return 0
-    lo, hi = fits[0].spec.boundary
-    grid = np.arange(lo, hi + 1e-9, step)
-    curves = np.stack(
-        [design_matrix(f.spec, grid) @ np.asarray(f.spline_coefs) for f in fits]
-    )
+    spec = fits[0].spec
+    if any(f.spec != spec for f in fits):
+        raise ValueError("fits must share one spline basis")
+    grid = np.arange(spec.boundary[0], spec.boundary[1] + 1e-9, step)
+    basis = design_matrix(spec, grid)
+    curves = np.stack([basis @ np.asarray(f.spline_coefs) for f in fits])
     return int(np.sum(np.any(np.diff(curves, axis=0) < 0.0, axis=0)))

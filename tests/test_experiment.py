@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import centilebench
-from centilebench import experiment, quantreg
+from centilebench import experiment, lms, mvn, quantreg, splines
 from centilebench.cli import _summary_metadata, build_config, main
 from centilebench.cohort import generate_cohort
-from centilebench.errors import ExperimentError
+from centilebench.errors import ExperimentError, FitError
 from centilebench.experiment import (
     DRIFT_SCENARIOS,
     ExperimentConfig,
@@ -24,9 +24,18 @@ from centilebench.experiment import (
     run_metadata,
     run_screening_report,
 )
-from centilebench.lms import fit_lms
-from centilebench.model import marginal_percentile
+from centilebench.lms import (
+    fit_ar1_z,
+    fit_lms,
+    lms_centile,
+    lms_conditional_centile,
+    zscore_pairs,
+)
+from centilebench.model import LognormalAR1Model, marginal_percentile
+from centilebench.mvn import fit_mvn, mvn_conditional_centile, mvn_marginal_centile
 from centilebench.numerics import RngStream
+from centilebench.quantreg import fit_conditional_qr, fit_marginal_qr, predict_centile
+from centilebench.splines import SplineSpec
 
 from conftest import TWO_WEEK_SCHEDULE, true_log_mean
 
@@ -74,6 +83,49 @@ class TestConfig:
         ExperimentConfig(schedule=TWO_WEEK_SCHEDULE, eval_week_conditional=24.0)
         with pytest.raises(ValueError, match="schedule span"):
             ExperimentConfig(prior_week=12.0)
+
+    @pytest.mark.parametrize(
+        "design",
+        [
+            dict(eval_weeks_marginal=(20.0, 40.0)),
+            dict(eval_weeks_marginal=(14.0, 24.0)),
+            dict(eval_weeks_marginal=(float("nan"),)),
+            dict(methods=("QR",), prior_week=12.0),
+            dict(methods=("QR",), eval_week_conditional=36.5),
+            dict(spline=SplineSpec(boundary=(16.0, 30.0))),
+            dict(model=LognormalAR1Model(window=(16.0, 30.0))),
+        ],
+    )
+    def test_eval_weeks_outside_basis_or_model_rejected(self, design):
+        # Week 32 lies outside the narrowed basis and model window. A bad week
+        # used to fit every cohort and then fail every replication.
+        with pytest.raises(ValueError, match="evaluation weeks"):
+            ExperimentConfig(**design)
+
+    def test_duplicate_tau_levels_rejected(self):
+        with pytest.raises(ValueError, match="duplicate tau levels"):
+            ExperimentConfig(tau_grid=(0.5, 0.5))
+
+    def test_duplicate_marginal_weeks_rejected(self):
+        with pytest.raises(ValueError, match="duplicate marginal weeks"):
+            ExperimentConfig(eval_weeks_marginal=(20.0, 24.0, 20))
+
+    def test_duplicate_path_names_rejected(self):
+        with pytest.raises(ValueError, match="duplicate path names"):
+            ExperimentConfig(paths=(("A", 0.03), ("A", 0.97)))
+
+    def test_empty_path_name_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            ExperimentConfig(paths=(("", 0.5),))
+
+    def test_duplicate_methods_rejected(self):
+        with pytest.raises(ValueError, match="duplicate methods"):
+            ExperimentConfig(methods=("QR", "MVN", "QR"))
+
+    @pytest.mark.parametrize("rank", [0.0, 1.0, -0.2, 1.5, float("nan")])
+    def test_path_ranks_outside_unit_interval_rejected(self, rank):
+        with pytest.raises(ValueError, match="path ranks"):
+            ExperimentConfig(paths=(("A", 0.03), ("B", rank)))
 
     def test_describe_is_jsonable_and_stable(self):
         cfg = ExperimentConfig(**TINY)
@@ -134,6 +186,114 @@ class TestRunStructure:
             steps += fit_lms(*cohort.observed_points(), cfg.spline).newton_steps
         for summary in tiny_run:
             assert summary.diagnostics["lms_newton_steps"] == steps >= cfg.n_reps
+
+
+def _scalar_cells(cfg: ExperimentConfig, rep: int) -> dict:
+    """Every cell of one replication through the public scalar functions."""
+    cohort = generate_cohort(
+        cfg.model, cfg.schedule, cfg.n_subjects, RngStream(cfg.master_seed).child(rep)
+    )
+    t, y = cohort.observed_points()
+    pairs_qr = cohort.pair_set(max_gap=None)
+    week_p, week_c = cfg.prior_week, cfg.eval_week_conditional
+    priors = cfg.prior_values()
+    lms_fit = fit_lms(t, y, cfg.spline)
+    rho_hat = fit_ar1_z(*zscore_pairs(lms_fit, cohort.pair_set(max_gap=1)))
+    mvn_fit = fit_mvn(cohort, cfg.spline)
+    cells = {}
+    for tau in cfg.tau_grid:
+        qr_marg = fit_marginal_qr(t, y, tau, cfg.spline)
+        qr_cond = fit_conditional_qr(pairs_qr, tau, cfg.spline)
+        for week in cfg.eval_weeks_marginal:
+            cells[("QR", week, tau, "")] = predict_centile(qr_marg, week)
+            cells[("LMS", week, tau, "")] = lms_centile(lms_fit, week, tau)
+            cells[("MVN", week, tau, "")] = mvn_marginal_centile(mvn_fit, week, tau)
+        for name, y_prev in priors.items():
+            cells[("QR", week_c, tau, name)] = predict_centile(
+                qr_cond, week_c, y_prev=y_prev, dt=week_c - week_p
+            )
+            cells[("LMS", week_c, tau, name)] = lms_conditional_centile(
+                lms_fit, rho_hat, week_p, y_prev, week_c, tau, schedule=cfg.schedule
+            )
+            cells[("MVN", week_c, tau, name)] = mvn_conditional_centile(
+                mvn_fit, week_p, y_prev, week_c, tau
+            )
+    return cells
+
+
+class TestCellGrid:
+    @pytest.mark.parametrize(
+        "design",
+        [
+            dict(master_seed=11),
+            dict(master_seed=12),
+            dict(master_seed=13, schedule=TWO_WEEK_SCHEDULE, eval_week_conditional=24.0),
+        ],
+    )
+    def test_cells_equal_scalar_calls(self, design):
+        cfg = ExperimentConfig(n_reps=1, n_subjects=300, **design)
+        cells = experiment._replication(cfg, True, True, 0)["cells"]
+        want = _scalar_cells(cfg, 0)
+        assert len(want) == 3 * (4 + 2) * 5
+        assert {k: v.hex() for k, v in cells.items()} == {k: v.hex() for k, v in want.items()}
+
+    def test_failed_conditional_fit_drops_every_cell_of_its_method(self, monkeypatch):
+        # 50 replications leave room for one failure in the 2% budget.
+        cfg = ExperimentConfig(**dict(TINY, n_reps=50))
+        n_tau = len(cfg.tau_grid)
+        real = experiment.fit_conditional_qr
+        fits = []
+
+        def recording(*args, **kwargs):
+            fits.append(real(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(experiment, "fit_conditional_qr", recording)
+        clean = run_both_experiments(cfg, keep_replicates=True)
+        # Replication 1's first conditional QR fit fails, so its other
+        # conditional fits never run.
+        lost = fits[n_tau : 2 * n_tau]
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == n_tau + 1:
+                raise FitError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "fit_conditional_qr", failing)
+        failed = run_both_experiments(cfg, keep_replicates=True)
+
+        expected_diag = dict(clean[0].diagnostics, n_failed_replications=1)
+        expected_diag["qr_ipm_steps"] -= sum(f.ipm_steps for f in lost)
+        expected_diag["qr_lp_fallbacks"] -= sum(f.solver == "lp" for f in lost)
+        expected_diag["qr_subgradient_violations"] -= sum(not f.subgradient_ok for f in lost)
+        for before, after in zip(clean, failed):
+            assert after.failures == ({"rep": 1, "method": "QR", "error": "FitError: injected"},)
+            assert after.diagnostics == expected_diag
+            assert after.replicates.keys() == before.replicates.keys()
+            for key, values in before.replicates.items():
+                if key[0] == "QR":
+                    values = np.delete(values, 1)
+                assert np.array_equal(after.replicates[key], values)
+            assert [r.n_reps for r in after.rows] == [
+                cfg.n_reps - (r.method == "QR") for r in before.rows
+            ]
+
+    def test_basis_built_at_most_30_times(self, monkeypatch):
+        calls = []
+        real = splines.design_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (quantreg, lms, mvn):
+            monkeypatch.setattr(module, "design_matrix", counted)
+        experiment._replication(ExperimentConfig(), True, True, 0)
+        # Ten QR fits, one LMS and one MVN fit build theirs; the rest serve
+        # every cell and diagnostic of the replication.
+        assert 12 <= len(calls) <= 30
 
 
 class TestDeterminism:

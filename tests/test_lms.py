@@ -205,14 +205,41 @@ class TestConditionalCentile:
             lms_conditional_centile(fit, 0.0, 22.0, 70.0, 26.0, 0.97)
 
 
-class TestExport:
-    def test_json_with_rho(self, fitted):
-        import json
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
 
-        payload = json.loads(json.dumps(fitted.to_dict(rho_hat=0.61)))
-        assert set(payload) == {"knots", "l_coefs", "m_coefs", "s_coefs", "rho_hat"}
-        assert payload["rho_hat"] == 0.61
-        assert len(payload["m_coefs"]) == 5
+
+class TestCentileBroadcast:
+    """Array arguments give every cell the bits of its own scalar call."""
+
+    WEEKS = [16.0, 20.0, 26.0, 31.7, 36.0]
+    TAUS = [0.03, 0.1, 0.5, 0.9, 0.97]
+
+    def test_marginal_weeks_by_taus(self, fitted):
+        scalar = [[lms_centile(fitted, w, tau) for tau in self.TAUS] for w in self.WEEKS]
+        assert all(isinstance(v, float) for row in scalar for v in row)
+        # A scalar call keeps the one-row curves and the math inverse it has
+        # always used.
+        L, M, S = (float(c[0]) for c in fitted.curves_at(31.7))
+        assert scalar[3][4] == lms._from_zscore(L, M, S, std_normal_quantile(0.97))
+        grid = lms_centile(fitted, np.array(self.WEEKS)[:, None], self.TAUS)
+        assert grid.shape == (5, 5)
+        assert hexes(grid) == hexes(scalar)
+        assert hexes(lms_centile(fitted, self.WEEKS, np.array(self.TAUS)[:, None]).T) == hexes(scalar)
+
+    def test_conditional_priors_by_taus(self, fitted):
+        priors = [55.0, 64.0, 82.0]
+        scalar = [
+            [lms_conditional_centile(fitted, 0.6, 22.0, y, 26.0, tau) for tau in self.TAUS]
+            for y in priors
+        ]
+        assert all(isinstance(v, float) for row in scalar for v in row)
+        z = 0.6 * lms_zscore(fitted, 22.0, 64.0) + std_normal_quantile(0.1) * np.sqrt(1 - 0.36)
+        L, M, S = (float(c[0]) for c in fitted.curves_at(26.0))
+        assert scalar[1][1] == lms._from_zscore(L, M, S, float(z))
+        grid = lms_conditional_centile(fitted, 0.6, 22.0, np.array(priors)[:, None], 26.0, self.TAUS)
+        assert grid.shape == (3, 5)
+        assert hexes(grid) == hexes(scalar)
 
 
 class TestZscorePairsGuard:
@@ -389,10 +416,6 @@ class TestNewtonFit:
         l_obs = design_matrix(spec5, t) @ np.array(fit.l_coefs)
         assert np.min(np.abs(l_obs)) < 4e-5
         assert_box_optimal(fit, t, y)
-
-    def test_steps_not_serialized(self, fitted):
-        assert fitted.newton_steps >= 1
-        assert "newton_steps" not in fitted.to_dict()
 
     def test_step_cap_raises(self, spec5, monkeypatch):
         monkeypatch.setattr(lms, "_MAX_NEWTON_STEPS", 1)

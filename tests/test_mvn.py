@@ -1,4 +1,3 @@
-import json
 import math
 from unittest import mock
 
@@ -267,6 +266,44 @@ class TestMarginalCentile:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestCentileBroadcast:
+    """Array arguments give every cell the bits of its own scalar call."""
+
+    WEEKS = [16.0, 20.0, 26.0, 31.7, 36.0]
+    TAUS = [0.03, 0.1, 0.5, 0.9, 0.97]
+
+    def test_marginal_weeks_by_taus(self, fitted, spec5):
+        scalar = [[mvn_marginal_centile(fitted, w, tau) for tau in self.TAUS] for w in self.WEEKS]
+        assert all(isinstance(v, float) for row in scalar for v in row)
+        # A scalar call keeps the one-row product it has always made.
+        mean = (design_matrix(spec5, 31.7) @ np.asarray(fitted.mean_coefs))[0]
+        q = std_normal_quantile(0.97)
+        assert scalar[3][4] == float(np.exp(mean + q * fitted.sigma_hat))
+        grid = mvn_marginal_centile(fitted, np.array(self.WEEKS)[:, None], self.TAUS)
+        assert grid.shape == (5, 5)
+        assert hexes(grid) == hexes(scalar)
+
+    def test_conditional_priors_by_taus(self, fitted, spec5):
+        priors = [55.0, 64.0, 82.0]
+        scalar = [
+            [mvn_conditional_centile(fitted, 22.0, y, 26.0, tau) for tau in self.TAUS]
+            for y in priors
+        ]
+        assert all(isinstance(v, float) for row in scalar for v in row)
+        coefs = np.asarray(fitted.mean_coefs)
+        m_cur, m_prev = (float((design_matrix(spec5, t) @ coefs)[0]) for t in (26.0, 22.0))
+        mu = m_cur + fitted.rho_hat * (math.log(64.0) - m_prev)
+        scale = fitted.sigma_hat * math.sqrt(1.0 - fitted.rho_hat * fitted.rho_hat)
+        assert scalar[1][1] == float(np.exp(mu + std_normal_quantile(0.1) * scale))
+        grid = mvn_conditional_centile(fitted, 22.0, np.array(priors)[:, None], 26.0, self.TAUS)
+        assert grid.shape == (3, 5)
+        assert hexes(grid) == hexes(scalar)
+
+
 class TestConditionalCentile:
     def test_oracle_path_a_median(self, oracle_fit):
         y_a = math.exp(float(true_log_mean(22.0)) + std_normal_quantile(0.03) * 0.1)
@@ -307,11 +344,3 @@ class TestConditionalCentile:
         with pytest.raises(ValueError, match="adjacent"):
             mvn_conditional_centile(fit, 22.0, 70.0, 26.0, 0.5)
         assert mvn_conditional_centile(fit, 22.0, 70.0, 24.0, 0.5) > 0.0
-
-
-class TestExport:
-    def test_json_fields(self, fitted):
-        payload = json.loads(json.dumps(fitted.to_dict()))
-        assert set(payload) == {"knots", "mean_coefs", "sigma_hat", "rho_hat"}
-        assert len(payload["mean_coefs"]) == 5
-        assert 0.5 < payload["rho_hat"] < 0.7

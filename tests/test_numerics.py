@@ -212,12 +212,13 @@ class TestChildUniforms:
         assert RngStream(3).child_uniforms(4, 0).shape == (4, 0)
 
     def test_negative_path_entry_raises_like_seed_sequence(self):
-        stream = RngStream(7, (2, -1))
-        with pytest.raises(ValueError, match="non-negative") as ours:
-            stream.child_uniforms(3, 5)
+        # Refused where the descriptor is built, not at the first draw.
         with pytest.raises(ValueError) as numpys:
-            stream.child(0).generator()
-        assert str(ours.value) == str(numpys.value)
+            np.random.SeedSequence(7, spawn_key=(2, -1, 0))
+        for build in (lambda: RngStream(7, (2, -1)), lambda: RngStream(7, (2,)).child(-1)):
+            with pytest.raises(ValueError, match="non-negative") as ours:
+                build()
+            assert str(ours.value) == str(numpys.value)
 
     @pytest.mark.parametrize("n", [-1, 2**32 + 1, 2**40])
     def test_child_index_out_of_range_raises(self, n):

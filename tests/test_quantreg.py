@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,6 +11,7 @@ from centilebench.cohort import VisitSchedule, generate_cohort
 from centilebench.model import LognormalAR1Model
 from centilebench.numerics import RngStream, pinball_loss
 from centilebench.quantreg import (
+    QuantileFit,
     _frisch_newton,
     _ipm_start,
     _sign_counts_ok,
@@ -357,6 +357,36 @@ class TestPredictErrors:
             predict_centile(fit, 26.0, y_prev=60.0, dt=4.0)
 
 
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestPredictBroadcast:
+    """Array arguments give every cell the bits of its own scalar call."""
+
+    def test_marginal_weeks(self, recovery_cohort, spec5):
+        t, y = recovery_cohort.observed_points()
+        fit = fit_marginal_qr(t, y, 0.9, spec5)
+        weeks = [16.0, 20.0, 24.3, 28.0, 32.0, 36.0]
+        scalar = [predict_centile(fit, w) for w in weeks]
+        assert all(isinstance(v, float) for v in scalar)
+        # A scalar call keeps the one-row product it has always made.
+        coefs = np.asarray(fit.spline_coefs)
+        assert hexes(scalar) == hexes([(design_matrix(spec5, w) @ coefs)[0] for w in weeks])
+        grid = predict_centile(fit, np.reshape(weeks, (2, 3)))
+        assert grid.shape == (2, 3)
+        assert hexes(grid) == hexes(scalar)
+
+    def test_conditional_priors(self, recovery_cohort, spec5):
+        fit = fit_conditional_qr(recovery_cohort.pair_set(max_gap=None), 0.1, spec5)
+        priors = [55.0, 66.6, 82.0]
+        scalar = [predict_centile(fit, 26.0, y_prev=p, dt=4.0) for p in priors]
+        assert all(isinstance(v, float) for v in scalar)
+        got = predict_centile(fit, 26.0, y_prev=np.array(priors), dt=4.0)
+        assert got.shape == (3,)
+        assert hexes(got) == hexes(scalar)
+
+
 class TestReporting:
     def test_crossing_count_reported(self, recovery_cohort, spec5):
         t, y = recovery_cohort.observed_points()
@@ -365,15 +395,13 @@ class TestReporting:
         assert isinstance(count, int) and count >= 0
         assert count == count_quantile_crossings(fits, step=0.5)
 
-    def test_json_export(self, recovery_cohort, spec5):
-        pairs = recovery_cohort.pair_set(max_gap=None)
-        fit = fit_conditional_qr(pairs, 0.9, spec5)
-        payload = json.loads(json.dumps(fit.to_dict()))
-        assert payload["tau"] == 0.9
-        assert len(payload["knots"]) == 9
-        assert len(payload["coefficients"]) == 5
-        assert payload["conditional"] is True
-        assert payload["beta0"] == fit.beta0
+    def test_crossings_need_one_basis(self, spec5):
+        fits = [
+            QuantileFit(tau=0.1, spec=spec5, spline_coefs=(60.0,) * 5),
+            QuantileFit(tau=0.9, spec=SplineSpec(n_basis=6), spline_coefs=(70.0,) * 6),
+        ]
+        with pytest.raises(ValueError, match="one spline basis"):
+            count_quantile_crossings(fits)
 
 
 class _FakePairs:
