@@ -278,7 +278,9 @@ def _replication(cfg: ExperimentConfig, marginal: bool, conditional: bool, rep: 
         "qr_subgradient_violations": 0,
         "qr_lp_fallbacks": 0,
         "qr_ipm_steps": 0,
+        "qr_pfn_fallbacks": 0,
         "lms_newton_steps": 0,
+        "mvn_brent_evals": 0,
     }
 
     pairs_adj = pairs_qr = None
@@ -293,6 +295,7 @@ def _replication(cfg: ExperimentConfig, marginal: bool, conditional: bool, rep: 
         diag["qr_subgradient_violations"] += not fit.subgradient_ok
         diag["qr_lp_fallbacks"] += fit.solver == "lp"
         diag["qr_ipm_steps"] += fit.ipm_steps
+        diag["qr_pfn_fallbacks"] += fit.pfn_fallback
         return fit
 
     def qr_grid():
@@ -330,6 +333,7 @@ def _replication(cfg: ExperimentConfig, marginal: bool, conditional: bool, rep: 
         fit = fit_mvn(cohort, cfg.spline)
         diag["mvn_rho_hat"] = fit.rho_hat
         diag["mvn_sigma_hat"] = fit.sigma_hat
+        diag["mvn_brent_evals"] = fit.brent_evals
         blocks = [mvn_marginal_centile(fit, weeks, taus[:, None]).T] if marginal else []
         if conditional:
             blocks.append(mvn_conditional_centile(fit, week_p, y_prev[:, None], week_c, taus))
@@ -376,7 +380,8 @@ def _run(cfg: ExperimentConfig, marginal: bool, conditional: bool, keep_replicat
     diagnostics = {
         key: int(sum(res["diag"][key] for res in results))
         for key in (
-            "qr_subgradient_violations", "qr_lp_fallbacks", "qr_ipm_steps", "lms_newton_steps"
+            "qr_subgradient_violations", "qr_lp_fallbacks", "qr_ipm_steps", "qr_pfn_fallbacks",
+            "lms_newton_steps", "mvn_brent_evals",
         )
     }
     diagnostics["n_failed_replications"] = len(failed_reps)

@@ -37,7 +37,8 @@ class MVNFit:
     """Fitted mean-curve coefficients (log scale) and covariance parameters.
 
     ``schedule`` is the fitted cohort's visit schedule; rho_hat is the
-    correlation between its adjacent intervals.
+    correlation between its adjacent intervals. ``brent_evals`` counts the
+    profile-likelihood evaluations of the search for rho_hat.
     """
 
     spec: SplineSpec
@@ -47,6 +48,7 @@ class MVNFit:
     loglik: float = float("nan")
     n_obs: int = 0
     schedule: VisitSchedule = VisitSchedule()
+    brent_evals: int = 0
 
     def __post_init__(self):
         if not self.sigma_hat > 0.0:
@@ -244,6 +246,7 @@ def fit_mvn(cohort: Cohort, spec: SplineSpec) -> MVNFit:
         loglik=float(ll),
         n_obs=n_obs,
         schedule=cohort.schedule,
+        brent_evals=nfev,
     )
 
 

@@ -23,6 +23,18 @@ Every other case (singular normal matrix, non-finite iterate,
 uncertified vertex) is solved by the HiGHS simplex on the same LP,
 re-solved on the primal if its answer fails the audit. Either way the
 solution is vertex-exact, and each fit records which path produced it.
+
+Designs of at least _PFN_MIN_ROWS rows first try the preprocessing step of
+Portnoy & Koenker (1997), as in Koenker's ``rq.fit.pfn``. An interior point
+on a stride subsample of about ((p+1) n)^(2/3) rows places a band around
+the fit; the rows inside it are kept, and the rows below and above it are
+each replaced by one "glob" row holding their sums of x and y. When every
+globbed row lies on its glob's side of the reduced problem's fit, the
+reduced optimum is the full one. Its vertex must pass the same certificate
+on the full data, so it is the vertex the full interior point would give;
+when it does not, the full interior point runs as above. Below the
+threshold the subsample and the band cost more than the smaller interior
+point saves.
 """
 
 from __future__ import annotations
@@ -62,6 +74,15 @@ _DUAL_SLACK = 1e-9
 # A residual evaluated in floating point carries at most about p+1 rounding
 # errors of its terms' size; this many ulps per column leaves a margin.
 _RESID_EVAL_ULPS = 4
+# Portnoy-Koenker preprocessing runs on designs with at least this many rows;
+# below it the subsample fit and the band cost more than the smaller interior
+# point saves. The kept share of the subsample size, the most wrongly globbed
+# rows (as a share of the kept count) before the subsample is doubled, and
+# the fix-up rounds are rq.fit.pfn's defaults.
+_PFN_MIN_ROWS = 8000
+_PFN_KEEP = 0.8
+_PFN_MAX_WRONG = 0.1
+_PFN_FIXUPS = 3
 
 
 @dataclass(frozen=True)
@@ -71,9 +92,12 @@ class QuantileFit:
     Marginal fits have beta0 = beta1 = 0 by construction. ``n_neg`` and
     ``n_pos`` count strictly negative/positive residuals at the solution;
     subgradient optimality requires n_neg <= tau*n and n_pos <= (1-tau)*n.
-    ``solver`` names the path that produced the coefficients: "ipm" for the
-    interior point with a certified vertex, "lp" for the HiGHS fallback.
+    ``solver`` names the path that produced the coefficients: "pfn" for the
+    preprocessed interior point and "ipm" for the full one, each with a
+    vertex certified on the full data, "lp" for the HiGHS fallback.
     ``ipm_steps`` counts the interior-point steps, 0 on the "lp" path.
+    ``pfn_fallback`` is set when the preprocessing ran but gave no certified
+    vertex, so that another path produced the fit.
     """
 
     tau: float
@@ -88,6 +112,7 @@ class QuantileFit:
     n_pos: int = 0
     solver: str = "ipm"
     ipm_steps: int = 0
+    pfn_fallback: bool = False
 
     @property
     def n_params(self) -> int:
@@ -284,28 +309,104 @@ def _residual_rounding(X, y, vertex, resid, h, coords) -> np.ndarray:
     return evaluation + np.abs(coords).T @ (np.abs(resid[h]) + evaluation[h])
 
 
+def _preprocessed_vertex(X: np.ndarray, y: np.ndarray, tau: float):
+    """Certified vertex of the Portnoy-Koenker preprocessed problem, or None,
+    and the interior-point steps spent on it.
+
+    The preprocessing of Portnoy & Koenker (1997), as in Koenker's
+    ``rq.fit.pfn``, with a stride subsample so that fits stay deterministic:
+
+    1. Fit m = ((p+1) n)^(2/3) rows taken at an even stride.
+    2. Scale each residual by its band ||L^-1 x_i||, L the Cholesky factor
+       of the subsample's X'X, and keep the _PFN_KEEP * m rows whose scaled
+       residuals lie nearest the tau-quantile of them all.
+    3. Replace the rows below that range by one pseudo-row (their sums of x
+       and y), and the rows above it by another: the natural globs.
+    4. Fit the reduced problem. If no globbed row has a residual of the
+       wrong sign, its optimum is the full problem's. Otherwise move the
+       wrong rows out of their globs and fit again, at most _PFN_FIXUPS
+       times, or double m when more than _PFN_MAX_WRONG of the kept count
+       are wrong.
+
+    The answer is accepted only through _certified_vertex on the full data.
+    Raises LinAlgError when a normal matrix is not positive definite.
+    """
+    n, p = X.shape
+    # Rows of [X y]: each glob's sums are then one matrix-vector product. A
+    # dot product over all n rows would wake a second BLAS thread.
+    Xy = np.column_stack([X, y])
+    m = round(((p + 1) * n) ** (2.0 / 3.0))
+    steps = 0
+    while m < n:
+        sub = Xy[np.linspace(0, n - 1, m).astype(int)]
+        beta, k = _frisch_newton(sub[:, :p], sub[:, p], tau)
+        steps += k
+        # ||L^-1 x_i||^2 = x_i' (X_s'X_s)^-1 x_i for the subsample rows X_s.
+        band = np.sqrt(np.sum((X @ np.linalg.inv(sub[:, :p].T @ sub[:, :p])) * X, axis=1))
+        scaled = (y - X @ beta) / band
+        kept = _PFN_KEEP * m
+        lo, hi = np.quantile(
+            scaled,
+            [max(1.0 / n, tau - kept / (2.0 * n)), min(tau + kept / (2.0 * n), (n - 1.0) / n)],
+        )
+        below = scaled < lo
+        above = scaled > hi
+        for fixups in range(_PFN_FIXUPS + 1):
+            mid = ~(below | above)
+            reduced = np.vstack([Xy[mid]] + [glob @ Xy for glob in (below, above) if glob.any()])
+            beta, k = _frisch_newton(reduced[:, :p], reduced[:, p], tau)
+            steps += k
+            resid = y - X @ beta
+            wrong = (below & (resid > 0.0)) | (above & (resid < 0.0))
+            n_wrong = np.count_nonzero(wrong)
+            if n_wrong == 0:
+                if not np.all(np.isfinite(beta)):
+                    return None, steps
+                return _certified_vertex(X, y, beta, tau), steps
+            if n_wrong > _PFN_MAX_WRONG * kept:
+                break
+            if fixups == _PFN_FIXUPS:
+                return None, steps
+            below &= ~wrong
+            above &= ~wrong
+        m *= 2
+    return None, steps
+
+
 def _solve_check_loss(
     X: np.ndarray, y: np.ndarray, tau: float
-) -> tuple[np.ndarray, str, int]:
-    """Exact check-loss minimizer, the path that produced it, and its
-    interior-point step count.
+) -> tuple[np.ndarray, str, int, bool]:
+    """Exact check-loss minimizer, the path that produced it, its
+    interior-point step count, and whether the preprocessing ran and failed.
 
-    "ipm": the interior point, polished to a certified vertex. "lp": the
-    HiGHS dual LP, with the primal LP as its own fallback; it runs whenever
-    the interior point fails (singular normal matrix, non-finite iterate)
-    or its vertex is not certified optimal. The step count is 0 on the LP
-    path.
+    "pfn": designs of at least _PFN_MIN_ROWS rows first try the
+    Portnoy-Koenker preprocessed problem (_preprocessed_vertex), whose
+    vertex is certified on the full data. "ipm": the interior point on the
+    full data, polished to a certified vertex. "lp": the HiGHS dual LP,
+    with the primal LP as its own fallback; it runs whenever the interior
+    point fails (singular normal matrix, non-finite iterate) or its vertex
+    is not certified optimal. The step count covers every interior point
+    that ran, and is 0 on the LP path.
     """
-    try:
-        with np.errstate(all="ignore"):
-            beta, steps = _frisch_newton(X, y, tau)
+    steps = 0
+    pfn_fallback = y.size >= _PFN_MIN_ROWS
+    with np.errstate(all="ignore"):
+        if pfn_fallback:
+            try:
+                vertex, steps = _preprocessed_vertex(X, y, tau)
+            except np.linalg.LinAlgError:
+                vertex = None
+            if vertex is not None:
+                return vertex, "pfn", steps, False
+        try:
+            beta, full_steps = _frisch_newton(X, y, tau)
             if np.all(np.isfinite(beta)):
                 vertex = _certified_vertex(X, y, beta, tau)
                 if vertex is not None:
-                    return vertex, "ipm", steps
-    except np.linalg.LinAlgError:
-        pass
-    return _solve_check_loss_lp(X, y, tau), "lp", 0
+                    return vertex, "ipm", steps + full_steps, pfn_fallback
+        except np.linalg.LinAlgError:
+            pass
+    return _solve_check_loss_lp(X, y, tau), "lp", 0, pfn_fallback
 
 
 def _solve_check_loss_lp(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
@@ -380,7 +481,7 @@ def fit_marginal_qr(times, values, tau: float, spec: SplineSpec) -> QuantileFit:
     _check_finite(times=t, values=y)
     X = design_matrix(spec, t)
     _check_design(X, "marginal")
-    beta, solver, ipm_steps = _solve_check_loss(X, y, tau)
+    beta, solver, ipm_steps, pfn_fallback = _solve_check_loss(X, y, tau)
     n_neg, n_pos = _sign_counts(X, y, beta, tau)
     return QuantileFit(
         tau=tau,
@@ -393,6 +494,7 @@ def fit_marginal_qr(times, values, tau: float, spec: SplineSpec) -> QuantileFit:
         n_pos=n_pos,
         solver=solver,
         ipm_steps=ipm_steps,
+        pfn_fallback=pfn_fallback,
     )
 
 
@@ -421,7 +523,7 @@ def fit_conditional_qr(pairs: PairSet, tau: float, spec: SplineSpec) -> Quantile
         [basis, pairs.y_prev, pairs.y_prev * (pairs.t_cur - pairs.t_prev)]
     )
     y = pairs.y_cur
-    beta, solver, ipm_steps = _solve_check_loss(X, y, tau)
+    beta, solver, ipm_steps, pfn_fallback = _solve_check_loss(X, y, tau)
     n_neg, n_pos = _sign_counts(X, y, beta, tau)
     return QuantileFit(
         tau=tau,
@@ -436,6 +538,7 @@ def fit_conditional_qr(pairs: PairSet, tau: float, spec: SplineSpec) -> Quantile
         n_pos=n_pos,
         solver=solver,
         ipm_steps=ipm_steps,
+        pfn_fallback=pfn_fallback,
     )
 
 

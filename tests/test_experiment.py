@@ -267,6 +267,7 @@ class TestCellGrid:
         expected_diag = dict(clean[0].diagnostics, n_failed_replications=1)
         expected_diag["qr_ipm_steps"] -= sum(f.ipm_steps for f in lost)
         expected_diag["qr_lp_fallbacks"] -= sum(f.solver == "lp" for f in lost)
+        expected_diag["qr_pfn_fallbacks"] -= sum(f.pfn_fallback for f in lost)
         expected_diag["qr_subgradient_violations"] -= sum(not f.subgradient_ok for f in lost)
         for before, after in zip(clean, failed):
             assert after.failures == ({"rep": 1, "method": "QR", "error": "FitError: injected"},)
@@ -431,6 +432,51 @@ class TestIpmSteps:
         assert all(fit.ipm_steps > 0 for fit in fits if fit.solver == "ipm")
         assert marg.diagnostics["qr_ipm_steps"] == sum(fit.ipm_steps for fit in fits)
         assert cond.diagnostics["qr_ipm_steps"] == marg.diagnostics["qr_ipm_steps"]
+
+
+# 2500 subjects give about 10 000 observations, above the QR preprocessing
+# threshold, and about 7500 pairs, below it.
+PFN_DESIGN = dict(n_reps=2, n_subjects=2500, master_seed=7, methods=("QR", "MVN"))
+
+
+class TestCounters:
+    def test_totals_worker_independent(self):
+        serial, _ = run_both_experiments(ExperimentConfig(**PFN_DESIGN, workers=1))
+        pooled, _ = run_both_experiments(ExperimentConfig(**PFN_DESIGN, workers=2))
+        for key in ("qr_ipm_steps", "qr_pfn_fallbacks", "mvn_brent_evals"):
+            assert isinstance(serial.diagnostics[key], int)
+            assert pooled.diagnostics[key] == serial.diagnostics[key]
+        assert serial.diagnostics["mvn_brent_evals"] > 0
+
+    def test_totals_sum_fits(self, monkeypatch):
+        qr_fits, mvn_fits = [], []
+
+        def recording(fit_fn, into):
+            def wrapped(*args, **kwargs):
+                into.append(fit_fn(*args, **kwargs))
+                return into[-1]
+
+            return wrapped
+
+        for name in ("fit_marginal_qr", "fit_conditional_qr"):
+            monkeypatch.setattr(experiment, name, recording(getattr(experiment, name), qr_fits))
+        monkeypatch.setattr(experiment, "fit_mvn", recording(experiment.fit_mvn, mvn_fits))
+        # The preprocessing gives up at the median, so those fits of the
+        # marginal design fall back to the full interior point.
+        preprocess = quantreg._preprocessed_vertex
+        monkeypatch.setattr(
+            quantreg,
+            "_preprocessed_vertex",
+            lambda X, y, tau: (None, 0) if tau == 0.5 else preprocess(X, y, tau),
+        )
+        marg, cond = run_both_experiments(ExperimentConfig(**PFN_DESIGN))
+        fallbacks = [fit for fit in qr_fits if fit.pfn_fallback]
+        assert [(f.tau, f.conditional, f.solver) for f in fallbacks] == [(0.5, False, "ipm")] * 2
+        assert {f.solver for f in qr_fits if not f.pfn_fallback} == {"pfn", "ipm"}
+        assert marg.diagnostics["qr_pfn_fallbacks"] == 2
+        assert marg.diagnostics["mvn_brent_evals"] == sum(f.brent_evals for f in mvn_fits)
+        assert marg.diagnostics["qr_ipm_steps"] == sum(f.ipm_steps for f in qr_fits)
+        assert cond.diagnostics == marg.diagnostics
 
 
 class TestTrueCentiles:

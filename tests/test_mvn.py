@@ -160,6 +160,21 @@ class TestFit:
         shift = np.array(fit3.mean_coefs) - np.array(fitted.mean_coefs)
         assert np.allclose(shift, math.log(3.0), atol=1e-6)
 
+    def test_brent_evals_count_profile_evaluations(self, model, schedule, spec5, monkeypatch):
+        calls = []
+        real = centilebench.mvn._profile
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        cohort = generate_cohort(model, schedule, 300, RngStream(8).child(0))
+        monkeypatch.setattr(centilebench.mvn, "_profile", counting)
+        fit = fit_mvn(cohort, spec5)
+        # The search's evaluations, then one more at its answer.
+        assert fit.brent_evals == len(calls) - 1 > 0
+        assert calls[-1] == fit.rho_hat
+
 
 class TestPatternMoments:
     @settings(max_examples=60, deadline=None)

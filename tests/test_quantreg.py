@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from centilebench import quantreg
 from centilebench.cohort import VisitSchedule, generate_cohort
 from centilebench.model import LognormalAR1Model
 from centilebench.numerics import RngStream, pinball_loss
 from centilebench.quantreg import (
+    _PFN_MIN_ROWS,
     QuantileFit,
+    _certified_vertex,
     _frisch_newton,
     _ipm_start,
+    _preprocessed_vertex,
     _sign_counts_ok,
     _solve_check_loss,
     _solve_check_loss_lp,
@@ -217,10 +221,10 @@ def _primal_lp_objective(X, y, tau):
 
 
 @st.composite
-def _tied_designs(draw):
+def _tied_designs(draw, n_min=20, n_max=400):
     """Intercept plus p-1 Gaussian columns; y rounded to 0-2 decimals, so
     residuals tie and some optima are degenerate."""
-    n = draw(st.integers(20, 400))
+    n = draw(st.integers(n_min, n_max))
     p = draw(st.integers(1, 7))
     tau = draw(st.floats(0.02, 0.98))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -241,7 +245,7 @@ class TestSolver:
     @settings(max_examples=100, deadline=None)
     def test_optimum_matches_primal_lp(self, design):
         X, y, tau = design
-        beta, _, _ = _solve_check_loss(X, y, tau)
+        beta, *_ = _solve_check_loss(X, y, tau)
         want = _primal_lp_objective(X, y, tau)
         got = float(np.sum(pinball_loss(y - X @ beta, tau)))
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -266,7 +270,7 @@ class TestSolver:
         # point; the fit must come from the LP instead of raising.
         X = np.column_stack([np.ones(50), np.ones(50), np.linspace(0.0, 1.0, 50)])
         y = np.linspace(0.0, 1.0, 50) ** 2
-        beta, solver, _ = _solve_check_loss(X, y, 0.5)
+        beta, solver, *_ = _solve_check_loss(X, y, 0.5)
         assert solver == "lp"
         assert _sign_counts_ok(X, y, beta, 0.5)
 
@@ -276,13 +280,13 @@ class TestSolver:
         # but far beyond rounding: its sign is unchanged, so the vertex stays
         # the optimum and must be certified, not left to the LP.
         X, y = _heavy_tailed_design(2_000)
-        vertex, solver, _ = _solve_check_loss(X, y, tau)
+        vertex, solver, *_ = _solve_check_loss(X, y, tau)
         assert solver == "ipm"
         resid = y - X @ vertex
         i = int(np.argmax(resid))
         y[i] -= resid[i] - 2e-6
         assert abs(y[i] - X[i] @ vertex) < _zero_tol(y)
-        moved, solver, _ = _solve_check_loss(X, y, tau)
+        moved, solver, *_ = _solve_check_loss(X, y, tau)
         assert solver == "ipm"
         np.testing.assert_allclose(moved, vertex, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(moved, _solve_check_loss_lp(X, y, tau), rtol=1e-9)
@@ -291,11 +295,11 @@ class TestSolver:
         # A non-basis observation exactly on the fitted hyperplane leaves its
         # sign to rounding; such a vertex is left to the LP.
         X, y = _heavy_tailed_design(2_000)
-        vertex, _, _ = _solve_check_loss(X, y, 0.5)
+        vertex, *_ = _solve_check_loss(X, y, 0.5)
         resid = y - X @ vertex
         i = int(np.argmax(resid))
         y[i] = X[i] @ vertex
-        beta, solver, _ = _solve_check_loss(X, y, 0.5)
+        beta, solver, *_ = _solve_check_loss(X, y, 0.5)
         assert solver == "lp"
         assert _sign_counts_ok(X, y, beta, 0.5)
         assert np.sum(pinball_loss(y - X @ beta, 0.5)) == pytest.approx(
@@ -311,17 +315,21 @@ class TestSolver:
         X = design_matrix(SplineSpec(), rng.uniform(16.0, 36.0, n))
         y = 70.0 * np.exp(0.1 * rng.standard_normal(n))
         for tau in (0.03, 0.97):
-            _, steps = _frisch_newton(X, y, tau)
-            vertex, solver, _ = _solve_check_loss(X, y, tau)
-            assert solver == "ipm"
+            beta, steps = _frisch_newton(X, y, tau)
+            vertex = _certified_vertex(X, y, beta, tau)
+            assert vertex is not None
             for scale in (1e-6, 1e-3, 1e3, 1e6):
                 with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    _, scaled_steps = _frisch_newton(X, scale * y, tau)
+                    scaled_beta, scaled_steps = _frisch_newton(X, scale * y, tau)
                 assert abs(scaled_steps - steps) <= 1
-            for scale in (1e3, 1e6):
-                scaled, solver, _ = _solve_check_loss(X, scale * y, tau)
-                assert solver == "ipm"
-                np.testing.assert_allclose(scaled, scale * vertex, rtol=1e-9)
+                if scale > 1.0:
+                    scaled = _certified_vertex(X, scale * y, scaled_beta, tau)
+                    assert scaled is not None
+                    np.testing.assert_allclose(scaled, scale * vertex, rtol=1e-9)
+                    # At 20 000 rows the preprocessing finds the same vertex.
+                    scaled, solver, *_ = _solve_check_loss(X, scale * y, tau)
+                    assert solver == "pfn"
+                    np.testing.assert_allclose(scaled, scale * vertex, rtol=1e-9)
 
     @pytest.mark.parametrize("tau", [0.02, 0.03, 0.5, 0.97, 0.98])
     def test_start_sits_at_tau_quantile(self, tau):
@@ -336,9 +344,155 @@ class TestSolver:
         # 55); the iteration cap of 100 must leave room for it.
         X, y = _heavy_tailed_design()
         for tau in (0.02, 0.98):
-            _, steps = _frisch_newton(X, y, tau)
+            beta, steps = _frisch_newton(X, y, tau)
             assert steps <= 90
-            assert _solve_check_loss(X, y, tau)[1] == "ipm"
+            assert _certified_vertex(X, y, beta, tau) is not None
+
+
+TAUS = (0.03, 0.10, 0.50, 0.90, 0.97)
+
+
+def _cohort_designs(n_subjects, seed):
+    """The marginal and the conditional (X, y) that the fits build from one
+    simulated cohort."""
+    cohort = generate_cohort(
+        LognormalAR1Model(), VisitSchedule(), n_subjects, RngStream(seed).child(0)
+    )
+    spec = SplineSpec()
+    t, y = cohort.observed_points()
+    pairs = cohort.pair_set(max_gap=None)
+    X_cond = np.column_stack([
+        design_matrix(spec, pairs.t_cur),
+        pairs.y_prev,
+        pairs.y_prev * (pairs.t_cur - pairs.t_prev),
+    ])
+    return [(design_matrix(spec, t), y), (X_cond, pairs.y_cur)]
+
+
+def _full_vertex(X, y, tau):
+    """The full interior point's vertex, certified on the full data: the
+    answer of every fit below the preprocessing threshold."""
+    vertex = _certified_vertex(X, y, _frisch_newton(X, y, tau)[0], tau)
+    assert vertex is not None
+    return vertex
+
+
+def _stride_design(n, seed, tilt):
+    """A line through Gaussian noise whose stride-subsample rows have their
+    slope raised by `tilt`, so that the subsample fit misplaces the band and
+    globs rows on the wrong side of the optimum."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(-1.0, 1.0, n)
+    y = 2.0 * x + rng.standard_normal(n)
+    sub = np.linspace(0, n - 1, round((3 * n) ** (2.0 / 3.0))).astype(int)
+    y[sub] += tilt * x[sub]
+    return np.column_stack([np.ones(n), x]), y
+
+
+def _record_rows(monkeypatch):
+    """Row counts of the problems handed to the interior point, in order."""
+    rows = []
+    real = quantreg._frisch_newton
+
+    def recording(X, y, tau):
+        rows.append(y.size)
+        return real(X, y, tau)
+
+    monkeypatch.setattr(quantreg, "_frisch_newton", recording)
+    return rows
+
+
+class TestPreprocessing:
+    def test_large_cohorts_give_the_full_vertex_bit_for_bit(self):
+        solvers = []
+        for seed in (1, 2, 3):
+            for X, y in _cohort_designs(5000, seed):
+                assert y.size >= _PFN_MIN_ROWS
+                for tau in TAUS:
+                    beta, solver, steps, fallback = _solve_check_loss(X, y, tau)
+                    solvers.append(solver)
+                    assert fallback == (solver != "pfn")
+                    assert hexes(beta) == hexes(_full_vertex(X, y, tau))
+        assert solvers.count("pfn") >= 0.99 * len(solvers)
+
+    @given(design=_tied_designs(n_min=_PFN_MIN_ROWS, n_max=_PFN_MIN_ROWS + 2000))
+    @settings(max_examples=5, deadline=None)
+    def test_optimum_matches_lp(self, design):
+        # Rounded responses tie, so some optima are degenerate or not unique.
+        # The simplex on the dual is the oracle: the primal takes seconds.
+        X, y, tau = design
+        beta, *_ = _solve_check_loss(X, y, tau)
+        want = float(np.sum(pinball_loss(y - X @ _solve_check_loss_lp(X, y, tau), tau)))
+        got = float(np.sum(pinball_loss(y - X @ beta, tau)))
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert _sign_counts_ok(X, y, beta, tau)
+
+    def test_wrongly_globbed_rows_move_out_of_their_glob(self, monkeypatch):
+        X, y = _stride_design(10_000, 0, 0.3)
+        want = _full_vertex(X, y, 0.1)
+        rows = _record_rows(monkeypatch)
+        beta, solver, _, fallback = _solve_check_loss(X, y, 0.1)
+        assert (solver, fallback) == ("pfn", False)
+        assert hexes(beta) == hexes(want)
+        # Subsample, reduced problem, and a re-solve with the wrong rows
+        # back in it; the subsample is never doubled.
+        assert len(rows) >= 3 and rows[2] > rows[1]
+        assert 2 * rows[0] not in rows
+
+    def test_many_wrong_rows_double_the_subsample(self, monkeypatch):
+        X, y = _stride_design(10_000, 0, 1.0)
+        want = _full_vertex(X, y, 0.5)
+        rows = _record_rows(monkeypatch)
+        beta, solver, _, fallback = _solve_check_loss(X, y, 0.5)
+        assert (solver, fallback) == ("pfn", False)
+        assert hexes(beta) == hexes(want)
+        assert rows[2] == 2 * rows[0]
+
+    def test_refused_reduced_answer_falls_back_to_full_interior_point(self, monkeypatch):
+        X, y = _cohort_designs(5000, 1)[0]
+        tau = 0.9
+        want = _full_vertex(X, y, tau)
+        pfn_steps = _preprocessed_vertex(X, y, tau)[1]
+        full_steps = _frisch_newton(X, y, tau)[1]
+        certify = quantreg._certified_vertex
+        betas = []
+
+        def refuse_first(X, y, beta, tau):
+            betas.append(beta)
+            return None if len(betas) == 1 else certify(X, y, beta, tau)
+
+        monkeypatch.setattr(quantreg, "_certified_vertex", refuse_first)
+        beta, solver, steps, fallback = _solve_check_loss(X, y, tau)
+        assert (solver, fallback) == ("ipm", True)
+        assert len(betas) == 2
+        assert hexes(beta) == hexes(want)
+        assert steps == pfn_steps + full_steps
+
+    def test_below_threshold_only_the_full_interior_point_runs(self):
+        # Headline-sized designs, and the leading rows of a large one just
+        # below and at the threshold.
+        designs = _cohort_designs(1000, 1)
+        X_big, y_big = _cohort_designs(5000, 1)[0]
+        designs.append((X_big[: _PFN_MIN_ROWS - 1], y_big[: _PFN_MIN_ROWS - 1]))
+        for X, y in designs:
+            assert y.size < _PFN_MIN_ROWS
+            for tau in TAUS:
+                beta, solver, steps, fallback = _solve_check_loss(X, y, tau)
+                assert (solver, fallback) == ("ipm", False)
+                full, full_steps = _frisch_newton(X, y, tau)
+                assert steps == full_steps
+                assert hexes(beta) == hexes(_certified_vertex(X, y, full, tau))
+        assert _solve_check_loss(X_big[:_PFN_MIN_ROWS], y_big[:_PFN_MIN_ROWS], 0.5)[1] == "pfn"
+
+    def test_fit_records_the_path(self):
+        cohort = generate_cohort(
+            LognormalAR1Model(), VisitSchedule(), 5000, RngStream(1).child(0)
+        )
+        t, y = cohort.observed_points()
+        fit = fit_marginal_qr(t, y, 0.5, SplineSpec())
+        assert (fit.solver, fit.pfn_fallback) == ("pfn", False)
+        assert fit.ipm_steps == _solve_check_loss(design_matrix(SplineSpec(), t), y, 0.5)[2]
+        assert fit.subgradient_ok
 
 
 class TestPredictErrors:
