@@ -65,6 +65,11 @@ __all__ = [
 ]
 
 _METHODS = ("QR", "LMS", "MVN")
+# Fit counters each replication records and a study sums into its diagnostics.
+_COUNTERS = (
+    "qr_subgradient_violations", "qr_lp_fallbacks", "qr_ipm_steps", "qr_pfn_fallbacks",
+    "lms_newton_steps", "mvn_brent_evals",
+)
 
 # What a fit raises on a cohort it cannot fit. Anything else is a bug and
 # propagates instead of counting against the failed-fit budget.
@@ -261,8 +266,9 @@ def _replication(cfg: ExperimentConfig, marginal: bool, conditional: bool, rep: 
 
     Returns the centile estimates keyed by their summary row (method, week,
     tau, path), plus failures and diagnostics. Each method fills its cell
-    grid (see _grid_rows) with one call per fit; a failed method is recorded
-    and contributes no cells at all.
+    grid (see _grid_rows) with one call per fit, and QR fits each family's
+    whole tau grid in one call; a failed method is recorded and contributes
+    no cells or counters of the family that failed.
     """
     stream = RngStream(cfg.master_seed).child(rep)
     cohort = generate_cohort(cfg.model, cfg.schedule, cfg.n_subjects, stream)
@@ -274,14 +280,7 @@ def _replication(cfg: ExperimentConfig, marginal: bool, conditional: bool, rep: 
 
     cells: dict = {}
     failures: list[tuple[str, str]] = []
-    diag = {
-        "qr_subgradient_violations": 0,
-        "qr_lp_fallbacks": 0,
-        "qr_ipm_steps": 0,
-        "qr_pfn_fallbacks": 0,
-        "lms_newton_steps": 0,
-        "mvn_brent_evals": 0,
-    }
+    diag = dict.fromkeys(_COUNTERS, 0)
 
     pairs_adj = pairs_qr = None
     if conditional:
@@ -291,27 +290,22 @@ def _replication(cfg: ExperimentConfig, marginal: bool, conditional: bool, rep: 
         diag["n_pairs_successive"] = len(pairs_succ)
         diag["n_pairs_adjacent"] = len(pairs_adj)
 
-    def qr_audited(fit):
-        diag["qr_subgradient_violations"] += not fit.subgradient_ok
-        diag["qr_lp_fallbacks"] += fit.solver == "lp"
-        diag["qr_ipm_steps"] += fit.ipm_steps
-        diag["qr_pfn_fallbacks"] += fit.pfn_fallback
-        return fit
+    def qr_audited(fits):
+        for fit in fits:
+            diag["qr_subgradient_violations"] += not fit.subgradient_ok
+            diag["qr_lp_fallbacks"] += fit.solver == "lp"
+            diag["qr_ipm_steps"] += fit.ipm_steps
+            diag["qr_pfn_fallbacks"] += fit.pfn_fallback
+        return fits
 
     def qr_grid():
         blocks = []
         if marginal:
-            fits = [
-                qr_audited(fit_marginal_qr(t_obs, y_obs, tau, cfg.spline))
-                for tau in cfg.tau_grid
-            ]
+            fits = qr_audited(fit_marginal_qr(t_obs, y_obs, cfg.tau_grid, cfg.spline))
             blocks.append(np.column_stack([predict_centile(f, weeks) for f in fits]))
             diag["qr_crossing_grid_points"] = count_quantile_crossings(fits)
         if conditional:
-            fits = [
-                qr_audited(fit_conditional_qr(pairs_qr, tau, cfg.spline))
-                for tau in cfg.tau_grid
-            ]
+            fits = qr_audited(fit_conditional_qr(pairs_qr, cfg.tau_grid, cfg.spline))
             blocks.append(np.column_stack([
                 predict_centile(f, week_c, y_prev=y_prev, dt=week_c - week_p) for f in fits
             ]))
@@ -377,13 +371,7 @@ def _run(cfg: ExperimentConfig, marginal: bool, conditional: bool, keep_replicat
             f"(> 2% budget); first failure: {failures[0]}"
         )
 
-    diagnostics = {
-        key: int(sum(res["diag"][key] for res in results))
-        for key in (
-            "qr_subgradient_violations", "qr_lp_fallbacks", "qr_ipm_steps", "qr_pfn_fallbacks",
-            "lms_newton_steps", "mvn_brent_evals",
-        )
-    }
+    diagnostics = {key: int(sum(res["diag"][key] for res in results)) for key in _COUNTERS}
     diagnostics["n_failed_replications"] = len(failed_reps)
     for key in (
         "lms_rho_hat", "mvn_rho_hat", "mvn_sigma_hat", "qr_crossing_grid_points",

@@ -6,8 +6,10 @@ whose slope may vary with the time gap:
 
     y_j ~ B(t_j) . c + (beta0 + beta1 * (t_j - t_{j-1})) * y_{j-1}
 
-Each fit minimizes the check loss at its quantile level. The minimization
-is the classic linear program, in its bounded dual form
+Each fitter takes one quantile level tau or a grid of them, builds and
+checks one design for the grid, and fits every level on it by minimizing
+the check loss at that level. The minimization is the classic linear
+program, in its bounded dual form
 
     max  y'd   s.t.  X'd = 0,   tau - 1 <= d_i <= tau
 
@@ -466,10 +468,45 @@ def _sign_counts_ok(X, y, beta, tau) -> bool:
     return n_neg <= tau * n + 1e-9 and n_pos <= (1.0 - tau) * n + 1e-9
 
 
-def fit_marginal_qr(times, values, tau: float, spec: SplineSpec) -> QuantileFit:
-    """Fit a marginal centile curve B(t) . c at quantile level tau."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie strictly in (0, 1), got {tau!r}")
+def _tau_levels(tau) -> tuple:
+    """The levels of a scalar tau or a tau sequence, each checked."""
+    levels = (tau,) if np.ndim(tau) == 0 else tuple(tau)
+    for level in levels:
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"tau must lie strictly in (0, 1), got {level!r}")
+    return levels
+
+
+def _fit_levels(X, y, levels, spec: SplineSpec, conditional: bool) -> tuple:
+    """One QuantileFit per tau level on the checked design X, in order."""
+    k = spec.n_basis
+    fits = []
+    for tau in levels:
+        beta, solver, ipm_steps, pfn_fallback = _solve_check_loss(X, y, tau)
+        n_neg, n_pos = _sign_counts(X, y, beta, tau)
+        fits.append(QuantileFit(
+            tau=tau,
+            spec=spec,
+            spline_coefs=tuple(beta[:k]),
+            beta0=float(beta[k]) if conditional else 0.0,
+            beta1=float(beta[k + 1]) if conditional else 0.0,
+            conditional=conditional,
+            objective=float(np.sum(pinball_loss(y - X @ beta, tau))),
+            n_obs=y.size,
+            n_neg=n_neg,
+            n_pos=n_pos,
+            solver=solver,
+            ipm_steps=ipm_steps,
+            pfn_fallback=pfn_fallback,
+        ))
+    return tuple(fits)
+
+
+def fit_marginal_qr(times, values, tau, spec: SplineSpec):
+    """Fit a marginal centile curve B(t) . c at each quantile level of tau:
+    a QuantileFit for a scalar, a tuple of them in order for a sequence. The
+    design is built and checked once for all levels."""
+    levels = _tau_levels(tau)
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     if t.size != y.size:
@@ -481,31 +518,18 @@ def fit_marginal_qr(times, values, tau: float, spec: SplineSpec) -> QuantileFit:
     _check_finite(times=t, values=y)
     X = design_matrix(spec, t)
     _check_design(X, "marginal")
-    beta, solver, ipm_steps, pfn_fallback = _solve_check_loss(X, y, tau)
-    n_neg, n_pos = _sign_counts(X, y, beta, tau)
-    return QuantileFit(
-        tau=tau,
-        spec=spec,
-        spline_coefs=tuple(beta),
-        conditional=False,
-        objective=float(np.sum(pinball_loss(y - X @ beta, tau))),
-        n_obs=t.size,
-        n_neg=n_neg,
-        n_pos=n_pos,
-        solver=solver,
-        ipm_steps=ipm_steps,
-        pfn_fallback=pfn_fallback,
-    )
+    fits = _fit_levels(X, y, levels, spec, conditional=False)
+    return fits[0] if np.ndim(tau) == 0 else fits
 
 
-def fit_conditional_qr(pairs: PairSet, tau: float, spec: SplineSpec) -> QuantileFit:
+def fit_conditional_qr(pairs: PairSet, tau, spec: SplineSpec):
     """Fit the lag-adjusted conditional model on measurement pairs.
 
     The regressors are the spline basis at the later time, the earlier
-    value, and the earlier value times the time gap.
+    value, and the earlier value times the time gap. tau is a level or a
+    sequence of levels, as in fit_marginal_qr.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie strictly in (0, 1), got {tau!r}")
+    levels = _tau_levels(tau)
     if len(pairs) < spec.n_basis + 3:
         raise ValueError(
             f"need at least n_basis+3={spec.n_basis + 3} pairs, got {len(pairs)}"
@@ -522,24 +546,8 @@ def fit_conditional_qr(pairs: PairSet, tau: float, spec: SplineSpec) -> Quantile
     X = np.column_stack(
         [basis, pairs.y_prev, pairs.y_prev * (pairs.t_cur - pairs.t_prev)]
     )
-    y = pairs.y_cur
-    beta, solver, ipm_steps, pfn_fallback = _solve_check_loss(X, y, tau)
-    n_neg, n_pos = _sign_counts(X, y, beta, tau)
-    return QuantileFit(
-        tau=tau,
-        spec=spec,
-        spline_coefs=tuple(beta[: spec.n_basis]),
-        beta0=float(beta[spec.n_basis]),
-        beta1=float(beta[spec.n_basis + 1]),
-        conditional=True,
-        objective=float(np.sum(pinball_loss(y - X @ beta, tau))),
-        n_obs=len(pairs),
-        n_neg=n_neg,
-        n_pos=n_pos,
-        solver=solver,
-        ipm_steps=ipm_steps,
-        pfn_fallback=pfn_fallback,
-    )
+    fits = _fit_levels(X, pairs.y_cur, levels, spec, conditional=True)
+    return fits[0] if np.ndim(tau) == 0 else fits
 
 
 def predict_centile(fit: QuantileFit, t, y_prev=None, dt=None):
@@ -572,6 +580,8 @@ def count_quantile_crossings(fits, step: float = 0.5) -> int:
     over the spline boundary at the given step, rather than hiding it. The
     fits must share one spline basis, which is evaluated once.
     """
+    if not (np.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     fits = sorted(fits, key=lambda f: f.tau)
     if len(fits) < 2:
         return 0

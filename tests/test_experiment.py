@@ -245,43 +245,66 @@ class TestCellGrid:
         fits = []
 
         def recording(*args, **kwargs):
-            fits.append(real(*args, **kwargs))
-            return fits[-1]
+            grid = real(*args, **kwargs)
+            fits.extend(grid)
+            return grid
 
         monkeypatch.setattr(experiment, "fit_conditional_qr", recording)
         clean = run_both_experiments(cfg, keep_replicates=True)
-        # Replication 1's first conditional QR fit fails, so its other
-        # conditional fits never run.
+        # Replication 1's conditional QR grid call fails, so none of its
+        # fits is counted, not even those it had finished before failing.
         lost = fits[n_tau : 2 * n_tau]
-        calls = []
-
-        def failing(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == n_tau + 1:
-                raise FitError("injected")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(experiment, "fit_conditional_qr", failing)
-        failed = run_both_experiments(cfg, keep_replicates=True)
-
         expected_diag = dict(clean[0].diagnostics, n_failed_replications=1)
         expected_diag["qr_ipm_steps"] -= sum(f.ipm_steps for f in lost)
         expected_diag["qr_lp_fallbacks"] -= sum(f.solver == "lp" for f in lost)
         expected_diag["qr_pfn_fallbacks"] -= sum(f.pfn_fallback for f in lost)
         expected_diag["qr_subgradient_violations"] -= sum(not f.subgradient_ok for f in lost)
-        for before, after in zip(clean, failed):
-            assert after.failures == ({"rep": 1, "method": "QR", "error": "FitError: injected"},)
-            assert after.diagnostics == expected_diag
-            assert after.replicates.keys() == before.replicates.keys()
-            for key, values in before.replicates.items():
-                if key[0] == "QR":
-                    values = np.delete(values, 1)
-                assert np.array_equal(after.replicates[key], values)
-            assert [r.n_reps for r in after.rows] == [
-                cfg.n_reps - (r.method == "QR") for r in before.rows
-            ]
 
-    def test_basis_built_at_most_30_times(self, monkeypatch):
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise FitError("injected")
+            return real(*args, **kwargs)
+
+        solve = quantreg._solve_check_loss
+        conditional_solves = []
+
+        def failing_third_level(X, y, tau):
+            if X.shape[1] > cfg.spline.n_basis:
+                conditional_solves.append(tau)
+                if len(conditional_solves) == n_tau + 3:
+                    raise FitError("injected")
+            return solve(X, y, tau)
+
+        # The call fails before its first fit, or at its third tau level.
+        monkeypatch.setattr(experiment, "fit_conditional_qr", failing)
+        failures = [run_both_experiments(cfg, keep_replicates=True)]
+        monkeypatch.setattr(experiment, "fit_conditional_qr", real)
+        monkeypatch.setattr(quantreg, "_solve_check_loss", failing_third_level)
+        failures.append(run_both_experiments(cfg, keep_replicates=True))
+        # Replication 1 solved two levels before the third failed, and
+        # their interior-point steps are not counted.
+        assert conditional_solves[n_tau : n_tau + 3] == list(cfg.tau_grid[:3])
+        assert all(f.ipm_steps > 0 for f in lost[:2])
+
+        for failed in failures:
+            for before, after in zip(clean, failed):
+                assert after.failures == (
+                    {"rep": 1, "method": "QR", "error": "FitError: injected"},
+                )
+                assert after.diagnostics == expected_diag
+                assert after.replicates.keys() == before.replicates.keys()
+                for key, values in before.replicates.items():
+                    if key[0] == "QR":
+                        values = np.delete(values, 1)
+                    assert np.array_equal(after.replicates[key], values)
+                assert [r.n_reps for r in after.rows] == [
+                    cfg.n_reps - (r.method == "QR") for r in before.rows
+                ]
+
+    def test_basis_built_at_most_22_times(self, monkeypatch):
         calls = []
         real = splines.design_matrix
 
@@ -292,9 +315,9 @@ class TestCellGrid:
         for module in (quantreg, lms, mvn):
             monkeypatch.setattr(module, "design_matrix", counted)
         experiment._replication(ExperimentConfig(), True, True, 0)
-        # Ten QR fits, one LMS and one MVN fit build theirs; the rest serve
-        # every cell and diagnostic of the replication.
-        assert 12 <= len(calls) <= 30
+        # The two QR designs, one LMS and one MVN fit build theirs; the rest
+        # serve every cell and diagnostic of the replication.
+        assert 4 <= len(calls) <= 22
 
 
 class TestDeterminism:
@@ -382,9 +405,9 @@ class TestSolverDiagnostics:
 
         def recording(fit_fn):
             def wrapped(*args, **kwargs):
-                fit = fit_fn(*args, **kwargs)
-                solvers.append(fit.solver)
-                return fit
+                grid = fit_fn(*args, **kwargs)
+                solvers.extend(fit.solver for fit in grid)
+                return grid
 
             return wrapped
 
@@ -420,9 +443,9 @@ class TestIpmSteps:
 
         def recording(fit_fn):
             def wrapped(*args, **kwargs):
-                fit = fit_fn(*args, **kwargs)
-                fits.append(fit)
-                return fit
+                grid = fit_fn(*args, **kwargs)
+                fits.extend(grid)
+                return grid
 
             return wrapped
 
@@ -451,15 +474,18 @@ class TestCounters:
     def test_totals_sum_fits(self, monkeypatch):
         qr_fits, mvn_fits = [], []
 
-        def recording(fit_fn, into):
+        def recording(fit_fn, into, grid=False):
             def wrapped(*args, **kwargs):
-                into.append(fit_fn(*args, **kwargs))
-                return into[-1]
+                fits = fit_fn(*args, **kwargs)
+                into.extend(fits if grid else [fits])
+                return fits
 
             return wrapped
 
         for name in ("fit_marginal_qr", "fit_conditional_qr"):
-            monkeypatch.setattr(experiment, name, recording(getattr(experiment, name), qr_fits))
+            monkeypatch.setattr(
+                experiment, name, recording(getattr(experiment, name), qr_fits, grid=True)
+            )
         monkeypatch.setattr(experiment, "fit_mvn", recording(experiment.fit_mvn, mvn_fits))
         # The preprocessing gives up at the median, so those fits of the
         # marginal design fall back to the full interior point.

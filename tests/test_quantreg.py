@@ -103,19 +103,25 @@ def _pairs_from_cohort(cohort, max_gap=None):
     return cohort.pair_set(max_gap=max_gap)
 
 
+def _constant_prior_pairs(n=400):
+    """Pairs with one prior value and one gap: the history columns repeat
+    the intercept, so the conditional design is singular."""
+    rng = np.random.default_rng(4)
+    t_cur = rng.uniform(20.0, 36.0, n)
+    return _FakePairs(
+        t_prev=t_cur - 4.0,
+        y_prev=np.full(n, 65.0),
+        t_cur=t_cur,
+        y_cur=65.0 + 8.0 * rng.standard_normal(n),
+    )
+
+
 class TestConditionalFit:
     def test_constant_prior_matches_marginal(self, spec5):
         # constant y_prev and constant gap collapse the history term into the
         # intercept; fitted values must match the marginal fit
-        rng = np.random.default_rng(4)
-        n = 400
-        t_cur = rng.uniform(20.0, 36.0, n)
-        pairs = _FakePairs(
-            t_prev=t_cur - 4.0,
-            y_prev=np.full(n, 65.0),
-            t_cur=t_cur,
-            y_cur=65.0 + 8.0 * rng.standard_normal(n),
-        )
+        pairs = _constant_prior_pairs()
+        n, t_cur = len(pairs), pairs.t_cur
         cond = fit_conditional_qr(pairs, 0.5, spec5)
         marg = fit_marginal_qr(pairs.t_cur, pairs.y_cur, 0.5, spec5)
         pred_cond = predict_centile(cond, t_cur, y_prev=np.full(n, 65.0), dt=np.full(n, 4.0))
@@ -541,6 +547,91 @@ class TestPredictBroadcast:
         assert hexes(got) == hexes(scalar)
 
 
+def fit_bits(fit):
+    """Every field of a fit, with its floats as float.hex."""
+    return {
+        name: hexes(value) if isinstance(value, (float, tuple)) else value
+        for name, value in vars(fit).items()
+    }
+
+
+def _cohort_data(n_subjects, seed=1):
+    cohort = generate_cohort(
+        LognormalAR1Model(), VisitSchedule(), n_subjects, RngStream(seed).child(0)
+    )
+    return cohort.observed_points(), cohort.pair_set(max_gap=None)
+
+
+class TestTauGrid:
+    """A tau sequence fits every level on one design, with the bits of the
+    scalar calls."""
+
+    def _assert_grid_matches_scalars(self, fit_fn, args, spec, solver):
+        grid = fit_fn(*args, TAUS, spec)
+        assert isinstance(grid, tuple) and len(grid) == len(TAUS)
+        scalars = [fit_fn(*args, tau, spec) for tau in TAUS]
+        assert [fit_bits(f) for f in grid] == [fit_bits(f) for f in scalars]
+        assert [f.tau for f in grid] == list(TAUS)
+        assert {f.solver for f in grid} == {solver}
+
+    @pytest.mark.parametrize("n_subjects, solver", [(1000, "ipm"), (5000, "pfn")])
+    def test_grid_equals_scalar_calls(self, n_subjects, solver, spec5):
+        (t, y), pairs = _cohort_data(n_subjects)
+        self._assert_grid_matches_scalars(fit_marginal_qr, (t, y), spec5, solver)
+        self._assert_grid_matches_scalars(fit_conditional_qr, (pairs,), spec5, solver)
+
+    def test_grid_equals_scalar_calls_on_the_lp_path(self, monkeypatch, spec5):
+        pairs = _constant_prior_pairs()
+        self._assert_grid_matches_scalars(fit_conditional_qr, (pairs,), spec5, "lp")
+        # The marginal design is regular; refusing every vertex sends it to
+        # the LP too.
+        monkeypatch.setattr(quantreg, "_certified_vertex", lambda X, y, beta, tau: None)
+        self._assert_grid_matches_scalars(
+            fit_marginal_qr, (pairs.t_cur, pairs.y_cur), spec5, "lp"
+        )
+
+    def test_call_shapes(self, recovery_cohort, spec5):
+        t, y = recovery_cohort.observed_points()
+        pairs = recovery_cohort.pair_set(max_gap=None)
+        assert isinstance(fit_marginal_qr(t, y, 0.5, spec5), QuantileFit)
+        assert isinstance(fit_conditional_qr(pairs, np.float64(0.5), spec5), QuantileFit)
+        (one,) = fit_marginal_qr(t, y, [0.5], spec5)
+        assert fit_bits(one) == fit_bits(fit_marginal_qr(t, y, 0.5, spec5))
+        assert [f.tau for f in fit_conditional_qr(pairs, (0.9, 0.1), spec5)] == [0.9, 0.1]
+
+    @pytest.mark.parametrize(
+        "taus", [(0.5, 0.0), (math.nan, 0.5), (0.1, 0.5, 1.0), (0.5, 0.9, -0.1), (0.5, math.inf)]
+    )
+    def test_bad_level_anywhere_raises_before_any_solve(self, monkeypatch, taus, spec5):
+        solves = []
+        monkeypatch.setattr(quantreg, "_solve_check_loss", lambda *args: solves.append(args))
+        pairs = _constant_prior_pairs()
+        with pytest.raises(ValueError, match="tau must lie strictly in"):
+            fit_marginal_qr(pairs.t_cur, pairs.y_cur, taus, spec5)
+        with pytest.raises(ValueError, match="tau must lie strictly in"):
+            fit_conditional_qr(pairs, taus, spec5)
+        assert solves == []
+
+    def test_one_design_and_rank_check_per_call(self, monkeypatch, recovery_cohort, spec5):
+        calls = []
+
+        def counted(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("design_matrix", "_check_design"):
+            monkeypatch.setattr(quantreg, name, counted(name, getattr(quantreg, name)))
+        t, y = recovery_cohort.observed_points()
+        fit_marginal_qr(t, y, TAUS, spec5)
+        assert calls == ["design_matrix", "_check_design"]
+        calls.clear()
+        fit_conditional_qr(recovery_cohort.pair_set(max_gap=None), TAUS, spec5)
+        assert calls == ["design_matrix", "_check_design"]
+
+
 class TestReporting:
     def test_crossing_count_reported(self, recovery_cohort, spec5):
         t, y = recovery_cohort.observed_points()
@@ -556,6 +647,15 @@ class TestReporting:
         ]
         with pytest.raises(ValueError, match="one spline basis"):
             count_quantile_crossings(fits)
+
+    @pytest.mark.parametrize("step", [-0.5, 0.0, math.inf, math.nan])
+    def test_crossings_need_a_finite_positive_step(self, step, spec5):
+        fits = [
+            QuantileFit(tau=0.1, spec=spec5, spline_coefs=(60.0,) * 5),
+            QuantileFit(tau=0.9, spec=spec5, spline_coefs=(70.0,) * 5),
+        ]
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            count_quantile_crossings(fits, step=step)
 
 
 class _FakePairs:
