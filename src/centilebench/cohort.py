@@ -1,10 +1,11 @@
 """Simulated antenatal cohorts.
 
-Each subject is scheduled for one visit per interval; visit times are
-uniform within the interval, log measurements follow the AR(1) process, and
-attendance is an independent coin per visit. The latent value is kept for
-every slot (missingness is a mask), so oracle tests can compare observed
-subsets against the full process.
+Each subject is scheduled for one visit per window of a ``VisitSchedule``
+(defined in ``model``, which owns the visit intervals; re-exported here).
+Visit times are uniform within the window, log measurements follow the
+AR(1) process, and attendance is an independent coin per visit. The latent
+value is kept for every slot (missingness is a mask), so oracle tests can
+compare observed subsets against the full process.
 """
 
 from __future__ import annotations
@@ -13,66 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GA_WINDOW, VISIT_INTERVAL_WEEKS, LognormalAR1Model, log_mean
+from .model import LognormalAR1Model, VisitSchedule, log_mean
 from .numerics import RngStream, std_normal_quantile, _MIN_UNIFORM
 
 __all__ = ["VisitSchedule", "Cohort", "PairSet", "generate_cohort"]
-
-_DEFAULT_WINDOWS = tuple(
-    (GA_WINDOW[0] + k * VISIT_INTERVAL_WEEKS, GA_WINDOW[0] + (k + 1) * VISIT_INTERVAL_WEEKS)
-    for k in range(int((GA_WINDOW[1] - GA_WINDOW[0]) / VISIT_INTERVAL_WEEKS))
-)
-
-
-@dataclass(frozen=True)
-class VisitSchedule:
-    """Visit windows (half-open week intervals) and the attendance probability."""
-
-    windows: tuple[tuple[float, float], ...] = _DEFAULT_WINDOWS
-    attendance_prob: float = 0.8
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "windows", tuple((float(a), float(b)) for a, b in self.windows)
-        )
-        if not self.windows:
-            raise ValueError("schedule needs at least one window")
-        for lo, hi in self.windows:
-            if not lo < hi:
-                raise ValueError(f"degenerate window ({lo}, {hi})")
-        for (_, hi), (lo, _) in zip(self.windows, self.windows[1:]):
-            if lo != hi:
-                raise ValueError("windows must be ordered and contiguous")
-        if not 0.0 < self.attendance_prob <= 1.0:
-            raise ValueError(
-                f"attendance_prob must lie in (0, 1], got {self.attendance_prob!r}"
-            )
-
-    @property
-    def n_intervals(self) -> int:
-        return len(self.windows)
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return (self.windows[0][0], self.windows[-1][1])
-
-    def interval_index(self, t):
-        """0-based index of the window containing gestational age t.
-
-        The last window is closed on the right so the span's upper endpoint
-        maps to the last visit; times outside the span, and NaN, raise
-        ValueError.
-        """
-        arr = np.asarray(t, dtype=float)
-        lo, hi = self.span
-        if not np.all((arr >= lo) & (arr <= hi)):
-            raise ValueError(
-                f"gestational age {t!r} is not finite or lies outside the "
-                f"schedule span [{lo}, {hi}]"
-            )
-        starts = [w[0] for w in self.windows]
-        idx = np.searchsorted(starts, arr, side="right") - 1
-        return int(idx) if arr.ndim == 0 else idx
 
 
 @dataclass(frozen=True)

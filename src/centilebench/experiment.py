@@ -131,17 +131,15 @@ class ExperimentConfig:
             )
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if {"LMS", "MVN"} & set(self.methods) and (
-            self.schedule.interval_index(self.eval_week_conditional)
-            - self.schedule.interval_index(self.prior_week)
-            != 1
-        ):
+        # QR predicts its conditional cells at the gap between the two weeks.
+        if not self.prior_week < self.eval_week_conditional:
             raise ValueError(
-                f"prior_week {self.prior_week!r} and eval_week_conditional "
-                f"{self.eval_week_conditional!r} must lie in adjacent intervals of "
-                f"the visit schedule: the LMS and MVN conditional centiles chain "
-                f"one interval's correlation"
+                f"prior_week {self.prior_week!r} must precede eval_week_conditional "
+                f"{self.eval_week_conditional!r}"
             )
+        # The LMS and MVN conditional centiles chain one interval's correlation.
+        if {"LMS", "MVN"} & set(self.methods):
+            self.schedule.check_adjacent(self.prior_week, self.eval_week_conditional)
         # Every cell must evaluate, so a bad week fails here and not as a
         # failed fit in every replication.
         lo = max(self.spline.boundary[0], self.model.window[0])

@@ -355,10 +355,7 @@ def lms_conditional_centile(
     """
     if not abs(rho_hat) < 1.0:
         raise ValueError(f"rho_hat must lie strictly in (-1, 1), got {rho_hat!r}")
-    if schedule.interval_index(t_cur) - schedule.interval_index(t_prev) != 1:
-        raise ValueError(
-            f"times {t_prev!r} and {t_cur!r} are not in adjacent visit intervals"
-        )
+    schedule.check_adjacent(t_prev, t_cur)
     z_prev = lms_zscore(fit, t_prev, y_prev)
     z_cond = rho_hat * z_prev + std_normal_quantile(tau) * np.sqrt(
         1.0 - rho_hat * rho_hat

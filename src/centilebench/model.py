@@ -2,10 +2,15 @@
 
 Log blood pressure at gestational age t weeks is normal with mean
 mu(t) = c0 + c2*(t/10)^2 + c3*(t/10)^3 and constant standard deviation
-sigma; standardized values in adjacent four-week visit intervals follow a
-first-order autoregression with correlation rho. Everything here is exact
-closed-form math: marginal and conditional percentiles, percentile ranks,
-and the conditional ranks traced by drifting or jumping subject paths.
+sigma; standardized values in adjacent visit intervals follow a first-order
+autoregression with correlation rho. ``VisitSchedule`` owns the visit
+intervals and the one adjacency check: the truth layer reads the default
+schedule's five four-week windows over weeks 16-36, the cohort generator
+steps the AR(1) over a schedule's windows, and the fitted conditional
+centiles judge adjacency on the schedule they were fitted over. Everything
+else here is exact closed-form math: marginal and conditional percentiles,
+percentile ranks, and the conditional ranks traced by drifting or jumping
+subject paths.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .numerics import std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "GA_WINDOW",
-    "VISIT_INTERVAL_WEEKS",
+    "VisitSchedule",
     "LognormalAR1Model",
     "ConditionalParams",
     "PercentilePath",
@@ -29,12 +34,80 @@ __all__ = [
     "conditional_params",
     "conditional_percentile",
     "drift_conditional_ranks",
-    "interval_index",
 ]
 
-# Gestational-age study window (weeks) and the width of one visit interval.
+# Gestational-age study window (weeks).
 GA_WINDOW = (16.0, 36.0)
-VISIT_INTERVAL_WEEKS = 4.0
+
+
+@dataclass(frozen=True)
+class VisitSchedule:
+    """Visit windows (half-open week intervals) and the attendance probability.
+
+    The default is five four-week windows over the study window.
+    """
+
+    windows: tuple[tuple[float, float], ...] = tuple(
+        (lo, lo + 4.0) for lo in (16.0, 20.0, 24.0, 28.0, 32.0)
+    )
+    attendance_prob: float = 0.8
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "windows", tuple((float(a), float(b)) for a, b in self.windows)
+        )
+        if not self.windows:
+            raise ValueError("schedule needs at least one window")
+        for lo, hi in self.windows:
+            if not lo < hi:
+                raise ValueError(f"degenerate window ({lo}, {hi})")
+        for (_, hi), (lo, _) in zip(self.windows, self.windows[1:]):
+            if lo != hi:
+                raise ValueError("windows must be ordered and contiguous")
+        if not 0.0 < self.attendance_prob <= 1.0:
+            raise ValueError(
+                f"attendance_prob must lie in (0, 1], got {self.attendance_prob!r}"
+            )
+
+    @property
+    def n_intervals(self) -> int:
+        return len(self.windows)
+
+    @property
+    def span(self) -> tuple[float, float]:
+        return (self.windows[0][0], self.windows[-1][1])
+
+    def interval_index(self, t):
+        """0-based index of the window containing gestational age t.
+
+        The last window is closed on the right so the span's upper endpoint
+        maps to the last visit; times outside the span, and NaN, raise
+        ValueError.
+        """
+        arr = np.asarray(t, dtype=float)
+        lo, hi = self.span
+        if not np.all((arr >= lo) & (arr <= hi)):
+            raise ValueError(
+                f"gestational age {t!r} is not finite or lies outside the "
+                f"schedule span [{lo}, {hi}]"
+            )
+        starts = [w[0] for w in self.windows]
+        idx = np.searchsorted(starts, arr, side="right") - 1
+        return int(idx) if arr.ndim == 0 else idx
+
+    def check_adjacent(self, t_prev: float, t_cur: float) -> None:
+        """Raise ValueError unless t_cur lies in the window right after
+        t_prev's: the AR(1) links adjacent intervals only."""
+        gap = self.interval_index(t_cur) - self.interval_index(t_prev)
+        if gap != 1:
+            raise ValueError(
+                f"times {t_prev!r} and {t_cur!r} are {gap} visit intervals apart; "
+                "conditional centiles are defined for adjacent intervals only"
+            )
+
+
+# The truth layer's visit intervals.
+_VISITS = VisitSchedule()
 
 
 @dataclass(frozen=True)
@@ -43,7 +116,8 @@ class LognormalAR1Model:
 
     ``window`` bounds the gestational ages at which the model is defined.
     Tests may widen it to probe degenerate coefficient sets; production code
-    should leave the default.
+    should leave the default. It does not move the visit intervals: the
+    conditional truth judges adjacency on the default ``VisitSchedule``.
     """
 
     c0: float = 4.247
@@ -54,6 +128,9 @@ class LognormalAR1Model:
     window: tuple[float, float] = GA_WINDOW
 
     def __post_init__(self):
+        for name in ("c0", "c2", "c3", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
         if not abs(self.rho) < 1.0:
@@ -111,23 +188,6 @@ def _check_window(model: LognormalAR1Model, t) -> np.ndarray:
     return arr
 
 
-def interval_index(t, window=GA_WINDOW, width=VISIT_INTERVAL_WEEKS):
-    """0-based visit-interval index containing gestational age t.
-
-    The final interval is closed on the right so the window's upper endpoint
-    maps to the last visit.
-    """
-    arr = np.asarray(t, dtype=float)
-    lo, hi = window
-    if not np.all((arr >= lo) & (arr <= hi)):
-        raise ValueError(
-            f"gestational age {t!r} is not finite or lies outside [{lo}, {hi}]"
-        )
-    n_intervals = int(round((hi - lo) / width))
-    idx = np.minimum(np.floor((arr - lo) / width).astype(int), n_intervals - 1)
-    return int(idx) if np.isscalar(t) or arr.ndim == 0 else idx
-
-
 def log_mean(model: LognormalAR1Model, t):
     """Log-scale mean mu(t) = c0 + c2*(t/10)^2 + c3*(t/10)^3."""
     arr = _check_window(model, t)
@@ -152,24 +212,11 @@ def marginal_rank(model: LognormalAR1Model, t, y):
     return float(out) if np.isscalar(y) and np.isscalar(t) else out
 
 
-def _check_adjacent(model: LognormalAR1Model, t_prev: float, t_cur: float) -> None:
-    if not t_prev < t_cur:
-        raise ValueError(f"t_prev={t_prev!r} must precede t_cur={t_cur!r}")
-    i_prev = interval_index(t_prev, model.window)
-    i_cur = interval_index(t_cur, model.window)
-    if i_cur - i_prev != 1:
-        raise ValueError(
-            f"times {t_prev!r} and {t_cur!r} are {i_cur - i_prev} visit "
-            "intervals apart; the conditional model is defined for adjacent "
-            "intervals only"
-        )
-
-
 def conditional_params(
     model: LognormalAR1Model, t_prev: float, t_cur: float, y_prev: float
 ) -> ConditionalParams:
     """Log-scale parameters at t_cur given the adjacent-interval value y_prev."""
-    _check_adjacent(model, t_prev, t_cur)
+    _VISITS.check_adjacent(t_prev, t_cur)
     if not y_prev > 0.0:
         raise ValueError(f"previous blood pressure must be positive, got {y_prev!r}")
     mu_cond = log_mean(model, t_cur) + model.rho * (
@@ -194,16 +241,14 @@ def drift_conditional_ranks(model: LognormalAR1Model, path: PercentilePath):
     For visits j >= 2 the rank is Phi((z_j - rho*z_{j-1}) / sqrt(1 - rho^2))
     with z_j the standard normal quantile of the j-th marginal rank; it
     depends only on the standardized path and rho, not on the mean curve.
-    Times must sit in consecutive visit intervals.
+    Times must lie in the model window and in consecutive intervals of the
+    default visit schedule.
     """
     if len(path.times) < 2:
         raise ValueError("path needs at least two visits")
-    idx = [interval_index(t, model.window) for t in path.times]
-    for a, b, ta, tb in zip(idx, idx[1:], path.times, path.times[1:]):
-        if b - a != 1:
-            raise ValueError(
-                f"visits at {ta!r} and {tb!r} weeks are not in adjacent intervals"
-            )
+    _check_window(model, path.times)
+    for t_prev, t_cur in zip(path.times, path.times[1:]):
+        _VISITS.check_adjacent(t_prev, t_cur)
     z = std_normal_quantile(np.array(path.marginal_ranks))
     denom = math.sqrt(1.0 - model.rho * model.rho)
     return std_normal_cdf((z[1:] - model.rho * z[:-1]) / denom)

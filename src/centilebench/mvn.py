@@ -267,10 +267,7 @@ def mvn_conditional_centile(fit: MVNFit, t_prev: float, y_prev, t_cur: float, ta
     """
     if np.any(np.asarray(y_prev) <= 0.0):
         raise ValueError(f"previous measurement must be positive, got {y_prev!r}")
-    if fit.schedule.interval_index(t_cur) - fit.schedule.interval_index(t_prev) != 1:
-        raise ValueError(
-            f"times {t_prev!r} and {t_cur!r} are not in adjacent visit intervals"
-        )
+    fit.schedule.check_adjacent(t_prev, t_cur)
     y_prev, q = np.broadcast_arrays(np.asarray(y_prev, dtype=float), std_normal_quantile(tau))
     log_prev = np.array([math.log(y) for y in y_prev.ravel().tolist()]).reshape(y_prev.shape)
     mean_cur, mean_prev = fit.mean_at([t_cur, t_prev])

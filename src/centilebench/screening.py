@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import VISIT_INTERVAL_WEEKS, LognormalAR1Model, log_mean
+from .model import LognormalAR1Model, VisitSchedule, log_mean
 from .numerics import RngStream, draw_normal, std_normal_cdf, std_normal_quantile
 
 __all__ = [
@@ -132,7 +132,8 @@ def monte_carlo_screen(
 
     ``screen_weeks`` lists the 1-based visit numbers at which the
     conditional chart is consulted; each must have a preceding visit, so
-    valid entries run from 2 to the number of visit intervals. A subject
+    valid entries run from 2 to the default ``VisitSchedule``'s number of
+    visit intervals (5), whatever the model window. A subject
     screens positive if the true-model conditional rank exceeds x at any
     screened visit. The diseased arm's log mean is shifted by ln(1+d) at
     every visit for the constant-shift mode, and from the first screened
@@ -145,7 +146,7 @@ def monte_carlo_screen(
         raise ValueError(f"specificity centile x must lie strictly in (0, 1), got {x!r}")
     if n_per_arm < 1000:
         raise ValueError(f"n_per_arm must be at least 1000, got {n_per_arm!r}")
-    n_intervals = int(round((model.window[1] - model.window[0]) / VISIT_INTERVAL_WEEKS))
+    n_intervals = VisitSchedule().n_intervals
     screens = sorted(int(w) for w in screen_weeks)
     if not screens:
         raise ValueError("need at least one screen visit")

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import GA_WINDOW
+
 __all__ = ["SplineSpec", "design_matrix"]
 
 
@@ -27,7 +29,7 @@ class SplineSpec:
     """
 
     degree: int = 3
-    boundary: tuple[float, float] = (16.0, 36.0)
+    boundary: tuple[float, float] = GA_WINDOW
     n_basis: int = 5
     interior_knots: tuple[float, ...] | None = None
 

@@ -10,8 +10,18 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import kstest
 
 from centilebench.cohort import Cohort, VisitSchedule, generate_cohort
-from centilebench.model import LognormalAR1Model, interval_index, marginal_percentile
+from centilebench.experiment import ExperimentConfig
+from centilebench.lms import LMSFit, lms_conditional_centile
+from centilebench.model import (
+    LognormalAR1Model,
+    PercentilePath,
+    conditional_params,
+    drift_conditional_ranks,
+    marginal_percentile,
+)
+from centilebench.mvn import MVNFit, mvn_conditional_centile
 from centilebench.numerics import RngStream
+from centilebench.splines import SplineSpec
 
 from conftest import TWO_WEEK_SCHEDULE, true_log_mean
 
@@ -69,9 +79,10 @@ class TestVisitSchedule:
             VisitSchedule(attendance_prob=0.0)
         VisitSchedule(attendance_prob=1.0)  # closed at one
 
-    def test_interval_index_default_matches_model(self, schedule):
+    def test_interval_index_default_is_four_week_grid(self, schedule):
         grid = np.concatenate([np.linspace(16.0, 36.0, 401), [20.0 - 1e-12, 36.0]])
-        assert np.array_equal(schedule.interval_index(grid), interval_index(grid))
+        expected = np.minimum(np.floor((grid - 16.0) / 4.0), 4).astype(int)
+        assert np.array_equal(schedule.interval_index(grid), expected)
         assert schedule.interval_index(36.0) == 4
         assert isinstance(schedule.interval_index(22.0), int)
 
@@ -85,6 +96,85 @@ class TestVisitSchedule:
     def test_interval_index_rejects_outside_span(self, schedule, t):
         with pytest.raises(ValueError, match="finite"):
             schedule.interval_index(t)
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+def _span_times(schedule):
+    """Window edges, points just below them, and any time in the span."""
+    edges = sorted({t for w in schedule.windows for t in w})
+    below = [t - 1e-12 for t in edges[1:]]
+    lo, hi = schedule.span
+    return st.one_of(st.sampled_from(edges + below), st.floats(lo, hi))
+
+
+def _fitted_layers(schedule, t_prev, t_cur):
+    """Calls of the fitted conditional centiles and of the config check on
+    one pair of times, all judged on ``schedule``."""
+    flat = (math.log(70.0),) * 5
+    lms = LMSFit(SplineSpec(), (0.0,) * 5, flat, (math.log(0.1),) * 5)
+    mvn = MVNFit(SplineSpec(), flat, sigma_hat=0.1, rho_hat=0.6, schedule=schedule)
+    return {
+        "lms": lambda: lms_conditional_centile(
+            lms, 0.6, t_prev, 64.0, t_cur, 0.5, schedule=schedule
+        ),
+        "mvn": lambda: mvn_conditional_centile(mvn, t_prev, 64.0, t_cur, 0.5),
+        "config": lambda: ExperimentConfig(
+            schedule=schedule, prior_week=t_prev, eval_week_conditional=t_cur
+        ),
+    }
+
+
+class TestAdjacencyHasOneOwner:
+    """Every layer that conditions on the previous visit accepts exactly the
+    pairs of times its schedule's adjacency check accepts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(t_prev=_span_times(VisitSchedule()), t_cur=_span_times(VisitSchedule()))
+    @example(t_prev=16.0, t_cur=20.0)
+    @example(t_prev=20.0 - 1e-12, t_cur=20.0)
+    @example(t_prev=20.0 - 1e-12, t_cur=24.0)
+    @example(t_prev=20.0, t_cur=24.0 - 1e-12)
+    @example(t_prev=32.0, t_cur=36.0)
+    @example(t_prev=28.0, t_cur=36.0)
+    @example(t_prev=20.0, t_cur=20.0)
+    @example(t_prev=26.0, t_cur=22.0)
+    def test_default_schedule(self, t_prev, t_cur):
+        schedule = VisitSchedule()
+        expected = _accepts(lambda: schedule.check_adjacent(t_prev, t_cur))
+        model = LognormalAR1Model()
+        layers = _fitted_layers(schedule, t_prev, t_cur)
+        layers["truth"] = lambda: conditional_params(model, t_prev, t_cur, 64.0)
+        layers["drift"] = lambda: drift_conditional_ranks(
+            model, PercentilePath((t_prev, t_cur), (0.5, 0.6))
+        )
+        for name, call in layers.items():
+            assert _accepts(call) == expected, name
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        t_prev=_span_times(TWO_WEEK_SCHEDULE), t_cur=_span_times(TWO_WEEK_SCHEDULE)
+    )
+    @example(t_prev=22.0, t_cur=24.0)
+    @example(t_prev=22.0, t_cur=26.0)
+    @example(t_prev=20.0 - 1e-12, t_cur=20.0)
+    @example(t_prev=34.0, t_cur=36.0)
+    def test_two_week_schedule(self, t_prev, t_cur):
+        expected = _accepts(lambda: TWO_WEEK_SCHEDULE.check_adjacent(t_prev, t_cur))
+        for name, call in _fitted_layers(TWO_WEEK_SCHEDULE, t_prev, t_cur).items():
+            assert _accepts(call) == expected, name
+
+    def test_message(self):
+        with pytest.raises(ValueError, match="2 visit intervals apart.*adjacent intervals"):
+            VisitSchedule().check_adjacent(18.0, 26.0)
+        with pytest.raises(ValueError, match="schedule span"):
+            VisitSchedule().check_adjacent(12.0, 18.0)
 
 
 class TestGenerateCohort:

@@ -84,6 +84,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="schedule span"):
             ExperimentConfig(prior_week=12.0)
 
+    @pytest.mark.parametrize("methods", [("QR",), ("LMS",), ("MVN",), ("QR", "LMS", "MVN")])
+    @pytest.mark.parametrize("eval_week", [22.0, 26.0])
+    def test_prior_week_precedes_conditional_week(self, methods, eval_week):
+        # QR would otherwise predict its conditional cells at a gap <= 0.
+        with pytest.raises(ValueError, match="must precede"):
+            ExperimentConfig(methods=methods, prior_week=26.0, eval_week_conditional=eval_week)
+
     @pytest.mark.parametrize(
         "design",
         [
@@ -670,6 +677,15 @@ class TestCli:
         assert cfg.spline.n_basis == 6
         assert cfg.methods == ("MVN",)
         assert cfg.paths == (("A", 0.1),)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["c0", "c2", "c3", "sigma"])
+    def test_config_file_non_finite_model_rejected(self, tmp_path, field, value):
+        # JSON admits NaN and Infinity; they must fail here, not as failed fits.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"model": {field: value}}))
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build_config(str(cfg_file))
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

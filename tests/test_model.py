@@ -9,10 +9,10 @@ from centilebench.model import (
     ConditionalParams,
     LognormalAR1Model,
     PercentilePath,
+    VisitSchedule,
     conditional_params,
     conditional_percentile,
     drift_conditional_ranks,
-    interval_index,
     log_mean,
     marginal_percentile,
     marginal_rank,
@@ -103,6 +103,14 @@ class TestConditionalParams:
             conditional_params(model, 18.0, 26.0, 60.0)
         with pytest.raises(ValueError):
             conditional_params(model, 26.0, 22.0, 60.0)
+
+    def test_intervals_do_not_follow_the_model_window(self):
+        # Adjacency follows the default schedule; a 4-week grid laid over a
+        # (16, 34) window would make [28, 34] its last interval and accept 27 -> 33.
+        short = LognormalAR1Model(window=(16.0, 34.0))
+        with pytest.raises(ValueError, match="adjacent intervals"):
+            conditional_params(short, 27.0, 33.0, 60.0)
+        assert conditional_params(short, 30.0, 33.0, 60.0).mu_cond > 0.0
 
     def test_sigma_cond_positive_enforced(self):
         with pytest.raises(ValueError):
@@ -212,15 +220,17 @@ class TestPercentilePath:
 
 
 class TestIntervalIndex:
+    """The truth layer's visit intervals: the default schedule's windows."""
+
     @pytest.mark.parametrize(
         "t,expected", [(16.0, 0), (19.99, 0), (20.0, 1), (26.0, 2), (35.9, 4), (36.0, 4)]
     )
     def test_mapping(self, t, expected):
-        assert interval_index(t) == expected
+        assert VisitSchedule().interval_index(t) == expected
 
     def test_out_of_window(self):
         with pytest.raises(ValueError):
-            interval_index(40.0)
+            VisitSchedule().interval_index(40.0)
 
 
 class TestNonFiniteTimes:
@@ -236,7 +246,7 @@ class TestNonFiniteTimes:
         times = good[:pos] + [bad] + good[pos:]
         for t in (bad, times, np.array(times)):
             with pytest.raises(ValueError, match="finite"):
-                interval_index(t)
+                VisitSchedule().interval_index(t)
             with pytest.raises(ValueError, match="finite"):
                 log_mean(model, t)
             with pytest.raises(ValueError, match="finite"):
@@ -247,6 +257,12 @@ class TestModelValidation:
     def test_sigma_positive(self):
         with pytest.raises(ValueError):
             LognormalAR1Model(sigma=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["c0", "c2", "c3", "sigma"])
+    def test_coefficients_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LognormalAR1Model(**{field: value})
 
     def test_rho_in_open_interval(self):
         with pytest.raises(ValueError):
