@@ -220,17 +220,6 @@ class ReplicationSummary:
     diagnostics: dict = field(default_factory=dict)
     replicates: dict = field(default_factory=dict, repr=False)
 
-    def cell(self, method: str, week: float, tau: float, path: str = "") -> SummaryRow:
-        for row in self.rows:
-            if (
-                row.method == method
-                and row.week == week
-                and abs(row.tau - tau) < 1e-12
-                and row.path == path
-            ):
-                return row
-        raise KeyError(f"no summary cell ({method}, {week}, {tau}, {path!r})")
-
     def to_payload(self) -> dict:
         return {
             "metadata": self.metadata,

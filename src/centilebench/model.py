@@ -59,6 +59,8 @@ class VisitSchedule:
         if not self.windows:
             raise ValueError("schedule needs at least one window")
         for lo, hi in self.windows:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"window ({lo}, {hi}) must have finite bounds")
             if not lo < hi:
                 raise ValueError(f"degenerate window ({lo}, {hi})")
         for (_, hi), (lo, _) in zip(self.windows, self.windows[1:]):
@@ -135,6 +137,8 @@ class LognormalAR1Model:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
         if not abs(self.rho) < 1.0:
             raise ValueError(f"rho must lie strictly in (-1, 1), got {self.rho!r}")
+        if not all(math.isfinite(bound) for bound in self.window):
+            raise ValueError(f"window must have finite bounds, got {self.window!r}")
         if not self.window[0] < self.window[1]:
             raise ValueError(f"window must be increasing, got {self.window!r}")
 

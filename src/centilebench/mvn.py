@@ -7,6 +7,14 @@ are profiled out by generalized least squares and sigma has a closed form
 given rho, leaving a one-dimensional profile likelihood that is maximized
 by Brent's bounded search. Centiles come from back-transforming normal quantiles
 to the measurement scale.
+
+The data enter the profile only through per-pattern cross moments, one set
+for each attendance pattern, built once per fit. The patterns of each size
+are then stacked, so that an evaluation of the profile costs one batched
+inverse, one batched log-determinant and three batched contractions per
+pattern size, however many patterns there are (up to 31 on the default
+schedule). The pattern contributions are summed in order of first
+appearance, so every evaluation has the bits of a per-pattern running sum.
 """
 
 from __future__ import annotations
@@ -102,19 +110,52 @@ def _pattern_moments(cohort: Cohort, spec: SplineSpec, center: float):
     return groups, n_obs
 
 
-def _profile(rho: float, groups, n_obs: int, n_basis: int):
-    """Profile log-likelihood at rho with GLS beta and closed-form sigma."""
-    a_mat = np.zeros((n_basis, n_basis))
-    c_vec = np.zeros(n_basis)
-    log_det = 0.0
-    syy = 0.0
-    for g in groups:
-        corr = rho ** g["gaps"]
+def _stack_patterns(groups) -> list:
+    """The patterns of each size stacked for _profile, once per fit.
+
+    Each entry holds the first-appearance positions of its patterns and
+    their gaps, counts and moments stacked along a leading axis.
+    """
+    positions = {}
+    for pos, g in enumerate(groups):
+        positions.setdefault(g["gaps"].shape[0], []).append(pos)
+    return [
+        {
+            "positions": np.array(pos),
+            "counts": np.array([groups[i]["count"] for i in pos], dtype=float),
+            **{
+                name: np.stack([groups[i][name] for i in pos])
+                for name in ("gaps", "sxx", "sxy", "syy")
+            },
+        }
+        for pos in positions.values()
+    ]
+
+
+def _profile(rho: float, stacks, n_obs: int, n_basis: int):
+    """Profile log-likelihood at rho with GLS beta and closed-form sigma,
+    from the stacked patterns of _stack_patterns.
+
+    Each pattern's contribution to the GLS matrix, the GLS vector, the log
+    determinant and the weighted sum of squares fills one row of ``parts``.
+    The rows are summed over the leading axis, which adds them one after
+    another in first-appearance order from zero, as a running sum over the
+    patterns would; a one-dimensional sum would be pairwise.
+    """
+    pp = n_basis * n_basis
+    parts = np.empty((sum(s["positions"].size for s in stacks), pp + n_basis + 2))
+    for s in stacks:
+        pos = s["positions"]
+        corr = rho ** s["gaps"]
         w = np.linalg.inv(corr)
-        log_det += g["count"] * np.linalg.slogdet(corr)[1]
-        a_mat += np.einsum("kl,klab->ab", w, g["sxx"])
-        c_vec += np.einsum("kl,kla->a", w, g["sxy"])
-        syy += np.einsum("kl,kl->", w, g["syy"])
+        parts[pos, :pp] = np.einsum("gkl,gklab->gab", w, s["sxx"]).reshape(pos.size, pp)
+        parts[pos, pp:-2] = np.einsum("gkl,gkla->ga", w, s["sxy"])
+        parts[pos, -2] = s["counts"] * np.linalg.slogdet(corr)[1]
+        parts[pos, -1] = np.einsum("gkl,gkl->g", w, s["syy"])
+    total = np.add.reduce(parts, axis=0, initial=0.0)
+    a_mat = total[:pp].reshape(n_basis, n_basis)
+    c_vec = total[pp:-2]
+    log_det, syy = total[-2], total[-1]
     beta = np.linalg.solve(a_mat, c_vec)
     quad = syy - 2.0 * c_vec @ beta + beta @ a_mat @ beta
     sigma2 = quad / n_obs
@@ -226,8 +267,9 @@ def fit_mvn(cohort: Cohort, spec: SplineSpec) -> MVNFit:
     if n_obs < spec.n_basis + 2:
         raise ValueError(f"too few observed measurements ({n_obs}) to fit")
 
+    stacks = _stack_patterns(groups)
     rho, _, nfev, status = _minimize_bounded(
-        lambda rho: -_profile(rho, groups, n_obs, spec.n_basis)[0],
+        lambda rho: -_profile(rho, stacks, n_obs, spec.n_basis)[0],
         *_RHO_BOUNDS,
         xatol=_RHO_XATOL,
     )
@@ -235,7 +277,7 @@ def fit_mvn(cohort: Cohort, spec: SplineSpec) -> MVNFit:
         reason = "NaN encountered" if status == 2 else "evaluation limit reached"
         raise FitError(f"profile-likelihood search failed after {nfev} evaluations: {reason}")
     rho = float(rho)
-    ll, beta, sigma = _profile(rho, groups, n_obs, spec.n_basis)
+    ll, beta, sigma = _profile(rho, stacks, n_obs, spec.n_basis)
     # Undo the centering of the log values: the basis sums to one, so the
     # offset moves entirely into the mean coefficients.
     return MVNFit(

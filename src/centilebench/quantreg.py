@@ -15,16 +15,25 @@ program, in its bounded dual form
 
 whose equality multipliers are, up to sign, the coefficients. It is
 solved in three stages. A Frisch-Newton interior point (Portnoy & Koenker
-1997) follows the central path with one p x p normal solve per step. Its
-answer is then polished to the vertex through the p observations with the
-smallest residuals, which is accepted only with an exact optimality
-certificate: every other residual is nonzero beyond its rounding error, so
-its sign is known, the basis multipliers lie in [tau - 1, tau], and the
-residual sign counts pass the subgradient audit.
-Every other case (singular normal matrix, non-finite iterate,
+1997) follows the central path; each step factors one p x p normal matrix
+and inverts the triangular factor once for its predictor and corrector
+solves. The iterate is polished to the vertex through the p observations
+with the smallest residuals, which is accepted only with an exact
+optimality certificate: every other residual is nonzero beyond its
+rounding error, so its sign is known, the basis multipliers lie in
+[tau - 1, tau], and the residual sign counts pass the subgradient audit.
+The certificate is tried once when the duality gap first falls below
+_IPM_CERTIFY_GAP_REL of the objective, and a certified vertex ends the
+iteration there; otherwise the iteration runs on to the _IPM_GAP_REL stop
+and its answer is certified. Since the certificate, not the iterate's
+bits, decides the vertex, stopping early returns the vertex the full run
+would. Every other case (singular normal matrix, non-finite iterate,
 uncertified vertex) is solved by the HiGHS simplex on the same LP,
 re-solved on the primal if its answer fails the audit. Either way the
 solution is vertex-exact, and each fit records which path produced it.
+The setup that does not depend on tau (the contiguous X', the
+least-squares fit that each start shifts, and the preprocessing's
+subsample and band) is built once per design and shared by the grid.
 
 Designs of at least _PFN_MIN_ROWS rows first try the preprocessing step of
 Portnoy & Koenker (1997), as in Koenker's ``rq.fit.pfn``. An interior point
@@ -34,7 +43,8 @@ each replaced by one "glob" row holding their sums of x and y. When every
 globbed row lies on its glob's side of the reduced problem's fit, the
 reduced optimum is the full one. Its vertex must pass the same certificate
 on the full data, so it is the vertex the full interior point would give;
-when it does not, the full interior point runs as above. Below the
+the reduced interior point also tries that certificate early, as above.
+When no vertex passes, the full interior point runs. Below the
 threshold the subsample and the band cost more than the smaller interior
 point saves.
 """
@@ -42,6 +52,7 @@ point saves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +80,9 @@ _IPM_STEP = 0.99995
 _IPM_MAX_ITER = 100
 _IPM_GAP_REL = 1e-9
 _IPM_START_LIFT = 0.1
+# The duality gap, relative to the objective, at which the interior point
+# first tries the exact certificate; when it refuses, the iteration goes on.
+_IPM_CERTIFY_GAP_REL = 1e-5
 # A vertex basis this ill-conditioned is left to the LP; basis multipliers may
 # overshoot [tau - 1, tau] by this much from rounding alone.
 _VERTEX_MAX_COND = 1e10
@@ -117,10 +131,6 @@ class QuantileFit:
     pfn_fallback: bool = False
 
     @property
-    def n_params(self) -> int:
-        return self.spec.n_basis + (2 if self.conditional else 0)
-
-    @property
     def subgradient_ok(self) -> bool:
         return (
             self.n_neg <= self.tau * self.n_obs + 1e-9
@@ -143,8 +153,58 @@ def _check_design(X: np.ndarray, what: str) -> None:
         )
 
 
-def _frisch_newton(X: np.ndarray, y: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
-    """Interior-point estimate of the check-loss minimizer, and its step count.
+class _Design:
+    """A check-loss design (X, y) with the tau-independent setup of its
+    interior points, built on first use and shared by every tau of a grid.
+
+    ``XT`` is a contiguous p x n copy of X, which makes every product of the
+    interior point a fast BLAS call. ``least_squares`` is the fit that each
+    tau's start shifts (_ipm_start); it raises LinAlgError, and is not kept,
+    when X'X is not positive definite. ``subsample(m)`` is the stride
+    subsample of the preprocessing and the band it places (_preprocessed_vertex).
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        self.X = X
+        self.y = y
+        self._subsamples = {}
+
+    @cached_property
+    def XT(self) -> np.ndarray:
+        return np.ascontiguousarray(self.X.T)
+
+    @cached_property
+    def Xy(self) -> np.ndarray:
+        """Rows of [X y]: each glob's sums are then one matrix-vector product.
+        A dot product over all n rows would wake a second BLAS thread."""
+        return np.column_stack([self.X, self.y])
+
+    @cached_property
+    def least_squares(self) -> tuple[np.ndarray, np.ndarray]:
+        """The least-squares coefficients of y and of the constant, as the
+        columns of one p x 2 array, and the residuals of the first."""
+        XT, y = self.XT, self.y
+        chol = np.linalg.cholesky(XT @ XT.T)
+        # Solve (L L') ls = X'[y 1] with the lower Cholesky factor L.
+        rhs = XT @ np.column_stack([y, np.ones(y.size)])
+        ls = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+        return ls, y - ls[:, 0] @ XT
+
+    def subsample(self, m: int) -> tuple[_Design, np.ndarray]:
+        """The m rows taken at an even stride, and every row's band
+        ||L^-1 x_i|| = sqrt(x_i' (X_s'X_s)^-1 x_i), X_s the subsample."""
+        if m not in self._subsamples:
+            p = self.X.shape[1]
+            sub = self.Xy[np.linspace(0, self.y.size - 1, m).astype(int)]
+            X_s = sub[:, :p]
+            band = np.sqrt(np.sum((self.X @ np.linalg.inv(X_s.T @ X_s)) * self.X, axis=1))
+            self._subsamples[m] = (_Design(X_s, sub[:, p]), band)
+        return self._subsamples[m]
+
+
+def _frisch_newton(design: _Design, tau: float, certify_on: _Design | None = None):
+    """Interior-point estimate of the check-loss minimizer, its step count,
+    and the vertex certified on the way, if any.
 
     The Frisch-Newton method of Portnoy & Koenker (1997), as in Koenker's
     ``rqfnb``: primal-dual path following with Mehrotra predictor-corrector
@@ -154,41 +214,70 @@ def _frisch_newton(X: np.ndarray, y: np.ndarray, tau: float) -> tuple[np.ndarray
 
     (a = d + 1 - tau in the module docstring's form). The coefficients are
     the dual variables of the equality constraint, and w - z = y - X beta
-    splits the residuals into their positive and negative parts, so every
-    step costs one p x p normal solve. The start is the least-squares fit
-    shifted to the tau-quantile of its residuals (_ipm_start), so the first
-    duality gap is close to the check loss of that fit. Iteration stops once
-    the gap falls below _IPM_GAP_REL of the objective, or after
-    _IPM_MAX_ITER steps; the caller certifies the answer, so an early stop
-    costs only a fallback.
+    splits the residuals into their positive and negative parts. Each step
+    factors one p x p normal matrix and inverts its triangular factor once;
+    the predictor and the corrector both solve with that inverse. The start
+    is the least-squares fit shifted to the tau-quantile of its residuals
+    (_ipm_start), so the first duality gap is close to the check loss of
+    that fit.
+
+    When ``certify_on`` is given, the iterate is polished and certified on
+    that design (_certified_vertex) once, when the duality gap first falls
+    below _IPM_CERTIFY_GAP_REL of the objective; a certified vertex ends the
+    iteration and is returned. The certificate is exact, so the vertex is
+    the one the full gap stop would polish to. Otherwise iteration stops
+    once the gap falls below _IPM_GAP_REL of the objective, or after
+    _IPM_MAX_ITER steps, and the returned vertex is None: the caller
+    certifies the answer, so stopping at the cap costs only a fallback.
     Raises LinAlgError when a normal matrix is not positive definite.
     """
+    XT, y = design.XT, design.y
     n = y.size
-    # One contiguous p x n copy makes every product below a fast BLAS call.
-    XT = np.ascontiguousarray(X.T)
-    beta, resid = _ipm_start(XT, y, tau)
+    beta, resid = _ipm_start(design, tau)
     # Lift both parts of every start residual off zero. A residual within
     # rounding of zero would otherwise get a Newton weight near 1/rounding
     # (rqfnb lifts only those); lifting all of them starts every variable
     # interior and better centred, which saves about a fifth of the steps.
     lift = _IPM_START_LIFT * float(np.mean(np.abs(resid)))
-    w = np.maximum(resid, 0.0) + lift
-    z = np.maximum(-resid, 0.0) + lift
+    w = np.maximum(resid, 0.0)
+    w += lift
+    z = np.maximum(-resid, 0.0)
+    z += lift
     a = np.full(n, 1.0 - tau)
     s = np.full(n, tau)
     rhs_a = (1.0 - tau) * XT.sum(axis=1)
+    certify = certify_on is not None
 
+    # The updates below run in place where they can, but each computes the
+    # same operations in the same order as its formula in the comment above
+    # it, so the iterate has the bits of the plain formulas.
     for it in range(1, _IPM_MAX_ITER + 1):
         # Affine-scaling (predictor) step.
-        q = 1.0 / (z / a + w / s)
+        # q = 1 / (z / a + w / s)
+        q = z / a
+        q += w / s
+        np.divide(1.0, q, out=q)
         r = w - z
-        chol = np.linalg.cholesky((XT * q) @ XT.T)
-        rhs = XT @ (a + q * r) - rhs_a
-        dbeta = _cho_solve(chol, rhs)
-        da = q * (r - dbeta @ XT)
+        linv = np.linalg.inv(np.linalg.cholesky((XT * q) @ XT.T))
+        # rhs = X'(a + q r) - rhs_a
+        rhs = q * r
+        rhs += a
+        rhs = XT @ rhs - rhs_a
+        dbeta = linv.T @ (linv @ rhs)
+        # da = q (r - X dbeta);  ds = -da
+        da = dbeta @ XT
+        np.subtract(r, da, out=da)
+        da *= q
         ds = -da
-        dz = -z * (da / a + 1.0)
-        dw = -w * (ds / s + 1.0)
+        # dz = -z (da / a + 1);  dw = -w (ds / s + 1)
+        dz = da / a
+        dz += 1.0
+        dz *= z
+        np.negative(dz, out=dz)
+        dw = ds / s
+        dw += 1.0
+        dw *= w
+        np.negative(dw, out=dw)
         step_p, step_d = _step_lengths(a, s, z, w, da, ds, dz, dw)
         if min(step_p, step_d) < 1.0:
             # Mehrotra corrector: recentre towards the predicted gap.
@@ -200,13 +289,38 @@ def _frisch_newton(X: np.ndarray, y: np.ndarray, tau: float) -> tuple[np.ndarray
                 + step_p * step_d * (dz @ da + ds @ dw)
             )
             mu = mu * (g / mu) ** 3 / (2.0 * n)
-            dr = q * (mu * (1.0 / s - 1.0 / a) + da * dz / a - ds * dw / s)
-            dbeta = _cho_solve(chol, rhs - XT @ dr)
-            dac = q * (r - dbeta @ XT) - dr
-            dsc = -dac
-            dz = mu / a - z - z * dac / a - da * dz / a
-            dw = mu / s - w - w * dsc / s - ds * dw / s
-            da, ds = dac, dsc
+            # dr = q (mu (1 / s - 1 / a) + da dz / a - ds dw / s)
+            dadz = da * dz
+            dadz /= a
+            dsdw = ds * dw
+            dsdw /= s
+            dr = 1.0 / s
+            dr -= 1.0 / a
+            dr *= mu
+            dr += dadz
+            dr -= dsdw
+            dr *= q
+            dbeta = linv.T @ (linv @ (rhs - XT @ dr))
+            # da = q (r - X dbeta) - dr;  ds = -da
+            da = dbeta @ XT
+            np.subtract(r, da, out=da)
+            da *= q
+            da -= dr
+            ds = -da
+            # dz = mu / a - z - z da / a - da_pred dz_pred / a
+            dz = mu / a
+            dz -= z
+            tmp = z * da
+            tmp /= a
+            dz -= tmp
+            dz -= dadz
+            # dw = mu / s - w - w ds / s - ds_pred dw_pred / s
+            dw = mu / s
+            dw -= w
+            tmp = w * ds
+            tmp /= s
+            dw -= tmp
+            dw -= dsdw
             step_p, step_d = _step_lengths(a, s, z, w, da, ds, dz, dw)
         a += step_p * da
         s += step_p * ds
@@ -217,41 +331,42 @@ def _frisch_newton(X: np.ndarray, y: np.ndarray, tau: float) -> tuple[np.ndarray
         gap = a @ z + s @ w
         if not np.isfinite(gap):
             break
-        if gap <= _IPM_GAP_REL * (tau * w.sum() + (1.0 - tau) * z.sum()):
+        objective = tau * w.sum() + (1.0 - tau) * z.sum()
+        if gap <= _IPM_GAP_REL * objective:
             break
-    return beta, it
+        if certify and gap <= _IPM_CERTIFY_GAP_REL * objective:
+            certify = False
+            if np.all(np.isfinite(beta)):
+                vertex = _certified_vertex(certify_on.X, certify_on.y, beta, tau)
+                if vertex is not None:
+                    return beta, it, vertex
+    return beta, it, None
 
 
-def _ipm_start(XT: np.ndarray, y: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+def _ipm_start(design: _Design, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Start coefficients and residuals: the least-squares fit shifted by the
     tau-quantile of its residuals, so that a tau share of them is negative
     whenever the design spans the constant. At tau near 0 or 1 this start
     sits far closer to the optimum than the least-squares fit itself."""
-    chol = np.linalg.cholesky(XT @ XT.T)
-    ls = _cho_solve(chol, XT @ np.column_stack([y, np.ones(y.size)]))
-    resid = y - ls[:, 0] @ XT
+    ls, resid = design.least_squares
     beta = ls[:, 0] + np.quantile(resid, tau) * ls[:, 1]
-    return beta, y - beta @ XT
-
-
-def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (L L') x = rhs given the lower Cholesky factor L."""
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+    return beta, design.y - beta @ design.XT
 
 
 def _step_lengths(a, s, z, w, da, ds, dz, dw) -> tuple[float, float]:
     """Damped primal and dual step lengths that keep every variable positive.
 
     A variable v falling at rate dv < 0 reaches zero at step -v/dv, so the
-    longest step is 1 / max(-dv/v).
+    longest step is 1 / max(-dv/v). That rate is taken as -min(dv/v), which
+    is the same number, since negation is exact, without negating the rates.
     """
 
     def damped(rate):
         return min(1.0, _IPM_STEP / rate) if rate > 0.0 else 1.0
 
     return (
-        damped(max(np.max(-da / a), np.max(-ds / s))),
-        damped(max(np.max(-dz / z), np.max(-dw / w))),
+        damped(-min(np.min(da / a), np.min(ds / s))),
+        damped(-min(np.min(dz / z), np.min(dw / w))),
     )
 
 
@@ -278,8 +393,9 @@ def _certified_vertex(X: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float
     resid = y - X @ vertex
     if np.any(np.abs(resid[h]) > _zero_tol(y)):
         return None
-    # Column i holds X_h^{-T} x_i: row i of X in the basis rows' coordinates.
-    coords = np.linalg.solve(X_h.T, X.T)
+    # Row i holds x_i' X_h^{-1}: row i of X in the basis rows' coordinates.
+    # One n x p product; the rows' solves would cost twice as much.
+    coords = X @ np.linalg.inv(X_h)
     nonbasis = np.ones(y.size, dtype=bool)
     nonbasis[h] = False
     rounding = _residual_rounding(X, y, vertex, resid, h, coords)
@@ -287,7 +403,7 @@ def _certified_vertex(X: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float
         return None
     psi = np.where(resid < 0.0, tau - 1.0, tau)
     psi[h] = 0.0
-    v = -(coords @ psi)
+    v = -(psi @ coords)
     if np.any(v < tau - 1.0 - _DUAL_SLACK) or np.any(v > tau + _DUAL_SLACK):
         return None
     if not _sign_counts_ok(X, y, vertex, tau):
@@ -308,10 +424,10 @@ def _residual_rounding(X, y, vertex, resid, h, coords) -> np.ndarray:
     evaluation = (
         _RESID_EVAL_ULPS * p * np.finfo(float).eps * (np.abs(y) + np.abs(X) @ np.abs(vertex))
     )
-    return evaluation + np.abs(coords).T @ (np.abs(resid[h]) + evaluation[h])
+    return evaluation + np.abs(coords) @ (np.abs(resid[h]) + evaluation[h])
 
 
-def _preprocessed_vertex(X: np.ndarray, y: np.ndarray, tau: float):
+def _preprocessed_vertex(design: _Design, tau: float):
     """Certified vertex of the Portnoy-Koenker preprocessed problem, or None,
     and the interior-point steps spent on it.
 
@@ -330,21 +446,20 @@ def _preprocessed_vertex(X: np.ndarray, y: np.ndarray, tau: float):
        times, or double m when more than _PFN_MAX_WRONG of the kept count
        are wrong.
 
-    The answer is accepted only through _certified_vertex on the full data.
+    The subsample and its band do not depend on tau, so a grid shares them
+    (_Design.subsample). The answer is accepted only through
+    _certified_vertex on the full data, which each reduced interior point
+    also tries once on its way (_frisch_newton).
     Raises LinAlgError when a normal matrix is not positive definite.
     """
+    X, y, Xy = design.X, design.y, design.Xy
     n, p = X.shape
-    # Rows of [X y]: each glob's sums are then one matrix-vector product. A
-    # dot product over all n rows would wake a second BLAS thread.
-    Xy = np.column_stack([X, y])
     m = round(((p + 1) * n) ** (2.0 / 3.0))
     steps = 0
     while m < n:
-        sub = Xy[np.linspace(0, n - 1, m).astype(int)]
-        beta, k = _frisch_newton(sub[:, :p], sub[:, p], tau)
+        sub, band = design.subsample(m)
+        beta, k, _ = _frisch_newton(sub, tau)
         steps += k
-        # ||L^-1 x_i||^2 = x_i' (X_s'X_s)^-1 x_i for the subsample rows X_s.
-        band = np.sqrt(np.sum((X @ np.linalg.inv(sub[:, :p].T @ sub[:, :p])) * X, axis=1))
         scaled = (y - X @ beta) / band
         kept = _PFN_KEEP * m
         lo, hi = np.quantile(
@@ -356,8 +471,12 @@ def _preprocessed_vertex(X: np.ndarray, y: np.ndarray, tau: float):
         for fixups in range(_PFN_FIXUPS + 1):
             mid = ~(below | above)
             reduced = np.vstack([Xy[mid]] + [glob @ Xy for glob in (below, above) if glob.any()])
-            beta, k = _frisch_newton(reduced[:, :p], reduced[:, p], tau)
+            beta, k, vertex = _frisch_newton(
+                _Design(reduced[:, :p], reduced[:, p]), tau, certify_on=design
+            )
             steps += k
+            if vertex is not None:
+                return vertex, steps
             resid = y - X @ beta
             wrong = (below & (resid > 0.0)) | (above & (resid < 0.0))
             n_wrong = np.count_nonzero(wrong)
@@ -375,37 +494,36 @@ def _preprocessed_vertex(X: np.ndarray, y: np.ndarray, tau: float):
     return None, steps
 
 
-def _solve_check_loss(
-    X: np.ndarray, y: np.ndarray, tau: float
-) -> tuple[np.ndarray, str, int, bool]:
+def _solve_check_loss(design: _Design, tau: float) -> tuple[np.ndarray, str, int, bool]:
     """Exact check-loss minimizer, the path that produced it, its
     interior-point step count, and whether the preprocessing ran and failed.
 
     "pfn": designs of at least _PFN_MIN_ROWS rows first try the
     Portnoy-Koenker preprocessed problem (_preprocessed_vertex), whose
     vertex is certified on the full data. "ipm": the interior point on the
-    full data, polished to a certified vertex. "lp": the HiGHS dual LP,
-    with the primal LP as its own fallback; it runs whenever the interior
-    point fails (singular normal matrix, non-finite iterate) or its vertex
-    is not certified optimal. The step count covers every interior point
-    that ran, and is 0 on the LP path.
+    full data, polished to a certified vertex, early or at the full gap
+    stop. "lp": the HiGHS dual LP, with the primal LP as its own fallback;
+    it runs whenever the interior point fails (singular normal matrix,
+    non-finite iterate) or its vertex is not certified optimal. The step
+    count covers every interior point that ran, and is 0 on the LP path.
     """
+    X, y = design.X, design.y
     steps = 0
     pfn_fallback = y.size >= _PFN_MIN_ROWS
     with np.errstate(all="ignore"):
         if pfn_fallback:
             try:
-                vertex, steps = _preprocessed_vertex(X, y, tau)
+                vertex, steps = _preprocessed_vertex(design, tau)
             except np.linalg.LinAlgError:
                 vertex = None
             if vertex is not None:
                 return vertex, "pfn", steps, False
         try:
-            beta, full_steps = _frisch_newton(X, y, tau)
-            if np.all(np.isfinite(beta)):
+            beta, full_steps, vertex = _frisch_newton(design, tau, certify_on=design)
+            if vertex is None and np.all(np.isfinite(beta)):
                 vertex = _certified_vertex(X, y, beta, tau)
-                if vertex is not None:
-                    return vertex, "ipm", steps + full_steps, pfn_fallback
+            if vertex is not None:
+                return vertex, "ipm", steps + full_steps, pfn_fallback
         except np.linalg.LinAlgError:
             pass
     return _solve_check_loss_lp(X, y, tau), "lp", 0, pfn_fallback
@@ -480,9 +598,10 @@ def _tau_levels(tau) -> tuple:
 def _fit_levels(X, y, levels, spec: SplineSpec, conditional: bool) -> tuple:
     """One QuantileFit per tau level on the checked design X, in order."""
     k = spec.n_basis
+    design = _Design(X, y)
     fits = []
     for tau in levels:
-        beta, solver, ipm_steps, pfn_fallback = _solve_check_loss(X, y, tau)
+        beta, solver, ipm_steps, pfn_fallback = _solve_check_loss(design, tau)
         n_neg, n_pos = _sign_counts(X, y, beta, tau)
         fits.append(QuantileFit(
             tau=tau,

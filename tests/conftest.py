@@ -48,3 +48,16 @@ def true_log_mean(t):
     """Independent evaluation of the log-scale mean polynomial."""
     s = np.asarray(t, dtype=float) / 10.0
     return 4.247 - 0.019 * s**2 + 0.006 * s**3
+
+
+def summary_cell(summary, method, week, tau, path=""):
+    """The row of a ReplicationSummary with this key, tau matched to 1e-12."""
+    for row in summary.rows:
+        if (
+            row.method == method
+            and row.week == week
+            and abs(row.tau - tau) < 1e-12
+            and row.path == path
+        ):
+            return row
+    raise KeyError(f"no summary cell ({method}, {week}, {tau}, {path!r})")

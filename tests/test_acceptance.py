@@ -52,7 +52,7 @@ from centilebench.screening import (
 )
 from centilebench.splines import SplineSpec
 
-from conftest import true_log_mean
+from conftest import summary_cell, true_log_mean
 
 WORKERS = min(4, os.cpu_count() or 1)
 
@@ -233,7 +233,7 @@ class TestCriterion2FullScale:
         errs = []
         for (method, week), sds in TABLE1_SD.items():
             for tau, want in zip(TAUS, sds):
-                got = marg.cell(method, week, tau).sd_mmhg
+                got = summary_cell(marg, method, week, tau).sd_mmhg
                 rel = (got - want) / want
                 if abs(rel) > 0.20:
                     errs.append(f"{method}/wk{week:.0f}/tau={tau}: {got:.3f} vs {want} ({rel:+.0%})")
@@ -245,7 +245,7 @@ class TestCriterion2FullScale:
         mean_errs, sd_errs = [], []
         for (method, path), cells in TABLE2.items():
             for tau, (want_mean, want_sd) in zip(TAUS, cells):
-                row = cond.cell(method, 26.0, tau, path)
+                row = summary_cell(cond, method, 26.0, tau, path)
                 if abs(row.mean_mmhg - want_mean) > 0.3:
                     mean_errs.append(
                         f"{method}/{path}/tau={tau}: {row.mean_mmhg:.2f} vs {want_mean}"
@@ -261,8 +261,8 @@ class TestCriterion2FullScale:
 
     def test_2_qr_bias_signature(self, full_run):
         _, cond, _ = full_run
-        bias_a = cond.cell("QR", 26.0, 0.03, "A").mean_mmhg - 52.5
-        bias_b = cond.cell("QR", 26.0, 0.03, "B").mean_mmhg - 65.8
+        bias_a = summary_cell(cond, "QR", 26.0, 0.03, "A").mean_mmhg - 52.5
+        bias_b = summary_cell(cond, "QR", 26.0, 0.03, "B").mean_mmhg - 65.8
         ok = 0.15 <= bias_a <= 0.5 and -0.8 <= bias_b <= -0.2
         report(
             "2 QR conditional bias signature",
@@ -296,13 +296,15 @@ class TestCriterion3DeskScale:
         mvn_errs = []
         for week in WEEKS:
             for tau, want in zip(TAUS, TABLE1_SD[("MVN", week)]):
-                got = marg.cell("MVN", week, tau).sd_mmhg
+                got = summary_cell(marg, "MVN", week, tau).sd_mmhg
                 if abs((got - want) / want) > 0.30:
                     mvn_errs.append(f"wk{week:.0f}/tau={tau}: {got:.3f} vs {want}")
         ordered = 0
         for week in WEEKS:
             for tau in TAUS:
-                sd = {m: marg.cell(m, week, tau).sd_mmhg for m in ("QR", "LMS", "MVN")}
+                sd = {
+                    m: summary_cell(marg, m, week, tau).sd_mmhg for m in ("QR", "LMS", "MVN")
+                }
                 ordered += sd["MVN"] < sd["LMS"] < sd["QR"]
         ok = not mvn_errs and ordered >= 18 and elapsed <= 180.0
         report(

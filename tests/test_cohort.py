@@ -74,6 +74,18 @@ class TestVisitSchedule:
         with pytest.raises(ValueError):
             VisitSchedule(windows=((16.0, 20.0), (24.0, 28.0)))
 
+    @pytest.mark.parametrize(
+        "windows",
+        [
+            ((16.0, 20.0), (20.0, math.inf)),
+            ((-math.inf, 20.0), (20.0, 24.0)),
+            ((16.0, math.nan),),
+        ],
+    )
+    def test_window_bounds_finite(self, windows):
+        with pytest.raises(ValueError, match=r"window \(.*\) must have finite bounds"):
+            VisitSchedule(windows=windows)
+
     def test_attendance_domain(self):
         with pytest.raises(ValueError):
             VisitSchedule(attendance_prob=0.0)

@@ -11,7 +11,7 @@ import pytest
 import centilebench
 from centilebench import experiment, lms, mvn, quantreg, splines
 from centilebench.cli import _summary_metadata, build_config, main
-from centilebench.cohort import generate_cohort
+from centilebench.cohort import VisitSchedule, generate_cohort
 from centilebench.errors import ExperimentError, FitError
 from centilebench.experiment import (
     DRIFT_SCENARIOS,
@@ -37,7 +37,7 @@ from centilebench.numerics import RngStream
 from centilebench.quantreg import fit_conditional_qr, fit_marginal_qr, predict_centile
 from centilebench.splines import SplineSpec
 
-from conftest import TWO_WEEK_SCHEDULE, true_log_mean
+from conftest import TWO_WEEK_SCHEDULE, summary_cell, true_log_mean
 
 TINY = dict(n_reps=4, n_subjects=150, master_seed=314)
 
@@ -64,6 +64,13 @@ class TestConfig:
         priors = cfg.prior_values()
         assert priors["A"] == pytest.approx(marginal_percentile(model, 22.0, 0.03), rel=1e-14)
         assert priors["B"] == pytest.approx(82.0, abs=0.05)
+
+    @pytest.mark.parametrize("window", [(16.0, math.inf), (-math.inf, 36.0)])
+    def test_non_finite_window_rejected(self, window):
+        with pytest.raises(ValueError, match="window must have finite bounds"):
+            ExperimentConfig(model=LognormalAR1Model(window=window))
+        with pytest.raises(ValueError, match=r"window \(.*\) must have finite bounds"):
+            ExperimentConfig(schedule=VisitSchedule(windows=(window,)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -172,7 +179,7 @@ class TestRunStructure:
         marg, _ = tiny_run
         values = marg.replicates[("MVN", 24.0, 0.5, "")]
         assert values.shape == (4,)
-        row = marg.cell("MVN", 24.0, 0.5)
+        row = summary_cell(marg, "MVN", 24.0, 0.5)
         assert row.mean_mmhg == pytest.approx(float(values.mean()), rel=1e-15)
 
     def test_metadata_contents(self, tiny_run):
@@ -278,12 +285,12 @@ class TestCellGrid:
         solve = quantreg._solve_check_loss
         conditional_solves = []
 
-        def failing_third_level(X, y, tau):
-            if X.shape[1] > cfg.spline.n_basis:
+        def failing_third_level(design, tau):
+            if design.X.shape[1] > cfg.spline.n_basis:
                 conditional_solves.append(tau)
                 if len(conditional_solves) == n_tau + 3:
                     raise FitError("injected")
-            return solve(X, y, tau)
+            return solve(design, tau)
 
         # The call fails before its first fit, or at its third tau level.
         monkeypatch.setattr(experiment, "fit_conditional_qr", failing)
@@ -344,7 +351,7 @@ class TestDeterminism:
         full = run_marginal_experiment(ExperimentConfig(**TINY))
         part = run_marginal_experiment(ExperimentConfig(**TINY, methods=("LMS", "MVN")))
         for row in part.rows:
-            twin = full.cell(row.method, row.week, row.tau)
+            twin = summary_cell(full, row.method, row.week, row.tau)
             assert row.mean_mmhg == twin.mean_mmhg
             assert row.sd_mmhg == twin.sd_mmhg
 
@@ -500,7 +507,7 @@ class TestCounters:
         monkeypatch.setattr(
             quantreg,
             "_preprocessed_vertex",
-            lambda X, y, tau: (None, 0) if tau == 0.5 else preprocess(X, y, tau),
+            lambda design, tau: (None, 0) if tau == 0.5 else preprocess(design, tau),
         )
         marg, cond = run_both_experiments(ExperimentConfig(**PFN_DESIGN))
         fallbacks = [fit for fit in qr_fits if fit.pfn_fallback]
@@ -685,6 +692,20 @@ class TestCli:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"model": {field: value}}))
         with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build_config(str(cfg_file))
+
+    @pytest.mark.parametrize("window", [[16.0, math.inf], [-math.inf, 36.0]])
+    def test_config_file_non_finite_window_rejected(self, tmp_path, window):
+        # The model window bounds the true-centiles grid; the schedule's
+        # windows bound the visit times.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"model": {"window": window}}))
+        with pytest.raises(ValueError, match="window must have finite bounds"):
+            build_config(str(cfg_file))
+        with pytest.raises(ValueError, match="window must have finite bounds"):
+            main(["true-centiles", "--config", str(cfg_file)])
+        cfg_file.write_text(json.dumps({"schedule": {"windows": [window]}}))
+        with pytest.raises(ValueError, match=r"window \(.*\) must have finite bounds"):
             build_config(str(cfg_file))
 
     def test_unknown_config_key_rejected(self, tmp_path):

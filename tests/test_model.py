@@ -264,6 +264,14 @@ class TestModelValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             LognormalAR1Model(**{field: value})
 
+    @pytest.mark.parametrize(
+        "window", [(16.0, math.inf), (-math.inf, 36.0), (16.0, math.nan), (math.nan, 36.0)]
+    )
+    def test_window_finite(self, window):
+        # An infinite end passes lo < hi; the truth grid then cannot be built.
+        with pytest.raises(ValueError, match="window must have finite bounds"):
+            LognormalAR1Model(window=window)
+
     def test_rho_in_open_interval(self):
         with pytest.raises(ValueError):
             LognormalAR1Model(rho=1.0)

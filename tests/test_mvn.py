@@ -17,6 +17,7 @@ from centilebench.mvn import (
     _minimize_bounded,
     _pattern_moments,
     _profile,
+    _stack_patterns,
     fit_mvn,
     mvn_conditional_centile,
     mvn_marginal_centile,
@@ -78,6 +79,28 @@ def reference_pattern_moments(cohort, spec, center):
         )
         n_obs += ys.size
     return groups, n_obs
+
+
+def reference_profile(rho, groups, n_obs, n_basis):
+    """Per-pattern profile log-likelihood: one inverse, one log-determinant
+    and three contractions per attendance pattern, added to running sums in
+    first-appearance order. The batched _profile must match it bit for bit."""
+    a_mat = np.zeros((n_basis, n_basis))
+    c_vec = np.zeros(n_basis)
+    log_det = 0.0
+    syy = 0.0
+    for g in groups:
+        corr = rho ** g["gaps"]
+        w = np.linalg.inv(corr)
+        log_det += g["count"] * np.linalg.slogdet(corr)[1]
+        a_mat += np.einsum("kl,klab->ab", w, g["sxx"])
+        c_vec += np.einsum("kl,kla->a", w, g["sxy"])
+        syy += np.einsum("kl,kl->", w, g["syy"])
+    beta = np.linalg.solve(a_mat, c_vec)
+    quad = syy - 2.0 * c_vec @ beta + beta @ a_mat @ beta
+    sigma2 = quad / n_obs
+    ll = -0.5 * (n_obs * math.log(2.0 * math.pi * sigma2) + log_det + n_obs)
+    return ll, beta, math.sqrt(sigma2)
 
 
 def _fit_or_error(cohort, spec):
@@ -226,6 +249,53 @@ class TestPatternMoments:
         assert calls == [int(cohort.observed.sum())]
 
 
+class TestBatchedProfile:
+    """The profile batched over the patterns of each size has the bits of
+    the per-pattern sum."""
+
+    @staticmethod
+    def assert_same_bits(cohort, spec, rhos):
+        center = float(np.log(cohort.values[cohort.observed]).mean())
+        groups, n_obs = _pattern_moments(cohort, spec, center)
+        stacks = _stack_patterns(groups)
+        for rho in rhos:
+            ll, beta, sigma = _profile(rho, stacks, n_obs, spec.n_basis)
+            want_ll, want_beta, want_sigma = reference_profile(rho, groups, n_obs, spec.n_basis)
+            assert ll.hex() == want_ll.hex()
+            assert [b.hex() for b in beta] == [b.hex() for b in want_beta]
+            assert sigma.hex() == want_sigma.hex()
+
+    @given(
+        n_subjects=st.integers(30, 600),
+        seed=st.integers(0, 2**32 - 1),
+        two_week=st.booleans(),
+        attendance=st.sampled_from([0.3, 0.8, 1.0]),
+        rho=st.floats(-0.99, 0.99),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_pattern_sum(
+        self, model, spec5, n_subjects, seed, two_week, attendance, rho
+    ):
+        windows = (TWO_WEEK_SCHEDULE if two_week else VisitSchedule()).windows
+        schedule = VisitSchedule(windows=windows, attendance_prob=attendance)
+        cohort = generate_cohort(model, schedule, n_subjects, RngStream(seed).child(0))
+        if cohort.observed.sum() < spec5.n_basis + 2:
+            return
+        self.assert_same_bits(cohort, spec5, [rho, 0.0, 0.6])
+
+    @pytest.mark.parametrize("n_subjects", [1000, 5000])
+    def test_matches_per_pattern_sum_on_study_cohorts(self, model, schedule, spec5, n_subjects):
+        cohort = generate_cohort(model, schedule, n_subjects, RngStream(9).child(0))
+        self.assert_same_bits(cohort, spec5, np.linspace(-0.99, 0.99, 21))
+
+    def test_fit_equals_per_pattern_fit(self, model, spec5, monkeypatch):
+        cohort = generate_cohort(model, TWO_WEEK_SCHEDULE, 400, RngStream(12).child(0))
+        fit = fit_mvn(cohort, spec5)
+        monkeypatch.setattr(centilebench.mvn, "_stack_patterns", lambda groups: groups)
+        monkeypatch.setattr(centilebench.mvn, "_profile", reference_profile)
+        assert fit == fit_mvn(cohort, spec5)
+
+
 class TestBoundedBrent:
     """The port of Brent's bounded search against scipy's, as a test-only
     oracle: the same minimizer, value, evaluation count and status."""
@@ -260,9 +330,10 @@ class TestBoundedBrent:
         cohort = generate_cohort(model, schedule, n_subjects, RngStream(seed).child(0))
         center = float(np.log(cohort.values[cohort.observed]).mean())
         groups, n_obs = _pattern_moments(cohort, spec5, center)
+        stacks = _stack_patterns(groups)
 
         def neg_profile(rho):
-            return -_profile(rho, groups, n_obs, spec5.n_basis)[0]
+            return -_profile(rho, stacks, n_obs, spec5.n_basis)[0]
 
         self.assert_same_as_scipy(neg_profile, *_RHO_BOUNDS, _RHO_XATOL)
 

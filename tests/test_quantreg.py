@@ -15,6 +15,7 @@ from centilebench.quantreg import (
     _PFN_MIN_ROWS,
     QuantileFit,
     _certified_vertex,
+    _Design,
     _frisch_newton,
     _ipm_start,
     _preprocessed_vertex,
@@ -32,6 +33,23 @@ from centilebench.splines import SplineSpec, design_matrix
 from conftest import true_log_mean
 
 INTERCEPT_SPEC = SplineSpec(degree=0, n_basis=1)
+
+
+def n_params(fit):
+    """Coefficients of a fit: the spline basis, plus beta0 and beta1 when
+    conditional."""
+    return fit.spec.n_basis + (2 if fit.conditional else 0)
+
+
+def solve_check_loss(X, y, tau):
+    return _solve_check_loss(_Design(X, y), tau)
+
+
+def frisch_newton(X, y, tau):
+    """The interior point run to its full gap stop, and its step count."""
+    beta, steps, vertex = _frisch_newton(_Design(X, y), tau)
+    assert vertex is None
+    return beta, steps
 
 
 def mid_times(n):
@@ -70,8 +88,8 @@ class TestMarginalFit:
         for tau in (0.03, 0.10, 0.50, 0.90, 0.97):
             fit = fit_marginal_qr(t, y, tau, spec5)
             n = fit.n_obs
-            assert fit.n_neg <= tau * n + fit.n_params
-            assert fit.n_pos <= (1.0 - tau) * n + fit.n_params
+            assert fit.n_neg <= tau * n + n_params(fit)
+            assert fit.n_pos <= (1.0 - tau) * n + n_params(fit)
             assert fit.subgradient_ok
 
     def test_objective_beats_truth_coefficients(self, recovery_cohort, spec5, model):
@@ -251,7 +269,7 @@ class TestSolver:
     @settings(max_examples=100, deadline=None)
     def test_optimum_matches_primal_lp(self, design):
         X, y, tau = design
-        beta, *_ = _solve_check_loss(X, y, tau)
+        beta, *_ = solve_check_loss(X, y, tau)
         want = _primal_lp_objective(X, y, tau)
         got = float(np.sum(pinball_loss(y - X @ beta, tau)))
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -276,7 +294,7 @@ class TestSolver:
         # point; the fit must come from the LP instead of raising.
         X = np.column_stack([np.ones(50), np.ones(50), np.linspace(0.0, 1.0, 50)])
         y = np.linspace(0.0, 1.0, 50) ** 2
-        beta, solver, *_ = _solve_check_loss(X, y, 0.5)
+        beta, solver, *_ = solve_check_loss(X, y, 0.5)
         assert solver == "lp"
         assert _sign_counts_ok(X, y, beta, 0.5)
 
@@ -286,13 +304,13 @@ class TestSolver:
         # but far beyond rounding: its sign is unchanged, so the vertex stays
         # the optimum and must be certified, not left to the LP.
         X, y = _heavy_tailed_design(2_000)
-        vertex, solver, *_ = _solve_check_loss(X, y, tau)
+        vertex, solver, *_ = solve_check_loss(X, y, tau)
         assert solver == "ipm"
         resid = y - X @ vertex
         i = int(np.argmax(resid))
         y[i] -= resid[i] - 2e-6
         assert abs(y[i] - X[i] @ vertex) < _zero_tol(y)
-        moved, solver, *_ = _solve_check_loss(X, y, tau)
+        moved, solver, *_ = solve_check_loss(X, y, tau)
         assert solver == "ipm"
         np.testing.assert_allclose(moved, vertex, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(moved, _solve_check_loss_lp(X, y, tau), rtol=1e-9)
@@ -301,11 +319,11 @@ class TestSolver:
         # A non-basis observation exactly on the fitted hyperplane leaves its
         # sign to rounding; such a vertex is left to the LP.
         X, y = _heavy_tailed_design(2_000)
-        vertex, *_ = _solve_check_loss(X, y, 0.5)
+        vertex, *_ = solve_check_loss(X, y, 0.5)
         resid = y - X @ vertex
         i = int(np.argmax(resid))
         y[i] = X[i] @ vertex
-        beta, solver, *_ = _solve_check_loss(X, y, 0.5)
+        beta, solver, *_ = solve_check_loss(X, y, 0.5)
         assert solver == "lp"
         assert _sign_counts_ok(X, y, beta, 0.5)
         assert np.sum(pinball_loss(y - X @ beta, 0.5)) == pytest.approx(
@@ -321,19 +339,19 @@ class TestSolver:
         X = design_matrix(SplineSpec(), rng.uniform(16.0, 36.0, n))
         y = 70.0 * np.exp(0.1 * rng.standard_normal(n))
         for tau in (0.03, 0.97):
-            beta, steps = _frisch_newton(X, y, tau)
+            beta, steps = frisch_newton(X, y, tau)
             vertex = _certified_vertex(X, y, beta, tau)
             assert vertex is not None
             for scale in (1e-6, 1e-3, 1e3, 1e6):
                 with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    scaled_beta, scaled_steps = _frisch_newton(X, scale * y, tau)
+                    scaled_beta, scaled_steps = frisch_newton(X, scale * y, tau)
                 assert abs(scaled_steps - steps) <= 1
                 if scale > 1.0:
                     scaled = _certified_vertex(X, scale * y, scaled_beta, tau)
                     assert scaled is not None
                     np.testing.assert_allclose(scaled, scale * vertex, rtol=1e-9)
                     # At 20 000 rows the preprocessing finds the same vertex.
-                    scaled, solver, *_ = _solve_check_loss(X, scale * y, tau)
+                    scaled, solver, *_ = solve_check_loss(X, scale * y, tau)
                     assert solver == "pfn"
                     np.testing.assert_allclose(scaled, scale * vertex, rtol=1e-9)
 
@@ -342,7 +360,7 @@ class TestSolver:
         # The least-squares start itself has about half its residuals below
         # zero, however extreme tau is; shifted, a tau share is.
         X, y = _heavy_tailed_design()
-        _, resid = _ipm_start(np.ascontiguousarray(X.T), y, tau)
+        _, resid = _ipm_start(_Design(X, y), tau)
         assert abs(np.mean(resid < 0.0) - tau) <= 2.0 / y.size
 
     def test_heavy_tails_at_extreme_tau(self):
@@ -350,9 +368,114 @@ class TestSolver:
         # 55); the iteration cap of 100 must leave room for it.
         X, y = _heavy_tailed_design()
         for tau in (0.02, 0.98):
-            beta, steps = _frisch_newton(X, y, tau)
+            beta, steps = frisch_newton(X, y, tau)
             assert steps <= 90
             assert _certified_vertex(X, y, beta, tau) is not None
+
+
+
+def solve_certified_vertex(X, y, beta, tau):
+    """The certificate with its basis coordinates from one triangular solve
+    per row, X_h^{-T} X': the oracle for _certified_vertex's one n x p
+    product. Returns the same vertex, or None, on every beta."""
+    p = X.shape[1]
+    resid = y - X @ beta
+    h = np.sort(np.argpartition(np.abs(resid), p - 1)[:p])
+    X_h = X[h]
+    if np.linalg.cond(X_h) > quantreg._VERTEX_MAX_COND:
+        return None
+    vertex = np.linalg.solve(X_h, y[h])
+    resid = y - X @ vertex
+    if np.any(np.abs(resid[h]) > _zero_tol(y)):
+        return None
+    coords = np.linalg.solve(X_h.T, X.T)
+    nonbasis = np.ones(y.size, dtype=bool)
+    nonbasis[h] = False
+    evaluation = (
+        quantreg._RESID_EVAL_ULPS * p * np.finfo(float).eps
+        * (np.abs(y) + np.abs(X) @ np.abs(vertex))
+    )
+    rounding = evaluation + np.abs(coords).T @ (np.abs(resid[h]) + evaluation[h])
+    if np.any(np.abs(resid[nonbasis]) <= rounding[nonbasis]):
+        return None
+    psi = np.where(resid < 0.0, tau - 1.0, tau)
+    psi[h] = 0.0
+    v = -(coords @ psi)
+    slack = quantreg._DUAL_SLACK
+    if np.any(v < tau - 1.0 - slack) or np.any(v > tau + slack):
+        return None
+    if not _sign_counts_ok(X, y, vertex, tau):
+        return None
+    return vertex
+
+
+def _same_certificate(X, y, beta, tau):
+    """Both certificates decide alike on beta and give the same vertex; the
+    decision is returned."""
+    with np.errstate(all="ignore"):
+        got = _certified_vertex(X, y, beta, tau)
+        want = solve_certified_vertex(X, y, beta, tau)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert hexes(got) == hexes(want)
+    return got is not None
+
+
+def _nearby_betas(X, y, tau, seed=0):
+    """The interior point's answer and perturbations of it, which polish to
+    other, mostly refused, vertices."""
+    beta = frisch_newton(X, y, tau)[0]
+    rng = np.random.default_rng(seed)
+    scale = np.max(np.abs(beta))
+    noise = [eps * scale * rng.standard_normal(beta.size) for eps in (1e-9, 1e-5, 1e-2)]
+    return [beta] + [beta + d for d in noise]
+
+
+class TestCertificate:
+    """The certificate from one n x p product decides as the solve-based
+    one does, and the early certificate gives the full gap stop's vertex."""
+
+    @given(design=_tied_designs())
+    @settings(max_examples=60, deadline=None)
+    def test_tied_designs(self, design):
+        X, y, tau = design
+        try:
+            betas = _nearby_betas(X, y, tau)
+        except np.linalg.LinAlgError:
+            return
+        for beta in betas:
+            if np.all(np.isfinite(beta)):
+                _same_certificate(X, y, beta, tau)
+
+    @pytest.mark.parametrize("tau", [0.02, 0.5, 0.98])
+    def test_heavy_tailed_design(self, tau):
+        X, y = _heavy_tailed_design(4_000)
+        decisions = [_same_certificate(X, y, beta, tau) for beta in _nearby_betas(X, y, tau)]
+        assert decisions[0] and not all(decisions)
+
+    def test_degenerate_design(self):
+        X, y = _heavy_tailed_design(2_000)
+        vertex, *_ = solve_check_loss(X, y, 0.5)
+        i = int(np.argmax(y - X @ vertex))
+        y[i] = X[i] @ vertex
+        assert not _same_certificate(X, y, vertex, 0.5)
+        assert not _same_certificate(X, y, frisch_newton(X, y, 0.5)[0], 0.5)
+
+    @pytest.mark.parametrize("n_subjects", [1000, 5000])
+    def test_cohort_designs(self, n_subjects):
+        early_count = 0
+        for X, y in _cohort_designs(n_subjects, 2):
+            design = _Design(X, y)
+            for tau in TAUS:
+                for beta in _nearby_betas(X, y, tau):
+                    _same_certificate(X, y, beta, tau)
+                beta, _, early = _frisch_newton(design, tau, certify_on=design)
+                if early is not None:
+                    early_count += 1
+                    assert _same_certificate(X, y, beta, tau)
+                    assert hexes(early) == hexes(_full_vertex(X, y, tau))
+        # The early try certifies most fits (9 and 8 of 10 on these designs).
+        assert early_count >= 8
 
 
 TAUS = (0.03, 0.10, 0.50, 0.90, 0.97)
@@ -378,7 +501,7 @@ def _cohort_designs(n_subjects, seed):
 def _full_vertex(X, y, tau):
     """The full interior point's vertex, certified on the full data: the
     answer of every fit below the preprocessing threshold."""
-    vertex = _certified_vertex(X, y, _frisch_newton(X, y, tau)[0], tau)
+    vertex = _certified_vertex(X, y, frisch_newton(X, y, tau)[0], tau)
     assert vertex is not None
     return vertex
 
@@ -400,9 +523,9 @@ def _record_rows(monkeypatch):
     rows = []
     real = quantreg._frisch_newton
 
-    def recording(X, y, tau):
-        rows.append(y.size)
-        return real(X, y, tau)
+    def recording(design, tau, certify_on=None):
+        rows.append(design.y.size)
+        return real(design, tau, certify_on)
 
     monkeypatch.setattr(quantreg, "_frisch_newton", recording)
     return rows
@@ -415,7 +538,7 @@ class TestPreprocessing:
             for X, y in _cohort_designs(5000, seed):
                 assert y.size >= _PFN_MIN_ROWS
                 for tau in TAUS:
-                    beta, solver, steps, fallback = _solve_check_loss(X, y, tau)
+                    beta, solver, steps, fallback = solve_check_loss(X, y, tau)
                     solvers.append(solver)
                     assert fallback == (solver != "pfn")
                     assert hexes(beta) == hexes(_full_vertex(X, y, tau))
@@ -427,7 +550,7 @@ class TestPreprocessing:
         # Rounded responses tie, so some optima are degenerate or not unique.
         # The simplex on the dual is the oracle: the primal takes seconds.
         X, y, tau = design
-        beta, *_ = _solve_check_loss(X, y, tau)
+        beta, *_ = solve_check_loss(X, y, tau)
         want = float(np.sum(pinball_loss(y - X @ _solve_check_loss_lp(X, y, tau), tau)))
         got = float(np.sum(pinball_loss(y - X @ beta, tau)))
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -437,7 +560,7 @@ class TestPreprocessing:
         X, y = _stride_design(10_000, 0, 0.3)
         want = _full_vertex(X, y, 0.1)
         rows = _record_rows(monkeypatch)
-        beta, solver, _, fallback = _solve_check_loss(X, y, 0.1)
+        beta, solver, _, fallback = solve_check_loss(X, y, 0.1)
         assert (solver, fallback) == ("pfn", False)
         assert hexes(beta) == hexes(want)
         # Subsample, reduced problem, and a re-solve with the wrong rows
@@ -449,7 +572,7 @@ class TestPreprocessing:
         X, y = _stride_design(10_000, 0, 1.0)
         want = _full_vertex(X, y, 0.5)
         rows = _record_rows(monkeypatch)
-        beta, solver, _, fallback = _solve_check_loss(X, y, 0.5)
+        beta, solver, _, fallback = solve_check_loss(X, y, 0.5)
         assert (solver, fallback) == ("pfn", False)
         assert hexes(beta) == hexes(want)
         assert rows[2] == 2 * rows[0]
@@ -458,19 +581,33 @@ class TestPreprocessing:
         X, y = _cohort_designs(5000, 1)[0]
         tau = 0.9
         want = _full_vertex(X, y, tau)
-        pfn_steps = _preprocessed_vertex(X, y, tau)[1]
-        full_steps = _frisch_newton(X, y, tau)[1]
+        full = _Design(X, y)
+        _, full_steps, early = _frisch_newton(full, tau, certify_on=full)
+        assert early is not None
         certify = quantreg._certified_vertex
-        betas = []
+        calls = []
 
-        def refuse_first(X, y, beta, tau):
-            betas.append(beta)
-            return None if len(betas) == 1 else certify(X, y, beta, tau)
+        def refuse_all(X, y, beta, tau):
+            calls.append(beta)
 
-        monkeypatch.setattr(quantreg, "_certified_vertex", refuse_first)
-        beta, solver, steps, fallback = _solve_check_loss(X, y, tau)
+        # The preprocessing's certificates: each reduced interior point's
+        # early one, and the one on its answer.
+        monkeypatch.setattr(quantreg, "_certified_vertex", refuse_all)
+        vertex, pfn_steps = _preprocessed_vertex(_Design(X, y), tau)
+        assert vertex is None
+        n_pfn = len(calls)
+        assert n_pfn >= 2
+        calls.clear()
+
+        def refuse_preprocessing(X, y, beta, tau):
+            calls.append(beta)
+            return None if len(calls) <= n_pfn else certify(X, y, beta, tau)
+
+        monkeypatch.setattr(quantreg, "_certified_vertex", refuse_preprocessing)
+        beta, solver, steps, fallback = solve_check_loss(X, y, tau)
         assert (solver, fallback) == ("ipm", True)
-        assert len(betas) == 2
+        # The full interior point certifies at its early try.
+        assert len(calls) == n_pfn + 1
         assert hexes(beta) == hexes(want)
         assert steps == pfn_steps + full_steps
 
@@ -483,12 +620,19 @@ class TestPreprocessing:
         for X, y in designs:
             assert y.size < _PFN_MIN_ROWS
             for tau in TAUS:
-                beta, solver, steps, fallback = _solve_check_loss(X, y, tau)
+                beta, solver, steps, fallback = solve_check_loss(X, y, tau)
                 assert (solver, fallback) == ("ipm", False)
-                full, full_steps = _frisch_newton(X, y, tau)
-                assert steps == full_steps
+                design = _Design(X, y)
+                _, early_steps, early = _frisch_newton(design, tau, certify_on=design)
+                assert steps == early_steps
+                full, full_steps = frisch_newton(X, y, tau)
                 assert hexes(beta) == hexes(_certified_vertex(X, y, full, tau))
-        assert _solve_check_loss(X_big[:_PFN_MIN_ROWS], y_big[:_PFN_MIN_ROWS], 0.5)[1] == "pfn"
+                if early is None:
+                    assert early_steps == full_steps
+                else:
+                    assert early_steps < full_steps
+                    assert hexes(early) == hexes(beta)
+        assert solve_check_loss(X_big[:_PFN_MIN_ROWS], y_big[:_PFN_MIN_ROWS], 0.5)[1] == "pfn"
 
     def test_fit_records_the_path(self):
         cohort = generate_cohort(
@@ -497,7 +641,7 @@ class TestPreprocessing:
         t, y = cohort.observed_points()
         fit = fit_marginal_qr(t, y, 0.5, SplineSpec())
         assert (fit.solver, fit.pfn_fallback) == ("pfn", False)
-        assert fit.ipm_steps == _solve_check_loss(design_matrix(SplineSpec(), t), y, 0.5)[2]
+        assert fit.ipm_steps == solve_check_loss(design_matrix(SplineSpec(), t), y, 0.5)[2]
         assert fit.subgradient_ok
 
 
