@@ -87,24 +87,6 @@ class Cohort:
             y_cur=self.values[subj, ib],
         )
 
-    def to_csv(self, path_or_file, metadata: dict | None = None) -> None:
-        """Write all slots as CSV; metadata entries become '#' header lines."""
-        own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-        fh = open(path_or_file, "w", encoding="utf-8") if own else path_or_file
-        try:
-            for key, val in (metadata or {}).items():
-                fh.write(f"# {key}: {val}\n")
-            fh.write("subject_id,interval_index,time_weeks,value_mmhg,observed\n")
-            for i in range(self.n_subjects):
-                for j in range(self.n_intervals):
-                    fh.write(
-                        f"{i},{j},{float(self.times[i, j])!r},"
-                        f"{float(self.values[i, j])!r},{int(self.observed[i, j])}\n"
-                    )
-        finally:
-            if own:
-                fh.close()
-
 
 def generate_cohort(
     model: LognormalAR1Model,

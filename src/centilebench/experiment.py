@@ -207,7 +207,7 @@ class SummaryRow:
 
 @dataclass(frozen=True)
 class ReplicationSummary:
-    """Aggregated experiment output plus run metadata and diagnostics.
+    """Aggregated experiment output plus failures and diagnostics.
 
     ``replicates`` holds the per-replication estimates behind each row when
     the experiment is run with keep_replicates=True; it is analysis-side
@@ -215,14 +215,12 @@ class ReplicationSummary:
     """
 
     rows: tuple[SummaryRow, ...]
-    metadata: dict
     failures: tuple[dict, ...] = ()
     diagnostics: dict = field(default_factory=dict)
     replicates: dict = field(default_factory=dict, repr=False)
 
     def to_payload(self) -> dict:
         return {
-            "metadata": self.metadata,
             "rows": [asdict(r) for r in self.rows],
             "failures": list(self.failures),
             "diagnostics": self.diagnostics,
@@ -230,7 +228,7 @@ class ReplicationSummary:
 
 
 def run_metadata(cfg: ExperimentConfig) -> dict:
-    """Run metadata shared by every output: design, PRNG, knots and version."""
+    """Run metadata shared by every CLI output: design, PRNG, knots and version."""
     return {
         "config": cfg.describe(),
         "prng": PRNG_NAME,
@@ -360,15 +358,10 @@ def _run(cfg: ExperimentConfig, marginal: bool, conditional: bool, keep_replicat
 
     diagnostics = {key: int(sum(res["diag"][key] for res in results)) for key in _COUNTERS}
     diagnostics["n_failed_replications"] = len(failed_reps)
-    for key in (
-        "lms_rho_hat", "mvn_rho_hat", "mvn_sigma_hat", "qr_crossing_grid_points",
-        "n_pairs_successive", "n_pairs_adjacent",
-    ):
+    # Every other recorded value is averaged over the replications that have it.
+    for key in sorted({key for res in results for key in res["diag"]} - set(_COUNTERS)):
         vals = [res["diag"][key] for res in results if key in res["diag"]]
-        if vals:
-            diagnostics[f"{key}_mean"] = float(np.mean(vals))
-
-    metadata = run_metadata(cfg)
+        diagnostics[f"{key}_mean"] = float(np.mean(vals))
 
     def summarize(grid_rows) -> ReplicationSummary:
         rows = []
@@ -389,7 +382,6 @@ def _run(cfg: ExperimentConfig, marginal: bool, conditional: bool, keep_replicat
             rows.append(SummaryRow(*key, float(values.mean()), sd, int(values.size)))
         return ReplicationSummary(
             rows=tuple(rows),
-            metadata=metadata,
             failures=failures,
             diagnostics=diagnostics,
             replicates=replicates,

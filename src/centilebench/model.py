@@ -130,6 +130,7 @@ class LognormalAR1Model:
     window: tuple[float, float] = GA_WINDOW
 
     def __post_init__(self):
+        object.__setattr__(self, "window", tuple(float(b) for b in self.window))
         for name in ("c0", "c2", "c3", "sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

@@ -34,6 +34,7 @@ class SplineSpec:
     interior_knots: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "boundary", tuple(float(b) for b in self.boundary))
         lo, hi = self.boundary
         if not lo < hi:
             raise ValueError(f"boundary must be increasing, got {self.boundary!r}")

@@ -1,4 +1,3 @@
-import io
 import math
 from dataclasses import replace
 
@@ -332,18 +331,3 @@ class TestPairs:
                 assert got.shape == want.shape, name
                 assert np.array_equal(got, want), name
 
-
-class TestExport:
-    def test_csv_roundtrip(self, model, schedule):
-        cohort = generate_cohort(model, schedule, 3, RngStream(8).child(0))
-        buf = io.StringIO()
-        cohort.to_csv(buf, metadata={"seed": 8})
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# seed: 8"
-        assert lines[1] == "subject_id,interval_index,time_weeks,value_mmhg,observed"
-        assert len(lines) == 2 + 3 * 5
-        first = lines[2].split(",")
-        assert first[0] == "0" and first[1] == "0"
-        assert float(first[2]) == cohort.times[0, 0]
-        assert float(first[3]) == cohort.values[0, 0]
-        assert first[4] in {"0", "1"}

@@ -10,7 +10,7 @@ import pytest
 
 import centilebench
 from centilebench import experiment, lms, mvn, quantreg, splines
-from centilebench.cli import _summary_metadata, build_config, main
+from centilebench.cli import build_config, main
 from centilebench.cohort import VisitSchedule, generate_cohort
 from centilebench.errors import ExperimentError, FitError
 from centilebench.experiment import (
@@ -183,13 +183,14 @@ class TestRunStructure:
         assert row.mean_mmhg == pytest.approx(float(values.mean()), rel=1e-15)
 
     def test_metadata_contents(self, tiny_run):
-        marg, _ = tiny_run
-        assert marg.metadata["prng"].startswith("numpy PCG64")
-        assert marg.metadata["knots"] == [16.0] * 4 + [26.0] + [36.0] * 4
-        assert marg.metadata["config"]["n_reps"] == 4
-        cfg = ExperimentConfig(**TINY)
-        assert marg.metadata == run_metadata(cfg)
-        assert _summary_metadata(cfg, "drift") == {"command": "drift", **run_metadata(cfg)}
+        # The summaries carry no metadata: the CLI adds run_metadata once.
+        marg, cond = tiny_run
+        assert "metadata" not in marg.to_payload()
+        assert "metadata" not in cond.to_payload()
+        metadata = run_metadata(ExperimentConfig(**TINY))
+        assert metadata["prng"].startswith("numpy PCG64")
+        assert metadata["knots"] == [16.0] * 4 + [26.0] + [36.0] * 4
+        assert metadata["config"]["n_reps"] == 4
 
     def test_lms_newton_steps_totalled(self, tiny_run):
         cfg = ExperimentConfig(**TINY)
@@ -711,8 +712,76 @@ class TestCli:
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"n_repz": 3}))
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match=r"unknown config keys: \['n_repz'\]"):
             build_config(str(cfg_file))
+
+    @pytest.mark.parametrize(
+        "section,key", [("model", "rhoo"), ("schedule", "window"), ("spline", "knots")]
+    )
+    def test_unknown_nested_config_key_rejected(self, tmp_path, section, key):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({section: {key: 0.4}}))
+        message = rf"unknown config {section} keys: \['{key}'\]"
+        with pytest.raises(SystemExit, match=message):
+            build_config(str(cfg_file))
+        with pytest.raises(SystemExit, match=message):
+            main(["drift", "--config", str(cfg_file)])
+
+    @pytest.mark.parametrize(
+        "raw,what",
+        [([1], "config"), ({"model": 3}, "config model"), ({"spline": [5]}, "config spline")],
+    )
+    def test_config_sections_must_be_objects(self, tmp_path, raw, what):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(raw))
+        with pytest.raises(SystemExit, match=f"^{what} must be a JSON object"):
+            build_config(str(cfg_file))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "command", ["simulate", "table1", "table2", "drift", "screening", "true-centiles"]
+    )
+    def test_metadata_is_run_metadata(self, capsys, command, fmt):
+        args = ["--reps", "2", "--subjects", "120", "--seed", "9", "--format", fmt]
+        assert main([command, *args]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            metadata = json.loads(out)["metadata"]
+        else:
+            lines = [l[2:] for l in out.splitlines() if l.startswith("# ")]
+            metadata = {k: json.loads(v) for k, v in (l.split(": ", 1) for l in lines)}
+        cfg = build_config(seed=9, reps=2, subjects=120)
+        assert metadata == {"command": command, **run_metadata(cfg)}
+
+    def test_simulate_json_rows_match_cohort(self, capsys):
+        assert main(["simulate", "--subjects", "7", "--seed", "11", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        cfg = build_config(seed=11, subjects=7)
+        cohort = generate_cohort(cfg.model, cfg.schedule, 7, RngStream(11).child(0))
+        assert len(rows) == cohort.times.size
+        for row in rows:
+            i, j = row["subject_id"], row["interval_index"]
+            assert row["time_weeks"] == cohort.times[i, j]
+            assert row["value_mmhg"] == cohort.values[i, j]
+            assert row["observed"] == int(cohort.observed[i, j])
+        assert [(r["subject_id"], r["interval_index"]) for r in rows] == [
+            (i, j) for i in range(7) for j in range(cohort.n_intervals)
+        ]
+
+    def test_simulate_csv_roundtrip(self, capsys):
+        assert main(["simulate", "--subjects", "3", "--seed", "8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header_at = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+        assert lines[header_at] == "subject_id,interval_index,time_weeks,value_mmhg,observed"
+        body = [l.split(",") for l in lines[header_at + 1 :]]
+        cfg = build_config(seed=8, subjects=3)
+        cohort = generate_cohort(cfg.model, cfg.schedule, 3, RngStream(8).child(0))
+        assert len(body) == 3 * cohort.n_intervals
+        for k, (i, j, t, v, seen) in enumerate(body):
+            assert (int(i), int(j)) == divmod(k, cohort.n_intervals)
+            assert float(t) == cohort.times[int(i), int(j)]
+            assert float(v) == cohort.values[int(i), int(j)]
+            assert seen == str(int(cohort.observed[int(i), int(j)]))
 
 
 class TestHalfSplitConsistency:

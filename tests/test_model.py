@@ -272,6 +272,14 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="window must have finite bounds"):
             LognormalAR1Model(window=window)
 
+    @pytest.mark.parametrize("window", [[16.0, 36.0], [16, 36], (16, 36.0)])
+    def test_window_coerced_to_float_tuple(self, window):
+        model = LognormalAR1Model(window=window)
+        assert model.window == (16.0, 36.0)
+        assert all(type(b) is float for b in model.window)
+        assert model == LognormalAR1Model()
+        assert hash(model) == hash(LognormalAR1Model())
+
     def test_rho_in_open_interval(self):
         with pytest.raises(ValueError):
             LognormalAR1Model(rho=1.0)

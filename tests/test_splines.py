@@ -34,6 +34,17 @@ class TestSplineSpec:
         with pytest.raises(ValueError):
             SplineSpec(interior_knots=(20.0, 30.0))
 
+    @pytest.mark.parametrize("boundary", [[16.0, 36.0], [16, 36], (16, 36.0)])
+    def test_boundary_coerced_to_float_tuple(self, boundary):
+        # A JSON config gives a list; a frozen spec must stay hashable and
+        # equal to the one built from the tuple.
+        spec = SplineSpec(boundary=boundary)
+        assert spec.boundary == (16.0, 36.0)
+        assert all(type(b) is float for b in spec.boundary)
+        assert spec == SplineSpec()
+        assert hash(spec) == hash(SplineSpec())
+        assert all(type(k) is float for k in spec.knots[:4] + spec.knots[-4:])
+
 
 class TestBasisRow:
     def test_partition_of_unity(self, spec5):
