@@ -14,6 +14,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .lms import (
     zscore_pairs,
 )
 from .model import (
+    GA_WINDOW,
     LognormalAR1Model,
     PercentilePath,
     drift_conditional_ranks,
@@ -89,7 +91,9 @@ class ExperimentConfig:
     prior_week: float = 22.0
     paths: tuple[tuple[str, float], ...] = (("A", 0.03), ("B", 0.97))
     methods: tuple[str, ...] = _METHODS
-    qr_pair_mode: str = "successive"
+    # QR conditions on every consecutive pair of observed visits, whatever
+    # the gap; LMS and MVN use adjacent intervals only.
+    qr_pair_mode: ClassVar[str] = "successive"
     workers: int = 1
     model: LognormalAR1Model = LognormalAR1Model()
     schedule: VisitSchedule = VisitSchedule()
@@ -100,6 +104,8 @@ class ExperimentConfig:
         object.__setattr__(
             self, "eval_weeks_marginal", tuple(float(w) for w in self.eval_weeks_marginal)
         )
+        object.__setattr__(self, "eval_week_conditional", float(self.eval_week_conditional))
+        object.__setattr__(self, "prior_week", float(self.prior_week))
         object.__setattr__(
             self, "paths", tuple((str(n), float(r)) for n, r in self.paths)
         )
@@ -125,10 +131,6 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(_METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; choose from {_METHODS}")
-        if self.qr_pair_mode not in ("successive", "adjacent"):
-            raise ValueError(
-                f"qr_pair_mode must be 'successive' or 'adjacent', got {self.qr_pair_mode!r}"
-            )
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         # QR predicts its conditional cells at the gap between the two weeks.
@@ -142,13 +144,13 @@ class ExperimentConfig:
             self.schedule.check_adjacent(self.prior_week, self.eval_week_conditional)
         # Every cell must evaluate, so a bad week fails here and not as a
         # failed fit in every replication.
-        lo = max(self.spline.boundary[0], self.model.window[0])
-        hi = min(self.spline.boundary[1], self.model.window[1])
+        lo = max(self.spline.boundary[0], GA_WINDOW[0])
+        hi = min(self.spline.boundary[1], GA_WINDOW[1])
         weeks = (*self.eval_weeks_marginal, self.prior_week, self.eval_week_conditional)
         if not all(lo <= w <= hi for w in weeks):
             raise ValueError(
                 f"evaluation weeks {weeks!r} must lie in [{lo}, {hi}], inside both "
-                f"the spline boundary and the model window"
+                f"the spline boundary and the study window"
             )
 
     def prior_values(self) -> dict[str, float]:
@@ -267,11 +269,10 @@ def _replication(cfg: ExperimentConfig, marginal: bool, conditional: bool, rep: 
     failures: list[tuple[str, str]] = []
     diag = dict.fromkeys(_COUNTERS, 0)
 
-    pairs_adj = pairs_qr = None
+    pairs_adj = pairs_succ = None
     if conditional:
         pairs_adj = cohort.pair_set(max_gap=1)
         pairs_succ = cohort.pair_set(max_gap=None)
-        pairs_qr = pairs_succ if cfg.qr_pair_mode == "successive" else pairs_adj
         diag["n_pairs_successive"] = len(pairs_succ)
         diag["n_pairs_adjacent"] = len(pairs_adj)
 
@@ -290,7 +291,7 @@ def _replication(cfg: ExperimentConfig, marginal: bool, conditional: bool, rep: 
             blocks.append(np.column_stack([predict_centile(f, weeks) for f in fits]))
             diag["qr_crossing_grid_points"] = count_quantile_crossings(fits)
         if conditional:
-            fits = qr_audited(fit_conditional_qr(pairs_qr, cfg.tau_grid, cfg.spline))
+            fits = qr_audited(fit_conditional_qr(pairs_succ, cfg.tau_grid, cfg.spline))
             blocks.append(np.column_stack([
                 predict_centile(f, week_c, y_prev=y_prev, dt=week_c - week_p) for f in fits
             ]))
@@ -417,10 +418,10 @@ def run_both_experiments(
 def emit_true_centiles(
     model: LognormalAR1Model, tau_grid, week_step: float = 0.5
 ) -> list[tuple[float, float, float]]:
-    """Rows (week, tau, mmHg) of exact percentile curves over the window."""
-    if week_step <= 0.0:
-        raise ValueError("week_step must be positive")
-    lo, hi = model.window
+    """Rows (week, tau, mmHg) of exact percentile curves over the study window."""
+    if not (np.isfinite(week_step) and week_step > 0.0):
+        raise ValueError(f"week_step must be finite and positive, got {week_step!r}")
+    lo, hi = GA_WINDOW
     weeks = np.arange(lo, hi + 1e-9, week_step)
     return [
         (float(t), float(tau), float(marginal_percentile(model, t, tau)))

@@ -9,8 +9,7 @@ schedule's five four-week windows over weeks 16-36, the cohort generator
 steps the AR(1) over a schedule's windows, and the fitted conditional
 centiles judge adjacency on the schedule they were fitted over. Everything
 else here is exact closed-form math: marginal and conditional percentiles,
-percentile ranks, and the conditional ranks traced by drifting or jumping
-subject paths.
+and the conditional ranks traced by drifting or jumping subject paths.
 """
 
 from __future__ import annotations
@@ -30,13 +29,12 @@ __all__ = [
     "PercentilePath",
     "log_mean",
     "marginal_percentile",
-    "marginal_rank",
     "conditional_params",
     "conditional_percentile",
     "drift_conditional_ranks",
 ]
 
-# Gestational-age study window (weeks).
+# Gestational-age study window (weeks): the truth is defined on it.
 GA_WINDOW = (16.0, 36.0)
 
 
@@ -114,23 +112,16 @@ _VISITS = VisitSchedule()
 
 @dataclass(frozen=True)
 class LognormalAR1Model:
-    """Parameters of the generating process; defaults are the study model.
-
-    ``window`` bounds the gestational ages at which the model is defined.
-    Tests may widen it to probe degenerate coefficient sets; production code
-    should leave the default. It does not move the visit intervals: the
-    conditional truth judges adjacency on the default ``VisitSchedule``.
-    """
+    """Parameters of the generating process; defaults are the study model,
+    which is defined on the study window ``GA_WINDOW``."""
 
     c0: float = 4.247
     c2: float = -0.019
     c3: float = 0.006
     sigma: float = 0.1
     rho: float = 0.6
-    window: tuple[float, float] = GA_WINDOW
 
     def __post_init__(self):
-        object.__setattr__(self, "window", tuple(float(b) for b in self.window))
         for name in ("c0", "c2", "c3", "sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -138,10 +129,6 @@ class LognormalAR1Model:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
         if not abs(self.rho) < 1.0:
             raise ValueError(f"rho must lie strictly in (-1, 1), got {self.rho!r}")
-        if not all(math.isfinite(bound) for bound in self.window):
-            raise ValueError(f"window must have finite bounds, got {self.window!r}")
-        if not self.window[0] < self.window[1]:
-            raise ValueError(f"window must be increasing, got {self.window!r}")
 
     @property
     def sigma_cond(self) -> float:
@@ -181,13 +168,13 @@ class PercentilePath:
             raise ValueError("marginal ranks must lie strictly in (0, 1)")
 
 
-def _check_window(model: LognormalAR1Model, t) -> np.ndarray:
+def _check_window(t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
-    lo, hi = model.window
+    lo, hi = GA_WINDOW
     # Written so that NaN, which compares false both ways, fails the test.
     if not np.all((arr >= lo) & (arr <= hi)):
         raise ValueError(
-            f"gestational age {t!r} is not finite or lies outside the model "
+            f"gestational age {t!r} is not finite or lies outside the study "
             f"window [{lo}, {hi}]"
         )
     return arr
@@ -195,7 +182,7 @@ def _check_window(model: LognormalAR1Model, t) -> np.ndarray:
 
 def log_mean(model: LognormalAR1Model, t):
     """Log-scale mean mu(t) = c0 + c2*(t/10)^2 + c3*(t/10)^3."""
-    arr = _check_window(model, t)
+    arr = _check_window(t)
     s = arr / 10.0
     out = model.c0 + model.c2 * s * s + model.c3 * s * s * s
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
@@ -206,15 +193,6 @@ def marginal_percentile(model: LognormalAR1Model, t, tau: float):
     z = std_normal_quantile(tau)
     out = np.exp(log_mean(model, t) + z * model.sigma)
     return float(out) if np.isscalar(out) or np.ndim(out) == 0 else out
-
-
-def marginal_rank(model: LognormalAR1Model, t, y):
-    """Marginal percentile rank of a value: Phi((ln y - mu(t)) / sigma)."""
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr <= 0.0):
-        raise ValueError(f"blood pressure must be positive, got {y!r}")
-    out = std_normal_cdf((np.log(y_arr) - log_mean(model, t)) / model.sigma)
-    return float(out) if np.isscalar(y) and np.isscalar(t) else out
 
 
 def conditional_params(
@@ -246,12 +224,12 @@ def drift_conditional_ranks(model: LognormalAR1Model, path: PercentilePath):
     For visits j >= 2 the rank is Phi((z_j - rho*z_{j-1}) / sqrt(1 - rho^2))
     with z_j the standard normal quantile of the j-th marginal rank; it
     depends only on the standardized path and rho, not on the mean curve.
-    Times must lie in the model window and in consecutive intervals of the
+    Times must lie in the study window and in consecutive intervals of the
     default visit schedule.
     """
     if len(path.times) < 2:
         raise ValueError("path needs at least two visits")
-    _check_window(model, path.times)
+    _check_window(path.times)
     for t_prev, t_cur in zip(path.times, path.times[1:]):
         _VISITS.check_adjacent(t_prev, t_cur)
     z = std_normal_quantile(np.array(path.marginal_ranks))

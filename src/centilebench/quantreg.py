@@ -99,6 +99,8 @@ _PFN_MIN_ROWS = 8000
 _PFN_KEEP = 0.8
 _PFN_MAX_WRONG = 0.1
 _PFN_FIXUPS = 3
+# Week spacing of the grid on which count_quantile_crossings compares curves.
+_CROSSING_STEP = 0.5
 
 
 @dataclass(frozen=True)
@@ -692,22 +694,20 @@ def predict_centile(fit: QuantileFit, t, y_prev=None, dt=None):
     return float(base) if base.ndim == 0 else base
 
 
-def count_quantile_crossings(fits, step: float = 0.5) -> int:
+def count_quantile_crossings(fits) -> int:
     """Number of grid points where fitted curves violate quantile ordering.
 
     Curves fitted separately per tau may cross; this reports how often,
-    over the spline boundary at the given step, rather than hiding it. The
-    fits must share one spline basis, which is evaluated once.
+    over the spline boundary every _CROSSING_STEP weeks, rather than hiding
+    it. The fits must share one spline basis, which is evaluated once.
     """
-    if not (np.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be finite and positive, got {step!r}")
     fits = sorted(fits, key=lambda f: f.tau)
     if len(fits) < 2:
         return 0
     spec = fits[0].spec
     if any(f.spec != spec for f in fits):
         raise ValueError("fits must share one spline basis")
-    grid = np.arange(spec.boundary[0], spec.boundary[1] + 1e-9, step)
+    grid = np.arange(spec.boundary[0], spec.boundary[1] + 1e-9, _CROSSING_STEP)
     basis = design_matrix(spec, grid)
     curves = np.stack([basis @ np.asarray(f.spline_coefs) for f in fits])
     return int(np.sum(np.any(np.diff(curves, axis=0) < 0.0, axis=0)))

@@ -271,7 +271,7 @@ class TestGenerateCohort:
 
     def test_schedule_must_fit_window(self, model):
         wide = VisitSchedule(windows=((12.0, 16.0), (16.0, 20.0)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds the study window"):
             generate_cohort(model, wide, 10, RngStream(1))
 
 

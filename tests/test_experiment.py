@@ -31,7 +31,7 @@ from centilebench.lms import (
     lms_conditional_centile,
     zscore_pairs,
 )
-from centilebench.model import LognormalAR1Model, marginal_percentile
+from centilebench.model import marginal_percentile
 from centilebench.mvn import fit_mvn, mvn_conditional_centile, mvn_marginal_centile
 from centilebench.numerics import RngStream
 from centilebench.quantreg import fit_conditional_qr, fit_marginal_qr, predict_centile
@@ -67,8 +67,6 @@ class TestConfig:
 
     @pytest.mark.parametrize("window", [(16.0, math.inf), (-math.inf, 36.0)])
     def test_non_finite_window_rejected(self, window):
-        with pytest.raises(ValueError, match="window must have finite bounds"):
-            ExperimentConfig(model=LognormalAR1Model(window=window))
         with pytest.raises(ValueError, match=r"window \(.*\) must have finite bounds"):
             ExperimentConfig(schedule=VisitSchedule(windows=(window,)))
 
@@ -76,9 +74,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(methods=("QR", "GAM"))
         with pytest.raises(ValueError):
-            ExperimentConfig(qr_pair_mode="all")
-        with pytest.raises(ValueError):
             ExperimentConfig(tau_grid=(0.5, 1.0))
+
+    def test_qr_pairs_are_successive(self):
+        # QR's conditional fits take every consecutive pair of observed
+        # visits; the mode is fixed and not a config setting.
+        assert ExperimentConfig().qr_pair_mode == "successive"
+        with pytest.raises(TypeError):
+            ExperimentConfig(qr_pair_mode="adjacent")
 
     def test_conditional_weeks_must_be_adjacent_intervals(self):
         # Under 2-week windows, weeks 22 and 26 are two intervals apart: the
@@ -107,12 +110,12 @@ class TestConfig:
             dict(methods=("QR",), prior_week=12.0),
             dict(methods=("QR",), eval_week_conditional=36.5),
             dict(spline=SplineSpec(boundary=(16.0, 30.0))),
-            dict(model=LognormalAR1Model(window=(16.0, 30.0))),
         ],
     )
     def test_eval_weeks_outside_basis_or_model_rejected(self, design):
-        # Week 32 lies outside the narrowed basis and model window. A bad week
-        # used to fit every cohort and then fail every replication.
+        # Weeks must lie in the study window and, like week 32 here, in the
+        # narrowed basis. A bad week used to fit every cohort and then fail
+        # every replication.
         with pytest.raises(ValueError, match="evaluation weeks"):
             ExperimentConfig(**design)
 
@@ -547,8 +550,10 @@ class TestTrueCentiles:
         assert len(weeks) == 41
 
     def test_step_validated(self, model):
-        with pytest.raises(ValueError):
-            emit_true_centiles(model, (0.5,), week_step=0.0)
+        # An infinite step would write week 16 alone; NaN would fail inside numpy.
+        for step in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="week_step must be finite and positive"):
+                emit_true_centiles(model, (0.5,), week_step=step)
 
 
 class TestReports:
@@ -697,14 +702,8 @@ class TestCli:
 
     @pytest.mark.parametrize("window", [[16.0, math.inf], [-math.inf, 36.0]])
     def test_config_file_non_finite_window_rejected(self, tmp_path, window):
-        # The model window bounds the true-centiles grid; the schedule's
-        # windows bound the visit times.
+        # JSON admits Infinity; the schedule's windows bound the visit times.
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"model": {"window": window}}))
-        with pytest.raises(ValueError, match="window must have finite bounds"):
-            build_config(str(cfg_file))
-        with pytest.raises(ValueError, match="window must have finite bounds"):
-            main(["true-centiles", "--config", str(cfg_file)])
         cfg_file.write_text(json.dumps({"schedule": {"windows": [window]}}))
         with pytest.raises(ValueError, match=r"window \(.*\) must have finite bounds"):
             build_config(str(cfg_file))
@@ -715,8 +714,34 @@ class TestCli:
         with pytest.raises(SystemExit, match=r"unknown config keys: \['n_repz'\]"):
             build_config(str(cfg_file))
 
+    def test_qr_pair_mode_is_not_a_config_key(self, tmp_path):
+        # The metadata echoes the mode, but it is fixed, so a file cannot set it.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"qr_pair_mode": "successive"}))
+        message = r"unknown config keys: \['qr_pair_mode'\]"
+        with pytest.raises(SystemExit, match=message):
+            build_config(str(cfg_file))
+        with pytest.raises(SystemExit, match=message):
+            main(["drift", "--config", str(cfg_file)])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_integer_weeks_in_config_file_keep_the_bytes(self, tmp_path, fmt):
+        # Whole-number weeks are read as floats, so the rows and the config
+        # echo print 26.0 and 22.0 as the defaults do.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"eval_week_conditional": 26, "prior_week": 22}))
+        args = ["table2", "--reps", "2", "--subjects", "150", "--seed", "5", "--format", fmt]
+        outputs = []
+        for extra in ([], ["--config", str(cfg_file)]):
+            out = tmp_path / f"table2-{len(extra)}.{fmt}"
+            assert main([*args, *extra, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b"26.0" in outputs[0]
+
     @pytest.mark.parametrize(
-        "section,key", [("model", "rhoo"), ("schedule", "window"), ("spline", "knots")]
+        "section,key",
+        [("model", "rhoo"), ("model", "window"), ("schedule", "window"), ("spline", "knots")],
     )
     def test_unknown_nested_config_key_rejected(self, tmp_path, section, key):
         cfg_file = tmp_path / "cfg.json"

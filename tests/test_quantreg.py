@@ -780,9 +780,9 @@ class TestReporting:
     def test_crossing_count_reported(self, recovery_cohort, spec5):
         t, y = recovery_cohort.observed_points()
         fits = [fit_marginal_qr(t, y, tau, spec5) for tau in (0.03, 0.1, 0.5, 0.9, 0.97)]
-        count = count_quantile_crossings(fits, step=0.5)
+        count = count_quantile_crossings(fits)
         assert isinstance(count, int) and count >= 0
-        assert count == count_quantile_crossings(fits, step=0.5)
+        assert count == count_quantile_crossings(fits)
 
     def test_crossings_need_one_basis(self, spec5):
         fits = [
@@ -791,15 +791,6 @@ class TestReporting:
         ]
         with pytest.raises(ValueError, match="one spline basis"):
             count_quantile_crossings(fits)
-
-    @pytest.mark.parametrize("step", [-0.5, 0.0, math.inf, math.nan])
-    def test_crossings_need_a_finite_positive_step(self, step, spec5):
-        fits = [
-            QuantileFit(tau=0.1, spec=spec5, spline_coefs=(60.0,) * 5),
-            QuantileFit(tau=0.9, spec=spec5, spline_coefs=(70.0,) * 5),
-        ]
-        with pytest.raises(ValueError, match="step must be finite and positive"):
-            count_quantile_crossings(fits, step=step)
 
 
 class _FakePairs:

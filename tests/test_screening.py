@@ -3,7 +3,6 @@ import math
 import pytest
 from scipy.stats import lognorm
 
-from centilebench.model import LognormalAR1Model
 from centilebench.numerics import RngStream, std_normal_quantile
 from centilebench.screening import (
     ScreeningConfig,
@@ -174,17 +173,17 @@ class TestMonteCarlo:
         b = monte_carlo_screen(model, 0.1, ONSET, [3], 0.9, 2000, stream)
         assert a == b
 
-    @pytest.mark.parametrize("window", [(16.0, 34.0), (16.0, 30.0)])
-    def test_visit_count_ignores_model_window(self, model, window):
-        # The screen counts the default schedule's visits; a count taken from
-        # either narrowed window would refuse visit 5.
-        narrow = LognormalAR1Model(window=window)
+    @pytest.mark.parametrize("visits", [[2.7], [3, 4.5], [math.nan], [math.inf]])
+    def test_fractional_visits_rejected(self, model, visits):
+        # Truncating 2.7 would silently screen visit 2.
+        with pytest.raises(ValueError, match="whole numbers"):
+            monte_carlo_screen(model, 0.1, ONSET, visits, 0.9, 2000, RngStream(611).child(0))
+
+    def test_whole_float_visits_accepted(self, model):
         stream = RngStream(611).child(0)
-        assert monte_carlo_screen(narrow, 0.1, ONSET, [5], 0.9, 2000, stream) == (
-            monte_carlo_screen(model, 0.1, ONSET, [5], 0.9, 2000, stream)
+        assert monte_carlo_screen(model, 0.1, ONSET, [2.0, 5.0], 0.9, 2000, stream) == (
+            monte_carlo_screen(model, 0.1, ONSET, [2, 5], 0.9, 2000, stream)
         )
-        with pytest.raises(ValueError, match=r"2\.\.5"):
-            monte_carlo_screen(narrow, 0.1, ONSET, [6], 0.9, 2000, stream)
 
     def test_validation(self, model):
         stream = RngStream(1)
