@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GA_WINDOW, LognormalAR1Model, VisitSchedule, log_mean
+from .model import LognormalAR1Model, VisitSchedule, log_mean
 from .numerics import RngStream, std_normal_quantile, _MIN_UNIFORM
 
 __all__ = ["VisitSchedule", "Cohort", "PairSet", "generate_cohort"]
@@ -107,9 +107,7 @@ def generate_cohort(
     """
     if n_subjects < 1:
         raise ValueError("n_subjects must be at least 1")
-    lo_w, hi_w = schedule.span
-    if lo_w < GA_WINDOW[0] or hi_w > GA_WINDOW[1]:
-        raise ValueError(f"schedule span {schedule.span} exceeds the study window {GA_WINDOW}")
+    schedule.check_in_study_window()
     k = schedule.n_intervals
     uniforms = stream.child_uniforms(n_subjects, 3 * k)
 

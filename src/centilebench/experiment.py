@@ -139,6 +139,8 @@ class ExperimentConfig:
                 f"prior_week {self.prior_week!r} must precede eval_week_conditional "
                 f"{self.eval_week_conditional!r}"
             )
+        # Every cohort's visits must lie in the study window.
+        self.schedule.check_in_study_window()
         # The LMS and MVN conditional centiles chain one interval's correlation.
         if {"LMS", "MVN"} & set(self.methods):
             self.schedule.check_adjacent(self.prior_week, self.eval_week_conditional)

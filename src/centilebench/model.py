@@ -95,6 +95,13 @@ class VisitSchedule:
         idx = np.searchsorted(starts, arr, side="right") - 1
         return int(idx) if arr.ndim == 0 else idx
 
+    def check_in_study_window(self) -> None:
+        """Raise ValueError unless the span lies inside the study window
+        GA_WINDOW, on which the model and the spline basis are defined."""
+        lo, hi = self.span
+        if lo < GA_WINDOW[0] or hi > GA_WINDOW[1]:
+            raise ValueError(f"schedule span {self.span} exceeds the study window {GA_WINDOW}")
+
     def check_adjacent(self, t_prev: float, t_cur: float) -> None:
         """Raise ValueError unless t_cur lies in the window right after
         t_prev's: the AR(1) links adjacent intervals only."""

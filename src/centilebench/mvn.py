@@ -84,17 +84,22 @@ def _pattern_moments(cohort: Cohort, spec: SplineSpec, center: float):
     logs = np.log(cohort.values) - center
     basis = np.zeros(observed.shape + (spec.n_basis,))
     basis[observed] = design_matrix(spec, cohort.times[observed])
-    patterns, first, inverse = np.unique(
-        observed, axis=0, return_index=True, return_inverse=True
-    )
-    inverse = inverse.ravel()
+    # Each pattern's integer code, one bit per visit in an int64; one stable
+    # sort lists every group's subjects in order, and a group's first
+    # subject is its first appearance.
+    if observed.shape[1] > 64:
+        raise ValueError(f"MVN fits at most 64 visits per subject, got {observed.shape[1]}")
+    codes = observed @ (1 << np.arange(observed.shape[1]))
+    order = np.argsort(codes, kind="stable")
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    bounds = np.append(starts, order.size)
     groups = []
     n_obs = 0
-    for g in np.argsort(first, kind="stable"):
-        k = np.flatnonzero(patterns[g])
+    for g in np.argsort(order[starts], kind="stable"):
+        idx = order[bounds[g] : bounds[g + 1]]
+        k = np.flatnonzero(observed[idx[0]])
         if k.size == 0:
             continue
-        idx = np.flatnonzero(inverse == g)
         bases = basis[np.ix_(idx, k)]
         ys = logs[np.ix_(idx, k)]
         groups.append(

@@ -22,14 +22,17 @@ with the smallest residuals, which is accepted only with an exact
 optimality certificate: every other residual is nonzero beyond its
 rounding error, so its sign is known, the basis multipliers lie in
 [tau - 1, tau], and the residual sign counts pass the subgradient audit.
-The certificate is tried once when the duality gap first falls below
-_IPM_CERTIFY_GAP_REL of the objective, and a certified vertex ends the
-iteration there; otherwise the iteration runs on to the _IPM_GAP_REL stop
-and its answer is certified. Since the certificate, not the iterate's
-bits, decides the vertex, stopping early returns the vertex the full run
-would. Every other case (singular normal matrix, non-finite iterate,
-uncertified vertex) is solved by the HiGHS simplex on the same LP,
-re-solved on the primal if its answer fails the audit. Either way the
+The rounding bound is taken in two stages: a cheap bound from one n x p
+product clears nearly every residual, and only the rows it leaves get the
+exact bound, so the certificate decides as the exact bound on every row
+would. The certificate is tried once when the duality gap first falls
+below _IPM_CERTIFY_GAP_REL of the objective, and a certified vertex ends
+the iteration there; otherwise the iteration runs on to the _IPM_GAP_REL
+stop and its answer is certified. Since the certificate, not the
+iterate's bits, decides the vertex, stopping early returns the vertex the
+full run would. Every other case (singular normal matrix, non-finite
+iterate, uncertified vertex) is solved by the HiGHS simplex on the same
+LP, re-solved on the primal if its answer fails the audit. Either way the
 solution is vertex-exact, and each fit records which path produced it.
 The setup that does not depend on tau (the contiguous X', the
 least-squares fit that each start shifts, and the preprocessing's
@@ -37,16 +40,17 @@ subsample and band) is built once per design and shared by the grid.
 
 Designs of at least _PFN_MIN_ROWS rows first try the preprocessing step of
 Portnoy & Koenker (1997), as in Koenker's ``rq.fit.pfn``. An interior point
-on a stride subsample of about ((p+1) n)^(2/3) rows places a band around
-the fit; the rows inside it are kept, and the rows below and above it are
-each replaced by one "glob" row holding their sums of x and y. When every
-globbed row lies on its glob's side of the reduced problem's fit, the
-reduced optimum is the full one. Its vertex must pass the same certificate
-on the full data, so it is the vertex the full interior point would give;
-the reduced interior point also tries that certificate early, as above.
-When no vertex passes, the full interior point runs. Below the
-threshold the subsample and the band cost more than the smaller interior
-point saves.
+on a stride subsample of about ((p+1) n)^(2/3) rows, stopped at the loose
+gap _PFN_SUB_GAP_REL, places a band around the fit; the rows inside it are
+kept, and the rows below and above it are each replaced by one "glob" row
+holding their sums of x and y. The reduced problem's interior point starts
+from the subsample's answer. When every globbed row lies on its glob's
+side of the reduced problem's fit, the reduced optimum is the full one.
+Its vertex must pass the same certificate on the full data, so it is the
+vertex the full interior point would give; the reduced interior point
+also tries that certificate early, as above. When no vertex passes, the
+full interior point runs. Below the threshold the subsample and the band
+cost more than the smaller interior point saves.
 """
 
 from __future__ import annotations
@@ -80,6 +84,10 @@ _IPM_STEP = 0.99995
 _IPM_MAX_ITER = 100
 _IPM_GAP_REL = 1e-9
 _IPM_START_LIFT = 0.1
+# The gap stop of the preprocessing's subsample interior point. Its answer
+# only places the band and starts the reduced problem, so a loose stop
+# suffices; a one-step stop misplaces the band and doubles the subsample.
+_PFN_SUB_GAP_REL = 1e-1
 # The duality gap, relative to the objective, at which the interior point
 # first tries the exact certificate; when it refuses, the iteration goes on.
 _IPM_CERTIFY_GAP_REL = 1e-5
@@ -90,6 +98,9 @@ _DUAL_SLACK = 1e-9
 # A residual evaluated in floating point carries at most about p+1 rounding
 # errors of its terms' size; this many ulps per column leaves a margin.
 _RESID_EVAL_ULPS = 4
+# The certificate's cheap rounding bound is raised by this factor before it
+# clears a residual, far beyond the bound's own rounding of a few ulps.
+_CLEAR_MARGIN = 1.0 + 1e-9
 # Portnoy-Koenker preprocessing runs on designs with at least this many rows;
 # below it the subsample fit and the band cost more than the smaller interior
 # point saves. The kept share of the subsample size, the most wrongly globbed
@@ -134,10 +145,7 @@ class QuantileFit:
 
     @property
     def subgradient_ok(self) -> bool:
-        return (
-            self.n_neg <= self.tau * self.n_obs + 1e-9
-            and self.n_pos <= (1.0 - self.tau) * self.n_obs + 1e-9
-        )
+        return _signs_balanced((self.n_neg, self.n_pos), self.n_obs, self.tau)
 
 
 def _check_finite(**arrays) -> None:
@@ -164,11 +172,16 @@ class _Design:
     tau's start shifts (_ipm_start); it raises LinAlgError, and is not kept,
     when X'X is not positive definite. ``subsample(m)`` is the stride
     subsample of the preprocessing and the band it places (_preprocessed_vertex).
+    ``start``, when given, is the interior point's start coefficients in
+    place of the shifted least-squares fit, and ``gap_rel`` its duality gap
+    stop relative to the objective.
     """
 
-    def __init__(self, X: np.ndarray, y: np.ndarray):
+    def __init__(self, X: np.ndarray, y: np.ndarray, start=None, gap_rel=_IPM_GAP_REL):
         self.X = X
         self.y = y
+        self.start = start
+        self.gap_rel = gap_rel
         self._subsamples = {}
 
     @cached_property
@@ -194,13 +207,15 @@ class _Design:
 
     def subsample(self, m: int) -> tuple[_Design, np.ndarray]:
         """The m rows taken at an even stride, and every row's band
-        ||L^-1 x_i|| = sqrt(x_i' (X_s'X_s)^-1 x_i), X_s the subsample."""
+        ||L^-1 x_i|| = sqrt(x_i' (X_s'X_s)^-1 x_i), X_s the subsample. The
+        subsample's interior point stops at _PFN_SUB_GAP_REL: its answer
+        only places the band and starts the reduced problem."""
         if m not in self._subsamples:
             p = self.X.shape[1]
             sub = self.Xy[np.linspace(0, self.y.size - 1, m).astype(int)]
             X_s = sub[:, :p]
             band = np.sqrt(np.sum((self.X @ np.linalg.inv(X_s.T @ X_s)) * self.X, axis=1))
-            self._subsamples[m] = (_Design(X_s, sub[:, p]), band)
+            self._subsamples[m] = (_Design(X_s, sub[:, p], gap_rel=_PFN_SUB_GAP_REL), band)
         return self._subsamples[m]
 
 
@@ -214,12 +229,13 @@ def _frisch_newton(design: _Design, tau: float, certify_on: _Design | None = Non
 
         max  y'a   s.t.  X'a = (1 - tau) X'1,   0 <= a <= 1
 
-    (a = d + 1 - tau in the module docstring's form). The coefficients are
-    the dual variables of the equality constraint, and w - z = y - X beta
-    splits the residuals into their positive and negative parts. Each step
-    factors one p x p normal matrix and inverts its triangular factor once;
-    the predictor and the corrector both solve with that inverse. The start
-    is the least-squares fit shifted to the tau-quantile of its residuals
+    (a = d + 1 - tau in the module docstring's form, and s = 1 - a its
+    slack). The coefficients are the dual variables of the equality
+    constraint, and w - z = y - X beta splits the residuals into their
+    positive and negative parts. Each step factors one p x p normal matrix
+    and inverts its triangular factor once; the predictor and the corrector
+    both solve with that inverse. The start is the design's ``start``, or
+    else the least-squares fit shifted to the tau-quantile of its residuals
     (_ipm_start), so the first duality gap is close to the check loss of
     that fit.
 
@@ -228,8 +244,8 @@ def _frisch_newton(design: _Design, tau: float, certify_on: _Design | None = Non
     below _IPM_CERTIFY_GAP_REL of the objective; a certified vertex ends the
     iteration and is returned. The certificate is exact, so the vertex is
     the one the full gap stop would polish to. Otherwise iteration stops
-    once the gap falls below _IPM_GAP_REL of the objective, or after
-    _IPM_MAX_ITER steps, and the returned vertex is None: the caller
+    once the gap falls below the design's ``gap_rel`` of the objective, or
+    after _IPM_MAX_ITER steps, and the returned vertex is None: the caller
     certifies the answer, so stopping at the cap costs only a fallback.
     Raises LinAlgError when a normal matrix is not positive definite.
     """
@@ -249,15 +265,19 @@ def _frisch_newton(design: _Design, tau: float, certify_on: _Design | None = Non
     s = np.full(n, tau)
     rhs_a = (1.0 - tau) * XT.sum(axis=1)
     certify = certify_on is not None
+    gap = a @ z + s @ w
 
-    # The updates below run in place where they can, but each computes the
-    # same operations in the same order as its formula in the comment above
-    # it, so the iterate has the bits of the plain formulas.
+    # Since ds = -da, ds is never formed: with u = da / a and v = da / s the
+    # predictor's rates are ds / s = -v, dz / z = -(1 + u) and dw / w = v - 1,
+    # so both of its step lengths come from the extremes of u and v, and
+    # dz'a + dw's = da'r - gap.
     for it in range(1, _IPM_MAX_ITER + 1):
         # Affine-scaling (predictor) step.
+        inv_a = 1.0 / a
+        inv_s = 1.0 / s
         # q = 1 / (z / a + w / s)
-        q = z / a
-        q += w / s
+        q = z * inv_a
+        q += w * inv_s
         np.divide(1.0, q, out=q)
         r = w - z
         linv = np.linalg.inv(np.linalg.cholesky((XT * q) @ XT.T))
@@ -266,66 +286,67 @@ def _frisch_newton(design: _Design, tau: float, certify_on: _Design | None = Non
         rhs += a
         rhs = XT @ rhs - rhs_a
         dbeta = linv.T @ (linv @ rhs)
-        # da = q (r - X dbeta);  ds = -da
+        # da = q (r - X dbeta)
         da = dbeta @ XT
         np.subtract(r, da, out=da)
         da *= q
-        ds = -da
-        # dz = -z (da / a + 1);  dw = -w (ds / s + 1)
-        dz = da / a
-        dz += 1.0
+        u = da * inv_a
+        v = da * inv_s
+        step_p = _damped(max(-u.min(), v.max()))
+        step_d = _damped(max(1.0 + u.max(), 1.0 - v.min()))
+        # dz = -z (1 + u);  dw = w (v - 1)
+        dz = u + 1.0
         dz *= z
         np.negative(dz, out=dz)
-        dw = ds / s
-        dw += 1.0
+        dw = v - 1.0
         dw *= w
-        np.negative(dw, out=dw)
-        step_p, step_d = _step_lengths(a, s, z, w, da, ds, dz, dw)
         if min(step_p, step_d) < 1.0:
             # Mehrotra corrector: recentre towards the predicted gap.
-            mu = a @ z + s @ w
+            da_r = da @ r
             g = (
-                mu
-                + step_p * (da @ z + ds @ w)
-                + step_d * (dz @ a + dw @ s)
-                + step_p * step_d * (dz @ da + ds @ dw)
+                gap
+                - step_p * da_r
+                + step_d * (da_r - gap)
+                + step_p * step_d * (dz @ da - dw @ da)
             )
-            mu = mu * (g / mu) ** 3 / (2.0 * n)
-            # dr = q (mu (1 / s - 1 / a) + da dz / a - ds dw / s)
-            dadz = da * dz
-            dadz /= a
-            dsdw = ds * dw
-            dsdw /= s
-            dr = 1.0 / s
-            dr -= 1.0 / a
+            mu = gap * (g / gap) ** 3 / (2.0 * n)
+            # dr = q (mu (1 / s - 1 / a) + u dz + v dw)
+            udz = u * dz
+            vdw = v * dw
+            dr = inv_s - inv_a
             dr *= mu
-            dr += dadz
-            dr -= dsdw
+            dr += udz
+            dr += vdw
             dr *= q
             dbeta = linv.T @ (linv @ (rhs - XT @ dr))
-            # da = q (r - X dbeta) - dr;  ds = -da
+            # da = q (r - X dbeta) - dr
             da = dbeta @ XT
             np.subtract(r, da, out=da)
             da *= q
             da -= dr
-            ds = -da
-            # dz = mu / a - z - z da / a - da_pred dz_pred / a
-            dz = mu / a
+            # dz = mu / a - z - z da / a - u dz_pred
+            np.multiply(da, inv_a, out=u)
+            u_min = u.min()
+            u *= z
+            dz = inv_a * mu
             dz -= z
-            tmp = z * da
-            tmp /= a
-            dz -= tmp
-            dz -= dadz
-            # dw = mu / s - w - w ds / s - ds_pred dw_pred / s
-            dw = mu / s
+            dz -= u
+            dz -= udz
+            # dw = mu / s - w + w da / s + v dw_pred
+            np.multiply(da, inv_s, out=v)
+            v_max = v.max()
+            v *= w
+            dw = inv_s * mu
             dw -= w
-            tmp = w * ds
-            tmp /= s
-            dw -= tmp
-            dw -= dsdw
-            step_p, step_d = _step_lengths(a, s, z, w, da, ds, dz, dw)
-        a += step_p * da
-        s += step_p * ds
+            dw += v
+            dw += vdw
+            step_p = _damped(max(-u_min, v_max))
+            np.divide(dz, z, out=u)
+            np.divide(dw, w, out=v)
+            step_d = _damped(-min(u.min(), v.min()))
+        da *= step_p
+        a += da
+        s -= da
         beta += step_d * dbeta
         z += step_d * dz
         w += step_d * dw
@@ -334,7 +355,7 @@ def _frisch_newton(design: _Design, tau: float, certify_on: _Design | None = Non
         if not np.isfinite(gap):
             break
         objective = tau * w.sum() + (1.0 - tau) * z.sum()
-        if gap <= _IPM_GAP_REL * objective:
+        if gap <= design.gap_rel * objective:
             break
         if certify and gap <= _IPM_CERTIFY_GAP_REL * objective:
             certify = False
@@ -345,39 +366,41 @@ def _frisch_newton(design: _Design, tau: float, certify_on: _Design | None = Non
     return beta, it, None
 
 
+def _damped(rate: float) -> float:
+    """The damped step length for variables that reach zero at step 1 / rate
+    at the soonest: the longest step that keeps every variable positive."""
+    return min(1.0, _IPM_STEP / rate) if rate > 0.0 else 1.0
+
+
+def _order_statistics(values: np.ndarray, levels) -> np.ndarray:
+    """The order statistics of values at the lower ends of numpy's linear
+    quantiles at levels: one partition instead of np.quantile's sort and
+    interpolation."""
+    ranks = [int(q * (values.size - 1)) for q in levels]
+    return np.partition(values, ranks)[ranks]
+
+
 def _ipm_start(design: _Design, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Start coefficients and residuals: the least-squares fit shifted by the
-    tau-quantile of its residuals, so that a tau share of them is negative
-    whenever the design spans the constant. At tau near 0 or 1 this start
-    sits far closer to the optimum than the least-squares fit itself."""
-    ls, resid = design.least_squares
-    beta = ls[:, 0] + np.quantile(resid, tau) * ls[:, 1]
+    """Start coefficients and residuals: the design's ``start``, or else the
+    least-squares fit shifted by an order statistic of its residuals at
+    tau, so that a tau share of them is negative whenever the design spans
+    the constant. At tau near 0 or 1 this start sits far closer to the
+    optimum than the least-squares fit itself."""
+    if design.start is not None:
+        beta = np.array(design.start, dtype=float)
+    else:
+        ls, resid = design.least_squares
+        beta = ls[:, 0] + _order_statistics(resid, [tau])[0] * ls[:, 1]
     return beta, design.y - beta @ design.XT
-
-
-def _step_lengths(a, s, z, w, da, ds, dz, dw) -> tuple[float, float]:
-    """Damped primal and dual step lengths that keep every variable positive.
-
-    A variable v falling at rate dv < 0 reaches zero at step -v/dv, so the
-    longest step is 1 / max(-dv/v). That rate is taken as -min(dv/v), which
-    is the same number, since negation is exact, without negating the rates.
-    """
-
-    def damped(rate):
-        return min(1.0, _IPM_STEP / rate) if rate > 0.0 else 1.0
-
-    return (
-        damped(-min(np.min(da / a), np.min(ds / s))),
-        damped(-min(np.min(dz / z), np.min(dw / w))),
-    )
 
 
 def _certified_vertex(X: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float):
     """The vertex through the p smallest residuals at beta, if provably optimal.
 
     The basis h interpolates to within _ZERO_REL_TOL; every other residual
-    must be nonzero beyond its rounding error (_residual_rounding), so that
-    its sign is known, and the basis multipliers v solving
+    must be nonzero beyond its rounding error (_residual_rounding, on the
+    rows that the cheaper _unclear_rows leaves), so that its sign is known,
+    and the basis multipliers v solving
     X_h'v = -X_N'psi_tau(r_N) must lie in [tau - 1, tau]. Then zero lies in
     the subdifferential of the check loss, so the vertex is an exact
     minimizer. A non-basis residual inside the audit's zero band but beyond
@@ -393,40 +416,66 @@ def _certified_vertex(X: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float
         return None
     vertex = np.linalg.solve(X_h, y[h])
     resid = y - X @ vertex
-    if np.any(np.abs(resid[h]) > _zero_tol(y)):
+    tol = _zero_tol(y)
+    if np.any(np.abs(resid[h]) > tol):
         return None
-    # Row i holds x_i' X_h^{-1}: row i of X in the basis rows' coordinates.
-    # One n x p product; the rows' solves would cost twice as much.
-    coords = X @ np.linalg.inv(X_h)
+    inv_h = np.linalg.inv(X_h)
+    basis_terms = np.abs(resid[h]) + _evaluation_rounding(X_h, y[h], vertex)
     nonbasis = np.ones(y.size, dtype=bool)
     nonbasis[h] = False
-    rounding = _residual_rounding(X, y, vertex, resid, h, coords)
-    if np.any(np.abs(resid[nonbasis]) <= rounding[nonbasis]):
-        return None
+    rows = np.flatnonzero(_unclear_rows(X, y, vertex, resid, inv_h, basis_terms) & nonbasis)
+    if rows.size:
+        # Row i of coords holds x_i' X_h^{-1}: row i of X in the basis rows'
+        # coordinates, needed only on the rows the first bound left.
+        coords = X[rows] @ inv_h
+        rounding = _residual_rounding(X[rows], y[rows], vertex, coords, basis_terms)
+        if np.any(np.abs(resid[rows]) <= rounding):
+            return None
     psi = np.where(resid < 0.0, tau - 1.0, tau)
     psi[h] = 0.0
-    v = -(psi @ coords)
+    v = -((psi @ X) @ inv_h)
     if np.any(v < tau - 1.0 - _DUAL_SLACK) or np.any(v > tau + _DUAL_SLACK):
         return None
-    if not _sign_counts_ok(X, y, vertex, tau):
+    if not _signs_balanced(_sign_counts(resid, tol), y.size, tau):
         return None
     return vertex
 
 
-def _residual_rounding(X, y, vertex, resid, h, coords) -> np.ndarray:
-    """Bound on |computed - exact| residual at the exact vertex through h.
+def _evaluation_rounding(X, y, vertex) -> np.ndarray:
+    """Bound on the rounding of each computed residual y_i - x_i . vertex:
+    _RESID_EVAL_ULPS * p units in the last place of |y_i| + |x_i| . |vertex|."""
+    p = X.shape[1]
+    return _RESID_EVAL_ULPS * p * np.finfo(float).eps * (np.abs(y) + np.abs(X) @ np.abs(vertex))
+
+
+def _residual_rounding(X, y, vertex, coords, basis_terms) -> np.ndarray:
+    """Bound on |computed - exact| residual at the exact vertex through the
+    basis h, for the rows (X, y) whose basis coordinates are coords.
 
     The exact vertex differs from the computed one by X_h^{-1} rho, rho
     being the exact basis residuals, so the exact residual i is
     r_i - coords_i . rho. Each computed residual is within
-    _RESID_EVAL_ULPS * p units in the last place of |y_i| + |x_i| . |vertex|
-    of its exact value.
+    _evaluation_rounding of its exact value, so |rho| is at most
+    ``basis_terms``: the computed basis residuals' sizes plus their bounds.
     """
-    p = X.shape[1]
-    evaluation = (
-        _RESID_EVAL_ULPS * p * np.finfo(float).eps * (np.abs(y) + np.abs(X) @ np.abs(vertex))
-    )
-    return evaluation + np.abs(coords) @ (np.abs(resid[h]) + evaluation[h])
+    return _evaluation_rounding(X, y, vertex) + np.abs(coords) @ basis_terms
+
+
+def _unclear_rows(X, y, vertex, resid, inv_h, basis_terms) -> np.ndarray:
+    """Rows whose residual the cheap rounding bound does not clear.
+
+    Since |x_i' X_h^{-1}| <= |x_i|' |X_h^{-1}| elementwise, the bound of
+    _residual_rounding is at most c max|y| + |x_i|' (c |vertex| +
+    |X_h^{-1}| basis_terms), c its ulps factor: one n x p product, with no
+    n x p coordinates. That is raised by _CLEAR_MARGIN against its own
+    rounding, so every row it clears the exact bound clears too, and the
+    certificate decides as if every row took the exact bound.
+    """
+    ulps = _RESID_EVAL_ULPS * X.shape[1] * np.finfo(float).eps
+    per_column = ulps * np.abs(vertex) + np.abs(inv_h) @ basis_terms
+    bound = np.abs(X) @ (per_column * _CLEAR_MARGIN)
+    bound += ulps * _CLEAR_MARGIN * float(np.max(np.abs(y)))
+    return np.abs(resid) <= bound
 
 
 def _preprocessed_vertex(design: _Design, tau: float):
@@ -436,17 +485,18 @@ def _preprocessed_vertex(design: _Design, tau: float):
     The preprocessing of Portnoy & Koenker (1997), as in Koenker's
     ``rq.fit.pfn``, with a stride subsample so that fits stay deterministic:
 
-    1. Fit m = ((p+1) n)^(2/3) rows taken at an even stride.
+    1. Fit m = ((p+1) n)^(2/3) rows taken at an even stride, to the loose
+       gap _PFN_SUB_GAP_REL.
     2. Scale each residual by its band ||L^-1 x_i||, L the Cholesky factor
        of the subsample's X'X, and keep the _PFN_KEEP * m rows whose scaled
        residuals lie nearest the tau-quantile of them all.
     3. Replace the rows below that range by one pseudo-row (their sums of x
        and y), and the rows above it by another: the natural globs.
-    4. Fit the reduced problem. If no globbed row has a residual of the
-       wrong sign, its optimum is the full problem's. Otherwise move the
-       wrong rows out of their globs and fit again, at most _PFN_FIXUPS
-       times, or double m when more than _PFN_MAX_WRONG of the kept count
-       are wrong.
+    4. Fit the reduced problem, starting from the subsample's answer. If no
+       globbed row has a residual of the wrong sign, its optimum is the full
+       problem's. Otherwise move the wrong rows out of their globs and fit
+       again, at most _PFN_FIXUPS times, or double m when more than
+       _PFN_MAX_WRONG of the kept count are wrong.
 
     The subsample and its band do not depend on tau, so a grid shares them
     (_Design.subsample). The answer is accepted only through
@@ -460,11 +510,11 @@ def _preprocessed_vertex(design: _Design, tau: float):
     steps = 0
     while m < n:
         sub, band = design.subsample(m)
-        beta, k, _ = _frisch_newton(sub, tau)
+        start, k, _ = _frisch_newton(sub, tau)
         steps += k
-        scaled = (y - X @ beta) / band
+        scaled = (y - X @ start) / band
         kept = _PFN_KEEP * m
-        lo, hi = np.quantile(
+        lo, hi = _order_statistics(
             scaled,
             [max(1.0 / n, tau - kept / (2.0 * n)), min(tau + kept / (2.0 * n), (n - 1.0) / n)],
         )
@@ -474,7 +524,7 @@ def _preprocessed_vertex(design: _Design, tau: float):
             mid = ~(below | above)
             reduced = np.vstack([Xy[mid]] + [glob @ Xy for glob in (below, above) if glob.any()])
             beta, k, vertex = _frisch_newton(
-                _Design(reduced[:, :p], reduced[:, p]), tau, certify_on=design
+                _Design(reduced[:, :p], reduced[:, p], start=start), tau, certify_on=design
             )
             steps += k
             if vertex is not None:
@@ -576,16 +626,20 @@ def _zero_tol(y: np.ndarray) -> float:
     return _ZERO_REL_TOL * max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
 
 
-def _sign_counts(X, y, beta, tau) -> tuple[int, int]:
-    resid = y - X @ beta
-    tol = _zero_tol(y)
-    return int(np.sum(resid < -tol)), int(np.sum(resid > tol))
+def _sign_counts(resid: np.ndarray, tol: float) -> tuple[int, int]:
+    """Residuals below -tol and above tol."""
+    return int(np.count_nonzero(resid < -tol)), int(np.count_nonzero(resid > tol))
+
+
+def _signs_balanced(counts: tuple[int, int], n: int, tau: float) -> bool:
+    """The subgradient audit: at most tau n negative and (1 - tau) n
+    positive residuals."""
+    n_neg, n_pos = counts
+    return n_neg <= tau * n + 1e-9 and n_pos <= (1.0 - tau) * n + 1e-9
 
 
 def _sign_counts_ok(X, y, beta, tau) -> bool:
-    n_neg, n_pos = _sign_counts(X, y, beta, tau)
-    n = y.size
-    return n_neg <= tau * n + 1e-9 and n_pos <= (1.0 - tau) * n + 1e-9
+    return _signs_balanced(_sign_counts(y - X @ beta, _zero_tol(y)), y.size, tau)
 
 
 def _tau_levels(tau) -> tuple:
@@ -604,7 +658,8 @@ def _fit_levels(X, y, levels, spec: SplineSpec, conditional: bool) -> tuple:
     fits = []
     for tau in levels:
         beta, solver, ipm_steps, pfn_fallback = _solve_check_loss(design, tau)
-        n_neg, n_pos = _sign_counts(X, y, beta, tau)
+        resid = y - X @ beta
+        n_neg, n_pos = _sign_counts(resid, _zero_tol(y))
         fits.append(QuantileFit(
             tau=tau,
             spec=spec,
@@ -612,7 +667,7 @@ def _fit_levels(X, y, levels, spec: SplineSpec, conditional: bool) -> tuple:
             beta0=float(beta[k]) if conditional else 0.0,
             beta1=float(beta[k + 1]) if conditional else 0.0,
             conditional=conditional,
-            objective=float(np.sum(pinball_loss(y - X @ beta, tau))),
+            objective=float(np.sum(pinball_loss(resid, tau))),
             n_obs=y.size,
             n_neg=n_neg,
             n_pos=n_pos,

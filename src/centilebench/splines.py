@@ -88,27 +88,29 @@ def design_matrix(spec: SplineSpec, times) -> np.ndarray:
     knots = np.asarray(spec.knots)
     n_spans = len(knots) - 1
 
+    # The recursion runs on an (n_spans, n) array, so that each basis
+    # function is one contiguous row, and is transposed once at the end.
     # Degree-0 seed: indicator of the half-open knot span, except the last
     # nonempty span which also owns the upper boundary.
     last_nonempty = max(j for j in range(n_spans) if knots[j] < knots[j + 1])
-    basis = np.zeros((t.size, n_spans))
+    basis = np.zeros((n_spans, t.size))
     for j in range(n_spans):
         if j == last_nonempty:
-            basis[:, j] = (knots[j] <= t) & (t <= knots[j + 1])
+            basis[j] = (knots[j] <= t) & (t <= knots[j + 1])
         else:
-            basis[:, j] = (knots[j] <= t) & (t < knots[j + 1])
+            basis[j] = (knots[j] <= t) & (t < knots[j + 1])
 
     for d in range(1, spec.degree + 1):
-        nxt = np.zeros((t.size, n_spans - d))
+        nxt = np.zeros((n_spans - d, t.size))
         for j in range(n_spans - d):
             den_left = knots[j + d] - knots[j]
             den_right = knots[j + d + 1] - knots[j + 1]
-            term = np.zeros(t.size)
+            # Adding into the zero row, not assigning, turns a -0.0 term into
+            # +0.0, as a sum from zero does.
             if den_left > 0.0:
-                term += (t - knots[j]) / den_left * basis[:, j]
+                nxt[j] += (t - knots[j]) / den_left * basis[j]
             if den_right > 0.0:
-                term += (knots[j + d + 1] - t) / den_right * basis[:, j + 1]
-            nxt[:, j] = term
+                nxt[j] += (knots[j + d + 1] - t) / den_right * basis[j + 1]
         basis = nxt
 
-    return basis[:, : spec.n_basis]
+    return np.ascontiguousarray(basis[: spec.n_basis].T)

@@ -94,6 +94,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="schedule span"):
             ExperimentConfig(prior_week=12.0)
 
+    def test_schedule_must_lie_in_the_study_window(self):
+        # Without LMS or MVN no adjacency check reads the schedule, so only
+        # the span check stops this design before any replication runs.
+        early = VisitSchedule(windows=((12.0, 16.0), (16.0, 20.0), (20.0, 24.0)))
+        late = VisitSchedule(windows=((28.0, 32.0), (32.0, 38.0)))
+        for schedule in (early, late):
+            with pytest.raises(ValueError, match="exceeds the study window"):
+                ExperimentConfig(methods=("QR",), schedule=schedule)
+
     @pytest.mark.parametrize("methods", [("QR",), ("LMS",), ("MVN",), ("QR", "LMS", "MVN")])
     @pytest.mark.parametrize("eval_week", [22.0, 26.0])
     def test_prior_week_precedes_conditional_week(self, methods, eval_week):

@@ -235,6 +235,25 @@ class TestPatternMoments:
             ):
                 assert fit == _fit_or_error(cohort, spec5)
 
+    def test_pattern_codes_hold_64_visits(self, model, spec5):
+        # Each pattern is a 64-bit code: 64 visits group as the reference
+        # does, and a 65th is refused rather than folded onto another bit.
+        for n_visits in (64, 65):
+            edges = np.linspace(16.0, 36.0, n_visits + 1)
+            schedule = VisitSchedule(windows=tuple(zip(edges[:-1], edges[1:])))
+            cohort = generate_cohort(model, schedule, 30, RngStream(4).child(0))
+            if n_visits == 65:
+                with pytest.raises(ValueError, match="at most 64 visits"):
+                    _pattern_moments(cohort, spec5, 4.2)
+                continue
+            got, got_n = _pattern_moments(cohort, spec5, 4.2)
+            want, want_n = reference_pattern_moments(cohort, spec5, 4.2)
+            assert got_n == want_n
+            assert [g["count"] for g in got] == [w["count"] for w in want]
+            for g, w in zip(got, want):
+                for name in ("gaps", "sxx", "sxy", "syy"):
+                    assert np.array_equal(g[name], w[name]), name
+
     @pytest.mark.parametrize("n_subjects", [30, 1000])
     def test_one_basis_call_per_fit(self, model, schedule, spec5, monkeypatch, n_subjects):
         calls = []

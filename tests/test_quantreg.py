@@ -477,6 +477,36 @@ class TestCertificate:
         # The early try certifies most fits (9 and 8 of 10 on these designs).
         assert early_count >= 8
 
+    @pytest.mark.parametrize("n_subjects", [1000, 5000])
+    def test_first_bound_covers_the_exact_one(self, n_subjects):
+        # The first stage may clear a residual only where the exact rounding
+        # bound clears it too; at the optimum it clears every non-basis row.
+        rng = np.random.default_rng(n_subjects)
+        for X, y in _cohort_designs(n_subjects, 2):
+            n, p = X.shape
+            for tau in (0.1, 0.5):
+                vertex = _full_vertex(X, y, tau)
+                resid = y - X @ vertex
+                h = np.sort(np.argpartition(np.abs(resid), p - 1)[:p])
+                inv_h = np.linalg.inv(X[h])
+                nonbasis = np.ones(n, dtype=bool)
+                nonbasis[h] = False
+                evaluation = (
+                    quantreg._RESID_EVAL_ULPS * p * np.finfo(float).eps
+                    * (np.abs(y) + np.abs(X) @ np.abs(vertex))
+                )
+                terms = np.abs(resid[h]) + evaluation[h]
+                unclear = quantreg._unclear_rows(X, y, vertex, resid, inv_h, terms)
+                assert not np.any(unclear & nonbasis)
+                coords = np.linalg.solve(X[h].T, X.T).T
+                exact = evaluation + np.abs(coords) @ terms
+                # Residuals placed at, just beyond, and around the exact bound.
+                factors = rng.choice([0.5, 1.0, 1.0 + 1e-12, 1.5, 3.0], size=n)
+                signs = rng.choice([-1.0, 1.0], size=n)
+                placed = np.where(nonbasis, exact * factors * signs, resid)
+                unclear = quantreg._unclear_rows(X, y, vertex, placed, inv_h, terms)
+                assert np.all(unclear[nonbasis & (np.abs(placed) <= exact)])
+
 
 TAUS = (0.03, 0.10, 0.50, 0.90, 0.97)
 
@@ -567,6 +597,38 @@ class TestPreprocessing:
         # back in it; the subsample is never doubled.
         assert len(rows) >= 3 and rows[2] > rows[1]
         assert 2 * rows[0] not in rows
+
+    def test_loose_subsample_stop_and_warm_started_reduced_problem(self, monkeypatch):
+        # The subsample's interior point stops at the loose gap, in fewer
+        # steps than the full stop takes on the same subsample, and every
+        # reduced interior point starts from the subsample's answer.
+        calls = []
+        real = quantreg._frisch_newton
+
+        def recording(design, tau, certify_on=None):
+            out = real(design, tau, certify_on)
+            calls.append((design, certify_on, out))
+            return out
+
+        monkeypatch.setattr(quantreg, "_frisch_newton", recording)
+        for X, y in _cohort_designs(5000, 1):
+            design = _Design(X, y)
+            for tau in TAUS:
+                calls.clear()
+                vertex, _ = _preprocessed_vertex(design, tau)
+                assert vertex is not None
+                assert hexes(vertex) == hexes(_full_vertex(X, y, tau))
+                assert calls[0][1] is None
+                for sub, certify_on, (answer, steps, _) in calls:
+                    if certify_on is None:
+                        assert sub.gap_rel == quantreg._PFN_SUB_GAP_REL
+                        full_steps = frisch_newton(sub.X, sub.y, tau)[1]
+                        assert steps < full_steps
+                        start = answer
+                    else:
+                        assert certify_on is design
+                        assert hexes(sub.start) == hexes(start)
+                        assert hexes(_ipm_start(sub, tau)[0]) == hexes(start)
 
     def test_many_wrong_rows_double_the_subsample(self, monkeypatch):
         X, y = _stride_design(10_000, 0, 1.0)

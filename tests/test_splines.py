@@ -115,6 +115,69 @@ class TestDesignMatrix:
         assert np.array_equal(rows, np.ones((3, 1)))
 
 
+def column_loop_design_matrix(spec, times):
+    """The basis built column by column in an (n, n_spans) array: the
+    oracle for design_matrix's row-major recursion, which must give the
+    same bits."""
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    knots = np.asarray(spec.knots)
+    n_spans = len(knots) - 1
+    last_nonempty = max(j for j in range(n_spans) if knots[j] < knots[j + 1])
+    basis = np.zeros((t.size, n_spans))
+    for j in range(n_spans):
+        if j == last_nonempty:
+            basis[:, j] = (knots[j] <= t) & (t <= knots[j + 1])
+        else:
+            basis[:, j] = (knots[j] <= t) & (t < knots[j + 1])
+    for d in range(1, spec.degree + 1):
+        nxt = np.zeros((t.size, n_spans - d))
+        for j in range(n_spans - d):
+            den_left = knots[j + d] - knots[j]
+            den_right = knots[j + d + 1] - knots[j + 1]
+            term = np.zeros(t.size)
+            if den_left > 0.0:
+                term += (t - knots[j]) / den_left * basis[:, j]
+            if den_right > 0.0:
+                term += (knots[j + d + 1] - t) / den_right * basis[:, j + 1]
+            nxt[:, j] = term
+        basis = nxt
+    return basis[:, : spec.n_basis]
+
+
+_ORACLE_SPECS = [
+    SplineSpec(),
+    SplineSpec(n_basis=7),
+    SplineSpec(degree=0, n_basis=1),
+    SplineSpec(degree=1, n_basis=4),
+    SplineSpec(degree=2, n_basis=6, interior_knots=(20.0, 20.0, 30.0)),
+]
+
+
+class TestColumnLoopOracle:
+    @given(
+        spec=st.sampled_from(_ORACLE_SPECS),
+        random_times=st.lists(st.floats(16.0, 36.0), max_size=40),
+        at_knots=st.integers(0, 3),
+    )
+    def test_same_bits_shape_and_layout(self, spec, random_times, at_knots):
+        # Times at every knot (both boundaries among them), repeated, and
+        # random times in between.
+        t = np.array(list(spec.knots) * at_knots + random_times, dtype=float)
+        got = design_matrix(spec, t)
+        want = column_loop_design_matrix(spec, t)
+        assert got.shape == want.shape == (t.size, spec.n_basis)
+        assert got.flags.c_contiguous
+        assert [x.hex() for x in got.ravel()] == [x.hex() for x in want.ravel()]
+
+    def test_large_cohort_sized_basis(self, spec5):
+        t = np.random.default_rng(17).uniform(16.0, 36.0, 20_086)
+        got = design_matrix(spec5, t)
+        assert got.flags.c_contiguous
+        assert [x.hex() for x in got.ravel()] == [
+            x.hex() for x in column_loop_design_matrix(spec5, t).ravel()
+        ]
+
+
 class TestNonFiniteTimes:
     @given(
         bad=st.sampled_from([math.nan, math.inf, -math.inf]),
