@@ -19,6 +19,7 @@ from . import __version__
 from .cohort import VisitSchedule, generate_cohort
 from .experiment import (
     ExperimentConfig,
+    SummaryRow,
     emit_true_centiles,
     run_conditional_experiment,
     run_drift_report,
@@ -120,8 +121,7 @@ def _simulate(cfg: ExperimentConfig, args):
 def _table(runner):
     def run(cfg: ExperimentConfig, args):
         payload = runner(cfg).to_payload()
-        fields = ["method", "week", "tau", "path", "mean_mmhg", "sd_mmhg", "n_reps"]
-        return payload, payload["rows"], fields
+        return payload, payload["rows"], [f.name for f in dataclasses.fields(SummaryRow)]
 
     return run
 

@@ -51,14 +51,6 @@ class Cohort:
     values: np.ndarray  # (n_subjects, n_intervals), mmHg
     observed: np.ndarray  # (n_subjects, n_intervals), bool
 
-    @property
-    def n_subjects(self) -> int:
-        return self.times.shape[0]
-
-    @property
-    def n_intervals(self) -> int:
-        return self.times.shape[1]
-
     def observed_points(self) -> tuple[np.ndarray, np.ndarray]:
         """Times and values of observed measurements only."""
         mask = self.observed

@@ -11,6 +11,7 @@ and the screening headline numbers.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from functools import partial
@@ -110,6 +111,12 @@ class ExperimentConfig:
             self, "paths", tuple((str(n), float(r)) for n, r in self.paths)
         )
         object.__setattr__(self, "methods", tuple(self.methods))
+        # A fractional count or seed would be truncated, or fail mid-run.
+        for name in ("n_reps", "n_subjects", "workers", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.n_reps < 1 or self.n_subjects < 1:
             raise ValueError("n_reps and n_subjects must be positive")
         if any(not 0.0 < t < 1.0 for t in self.tau_grid):
@@ -163,36 +170,30 @@ class ExperimentConfig:
         }
 
     def describe(self) -> dict:
-        """JSON-able echo of the experiment design (excludes execution details
-        such as worker count, which do not affect results)."""
-        return {
-            "n_reps": self.n_reps,
-            "n_subjects": self.n_subjects,
-            "master_seed": self.master_seed,
-            "tau_grid": list(self.tau_grid),
-            "eval_weeks_marginal": list(self.eval_weeks_marginal),
-            "eval_week_conditional": self.eval_week_conditional,
-            "prior_week": self.prior_week,
-            "paths": {name: rank for name, rank in self.paths},
-            "methods": list(self.methods),
-            "qr_pair_mode": self.qr_pair_mode,
-            "model": {
-                "c0": self.model.c0,
-                "c2": self.model.c2,
-                "c3": self.model.c3,
-                "sigma": self.model.sigma,
-                "rho": self.model.rho,
-            },
-            "schedule": {
-                "windows": [list(w) for w in self.schedule.windows],
-                "attendance_prob": self.schedule.attendance_prob,
-            },
-            "spline": {
-                "degree": self.spline.degree,
-                "n_basis": self.spline.n_basis,
-                "knots": list(self.spline.knots),
-            },
+        """JSON-able echo of the design: every field, nested sections too,
+        with tuples as lists. ``workers`` is left out, since it does not
+        affect results, and the ``qr_pair_mode`` constant is added; paths
+        echo as a name -> rank map, and the spline as its degree, size and
+        full knot vector."""
+        echo = _as_lists(asdict(self))
+        del echo["workers"]
+        echo["paths"] = dict(self.paths)
+        echo["qr_pair_mode"] = self.qr_pair_mode
+        echo["spline"] = {
+            "degree": self.spline.degree,
+            "n_basis": self.spline.n_basis,
+            "knots": list(self.spline.knots),
         }
+        return echo
+
+
+def _as_lists(value):
+    """``value`` with every tuple, at any depth, made a list, as JSON reads it."""
+    if isinstance(value, dict):
+        return {key: _as_lists(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 from .cohort import PairSet, VisitSchedule
 from .errors import FitError
 from .numerics import std_normal_quantile
-from .splines import SplineSpec, design_matrix
+from .splines import SplineSpec, design_matrix, spline_values
 
 __all__ = [
     "LMSFit",
@@ -295,8 +295,8 @@ def fit_lms(times, values, spec: SplineSpec) -> LMSFit:
 def lms_zscore(fit: LMSFit, t, y):
     """z-score of measurement y at age t under the fitted L/M/S curves."""
     y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr <= 0.0):
-        raise ValueError("measurements must be positive")
+    if not np.all(np.isfinite(y_arr) & (y_arr > 0.0)):
+        raise ValueError("measurements must be positive and finite")
     L, M, S = fit.curves_at(np.atleast_1d(t))
     out = _boxcox_z(L, S, np.log(y_arr / M))
     return float(out[0]) if np.ndim(t) == 0 and np.ndim(y) == 0 else out
@@ -320,16 +320,14 @@ def _from_zscore(L: float, M: float, S: float, z: float) -> float:
 def lms_centile(fit: LMSFit, t, tau):
     """Marginal tau-centile: the inverse transform of the normal quantile.
 
-    t broadcasts against tau, and scalars give a float. Each row of the one
-    basis is multiplied on its own, since a multi-row product may round
-    differently, and the inverse runs per cell in ``math``, whose log1p and
+    t broadcasts against tau, and scalars give a float. The curves come from
+    spline_values, and the inverse runs per cell in ``math``, whose log1p and
     exp numpy does not match: every element has the bits of its scalar call.
     """
     t, z = np.broadcast_arrays(np.asarray(t, dtype=float), std_normal_quantile(tau))
-    basis = design_matrix(fit.spec, t.ravel())
-    l, m, s = (np.asarray(c) for c in (fit.l_coefs, fit.m_coefs, fit.s_coefs))
-    M, S = np.exp([[row @ m for row in basis], [row @ s for row in basis]]).tolist()
-    cells = zip([float(row @ l) for row in basis], M, S, z.ravel().tolist())
+    L, ln_m, ln_s = spline_values(fit.spec, t.ravel(), fit.l_coefs, fit.m_coefs, fit.s_coefs)
+    M, S = np.exp([ln_m, ln_s]).tolist()
+    cells = zip(L.tolist(), M, S, z.ravel().tolist())
     out = np.array([_from_zscore(*cell) for cell in cells]).reshape(t.shape)
     return float(out) if out.ndim == 0 else out
 

@@ -27,7 +27,7 @@ import numpy as np
 from .cohort import Cohort, VisitSchedule
 from .errors import FitError
 from .numerics import std_normal_quantile
-from .splines import SplineSpec, design_matrix
+from .splines import SplineSpec, design_matrix, spline_values
 
 __all__ = [
     "MVNFit",
@@ -54,7 +54,6 @@ class MVNFit:
     sigma_hat: float
     rho_hat: float
     loglik: float = float("nan")
-    n_obs: int = 0
     schedule: VisitSchedule = VisitSchedule()
     brent_evals: int = 0
 
@@ -65,10 +64,9 @@ class MVNFit:
             raise ValueError("rho_hat must lie strictly in (-1, 1)")
 
     def mean_at(self, t) -> np.ndarray:
-        """Log-scale mean at the given times. Each basis row is multiplied on
-        its own, so an element has the bits of a call at that time alone."""
-        coefs = np.asarray(self.mean_coefs)
-        return np.array([row @ coefs for row in design_matrix(self.spec, t)])
+        """Log-scale mean at the given times, from spline_values: an element
+        has the bits of a call at that time alone."""
+        return spline_values(self.spec, t, self.mean_coefs)[0]
 
 
 def _pattern_moments(cohort: Cohort, spec: SplineSpec, center: float):
@@ -291,7 +289,6 @@ def fit_mvn(cohort: Cohort, spec: SplineSpec) -> MVNFit:
         sigma_hat=sigma,
         rho_hat=rho,
         loglik=float(ll),
-        n_obs=n_obs,
         schedule=cohort.schedule,
         brent_evals=nfev,
     )
@@ -312,10 +309,11 @@ def mvn_conditional_centile(fit: MVNFit, t_prev: float, y_prev, t_cur: float, ta
     broadcasts against tau, and scalars give a float; ``math`` takes the log
     of y_prev, so each element has the bits of its scalar call.
     """
-    if np.any(np.asarray(y_prev) <= 0.0):
-        raise ValueError(f"previous measurement must be positive, got {y_prev!r}")
+    prev = np.asarray(y_prev, dtype=float)
+    if not np.all(np.isfinite(prev) & (prev > 0.0)):
+        raise ValueError(f"previous measurement must be positive and finite, got {y_prev!r}")
     fit.schedule.check_adjacent(t_prev, t_cur)
-    y_prev, q = np.broadcast_arrays(np.asarray(y_prev, dtype=float), std_normal_quantile(tau))
+    y_prev, q = np.broadcast_arrays(prev, std_normal_quantile(tau))
     log_prev = np.array([math.log(y) for y in y_prev.ravel().tolist()]).reshape(y_prev.shape)
     mean_cur, mean_prev = fit.mean_at([t_cur, t_prev])
     mu_cond = mean_cur + fit.rho_hat * (log_prev - mean_prev)

@@ -6,6 +6,7 @@ quantile regression, and splittable deterministic random-number streams.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,12 +214,21 @@ class RngStream:
     path: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not 0 <= int(self.master_seed) < 2 ** 64:
+        # Integers only: int() would truncate a fractional seed or index.
+        try:
+            seed = operator.index(self.master_seed)
+            path = tuple(operator.index(k) for k in self.path)
+        except TypeError:
+            raise ValueError(
+                f"master_seed and path entries must be integers, got "
+                f"{self.master_seed!r} and {self.path!r}"
+            ) from None
+        if not 0 <= seed < 2 ** 64:
             raise ValueError("master_seed must be an unsigned 64-bit integer")
-        path = tuple(int(k) for k in self.path)
         if any(k < 0 for k in path):
             # SeedSequence's own message, raised where the descriptor is built.
             raise ValueError("expected non-negative integer")
+        object.__setattr__(self, "master_seed", seed)
         object.__setattr__(self, "path", path)
 
     def child(self, *indices: int) -> "RngStream":
@@ -247,7 +257,7 @@ class RngStream:
             raise ValueError(f"n must lie in [0, 2**32], got {n}")
         if size < 0:
             raise ValueError(f"size must be nonnegative, got {size}")
-        seed_words = _u32_words(int(self.master_seed))
+        seed_words = _u32_words(self.master_seed)
         path_words = [w for k in self.path for w in _u32_words(k)]
 
         # SeedSequence.mix_entropy on the entropy words. A spawn key is

@@ -63,7 +63,7 @@ import numpy as np
 from .cohort import PairSet
 from .errors import FitError
 from .numerics import pinball_loss
-from .splines import SplineSpec, design_matrix
+from .splines import SplineSpec, design_matrix, spline_values
 
 __all__ = [
     "QuantileFit",
@@ -412,14 +412,18 @@ def _certified_vertex(X: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float
     resid = y - X @ beta
     h = np.sort(np.argpartition(np.abs(resid), p - 1)[:p])
     X_h = X[h]
-    if np.linalg.cond(X_h) > _VERTEX_MAX_COND:
+    try:
+        inv_h = np.linalg.inv(X_h)
+    except np.linalg.LinAlgError:
+        return None
+    # The 1-norm condition number, from the inverse already in hand.
+    if np.linalg.norm(X_h, 1) * np.linalg.norm(inv_h, 1) > _VERTEX_MAX_COND:
         return None
     vertex = np.linalg.solve(X_h, y[h])
     resid = y - X @ vertex
     tol = _zero_tol(y)
     if np.any(np.abs(resid[h]) > tol):
         return None
-    inv_h = np.linalg.inv(X_h)
     basis_terms = np.abs(resid[h]) + _evaluation_rounding(X_h, y[h], vertex)
     nonbasis = np.ones(y.size, dtype=bool)
     nonbasis[h] = False
@@ -729,19 +733,19 @@ def fit_conditional_qr(pairs: PairSet, tau, spec: SplineSpec):
 def predict_centile(fit: QuantileFit, t, y_prev=None, dt=None):
     """Evaluate the fitted centile: B(t) . c plus the history adjustment.
 
-    Conditional fits require both y_prev and dt; marginal fits accept
-    neither. Arguments broadcast, and scalars give a float. Each row of the
-    one basis is multiplied on its own, since a multi-row product may round
-    differently: every element has the bits of its own scalar call.
+    Conditional fits require both y_prev and dt, and both must be finite;
+    marginal fits accept neither. Arguments broadcast, and scalars give a
+    float. The curve comes from spline_values, so every element has the bits
+    of its own scalar call.
     """
     if fit.conditional:
         if y_prev is None or dt is None:
             raise ValueError("conditional fit requires y_prev and dt")
+        if not (np.all(np.isfinite(y_prev)) and np.all(np.isfinite(dt))):
+            raise ValueError(f"y_prev and dt must be finite, got {y_prev!r} and {dt!r}")
     elif y_prev is not None or dt is not None:
         raise ValueError("marginal fit takes no y_prev or dt")
-    coefs = np.asarray(fit.spline_coefs)
-    basis = design_matrix(fit.spec, np.ravel(t))
-    base = np.array([row @ coefs for row in basis]).reshape(np.shape(t))
+    base = spline_values(fit.spec, np.ravel(t), fit.spline_coefs)[0].reshape(np.shape(t))
     if fit.conditional:
         base = base + (fit.beta0 + fit.beta1 * np.asarray(dt, dtype=float)) * np.asarray(
             y_prev, dtype=float

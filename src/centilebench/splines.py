@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import GA_WINDOW
 
-__all__ = ["SplineSpec", "design_matrix"]
+__all__ = ["SplineSpec", "design_matrix", "spline_values"]
 
 
 @dataclass(frozen=True)
@@ -114,3 +114,15 @@ def design_matrix(spec: SplineSpec, times) -> np.ndarray:
         basis = nxt
 
     return np.ascontiguousarray(basis[: spec.n_basis].T)
+
+
+def spline_values(spec: SplineSpec, times, *coefs) -> np.ndarray:
+    """Each coefficient vector's spline at the times: row k holds coefs[k]'s.
+
+    The basis is built once, but each of its rows is multiplied by a
+    coefficient vector on its own, since a multi-row product may sum in a
+    different order and round differently: every value has the bits of a
+    call at that time alone.
+    """
+    basis = design_matrix(spec, times)
+    return np.array([[row @ c for row in basis] for c in map(np.asarray, coefs)])

@@ -39,7 +39,7 @@ def make_cohort(observed_rows, model=None, schedule=None):
 def scan_pairs(cohort, max_gap):
     """Reference pair builder: a per-subject scan of the attendance mask."""
     subj, ia, ib = [], [], []
-    for i in range(cohort.n_subjects):
+    for i in range(cohort.times.shape[0]):
         idx = np.nonzero(cohort.observed[i])[0]
         for a, b in zip(idx[:-1], idx[1:]):
             if max_gap is not None and b - a > max_gap:
@@ -214,11 +214,11 @@ class TestGenerateCohort:
     def test_latent_lag1_correlation(self, big_cohort, model):
         z = (np.log(big_cohort.values) - true_log_mean(big_cohort.times)) / model.sigma
         corr = np.corrcoef(z[:, :-1].ravel(), z[:, 1:].ravel())[0, 1]
-        n = big_cohort.n_subjects
+        n = big_cohort.times.shape[0]
         assert abs(corr - model.rho) < 3.0 * (1 - model.rho**2) / math.sqrt(n)
 
     def test_marginal_z_scores_are_standard_normal(self, big_cohort, model):
-        for j in range(big_cohort.n_intervals):
+        for j in range(big_cohort.times.shape[1]):
             mask = big_cohort.observed[:, j]
             z = (
                 np.log(big_cohort.values[mask, j])
@@ -233,7 +233,7 @@ class TestGenerateCohort:
         cohort = generate_cohort(indep, sched, 20_000, RngStream(3).child(0))
         logs = np.log(cohort.values)
         corr = np.corrcoef(logs[:, :-1].ravel(), logs[:, 1:].ravel())[0, 1]
-        assert abs(corr) < 3.0 / math.sqrt(cohort.n_subjects)
+        assert abs(corr) < 3.0 / math.sqrt(cohort.times.shape[0])
 
     def test_rejects_bad_sizes(self, model, schedule):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -158,6 +159,39 @@ class TestConfig:
         echo = json.dumps(cfg.describe(), sort_keys=True)
         assert json.dumps(cfg.describe(), sort_keys=True) == echo
         assert "workers" not in cfg.describe()
+
+    def test_describe_echoes_every_design_field(self):
+        cfg = ExperimentConfig(
+            **TINY, workers=2, paths=(("A", 0.2),), spline=SplineSpec(n_basis=6)
+        )
+        echo = cfg.describe()
+
+        def as_json(value):
+            return json.loads(json.dumps(value))
+
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(echo) == fields - {"workers"} | {"qr_pair_mode"}
+        assert echo["qr_pair_mode"] == "successive"
+        assert echo["paths"] == {"A": 0.2}
+        for name in fields - {"workers", "paths", "model", "schedule", "spline"}:
+            assert echo[name] == as_json(getattr(cfg, name)), name
+        for name in ("model", "schedule"):
+            section = getattr(cfg, name)
+            assert echo[name] == {
+                f.name: as_json(getattr(section, f.name)) for f in dataclasses.fields(section)
+            }
+        # The spline's boundary and interior knots echo as its full knot vector.
+        assert echo["spline"] == {"degree": 3, "n_basis": 6, "knots": list(cfg.spline.knots)}
+
+    @pytest.mark.parametrize("field", ["n_reps", "n_subjects", "workers", "master_seed"])
+    def test_counts_and_seed_must_be_integers(self, field):
+        # int() would truncate a fractional seed into another stream, and a
+        # fractional count would fail inside the run.
+        for bad in (2.5, 2.0, True, "2"):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                ExperimentConfig(**{field: bad})
+        value = getattr(ExperimentConfig(**{field: np.int64(2)}), field)
+        assert value == 2 and type(value) is int
 
 
 class TestRunStructure:
@@ -717,6 +751,13 @@ class TestCli:
         with pytest.raises(ValueError, match=r"window \(.*\) must have finite bounds"):
             build_config(str(cfg_file))
 
+    def test_config_file_fractional_seed_rejected(self, tmp_path):
+        # It would otherwise write the rows of seed 1 under an echo of 1.5.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"master_seed": 1.5}))
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            main(["table1", "--config", str(cfg_file), "--reps", "1", "--subjects", "50"])
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"n_repz": 3}))
@@ -799,7 +840,7 @@ class TestCli:
             assert row["value_mmhg"] == cohort.values[i, j]
             assert row["observed"] == int(cohort.observed[i, j])
         assert [(r["subject_id"], r["interval_index"]) for r in rows] == [
-            (i, j) for i in range(7) for j in range(cohort.n_intervals)
+            (i, j) for i in range(7) for j in range(cohort.times.shape[1])
         ]
 
     def test_simulate_csv_roundtrip(self, capsys):
@@ -810,9 +851,9 @@ class TestCli:
         body = [l.split(",") for l in lines[header_at + 1 :]]
         cfg = build_config(seed=8, subjects=3)
         cohort = generate_cohort(cfg.model, cfg.schedule, 3, RngStream(8).child(0))
-        assert len(body) == 3 * cohort.n_intervals
+        assert len(body) == 3 * cohort.times.shape[1]
         for k, (i, j, t, v, seen) in enumerate(body):
-            assert (int(i), int(j)) == divmod(k, cohort.n_intervals)
+            assert (int(i), int(j)) == divmod(k, cohort.times.shape[1])
             assert float(t) == cohort.times[int(i), int(j)]
             assert float(v) == cohort.values[int(i), int(j)]
             assert seen == str(int(cohort.observed[int(i), int(j)]))

@@ -204,6 +204,13 @@ class TestConditionalCentile:
         with pytest.raises(ValueError, match="domain"):
             lms_conditional_centile(fit, 0.0, 22.0, 70.0, 26.0, 0.97)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prior_raises(self, fitted, bad):
+        # A NaN prior passes a positivity check alone and would give NaN.
+        for y_prev in (bad, np.array([64.0, bad])):
+            with pytest.raises(ValueError, match="positive and finite"):
+                lms_conditional_centile(fitted, 0.6, 22.0, y_prev, 26.0, 0.5)
+
 
 def hexes(values):
     return [float(v).hex() for v in np.ravel(values)]

@@ -35,7 +35,7 @@ def gaussian_log_likelihood(cohort, spec, mean_coefs, sigma, rho) -> float:
     """
     beta = np.asarray(mean_coefs, dtype=float)
     total = 0.0
-    for i in range(cohort.n_subjects):
+    for i in range(cohort.times.shape[0]):
         k = np.nonzero(cohort.observed[i])[0]
         if k.size == 0:
             continue
@@ -57,7 +57,7 @@ def reference_pattern_moments(cohort, spec, center):
     in order of first appearance, the all-missing pattern skipped."""
     logs = np.log(cohort.values) - center
     by_pattern = {}
-    for i in range(cohort.n_subjects):
+    for i in range(cohort.times.shape[0]):
         key = tuple(np.nonzero(cohort.observed[i])[0])
         if key:
             by_pattern.setdefault(key, []).append(i)
@@ -149,13 +149,18 @@ class TestFit:
     def test_subject_without_observations_skipped(self, model, schedule, spec5):
         cohort = generate_cohort(model, schedule, 50, RngStream(2).child(0))
         observed = cohort.observed.copy()
+        assert observed[0].any()
         observed[0] = False
         masked = Cohort(
             model=model, schedule=schedule, times=cohort.times,
             values=cohort.values, observed=observed,
         )
-        fit = fit_mvn(masked, spec5)
-        assert fit.n_obs == int(observed.sum())
+        # The empty subject adds nothing: the fit is that of the other 49.
+        rest = Cohort(
+            model=model, schedule=schedule, times=cohort.times[1:],
+            values=cohort.values[1:], observed=cohort.observed[1:],
+        )
+        assert fit_mvn(masked, spec5) == fit_mvn(rest, spec5)
 
     def test_loglik_consistency_between_paths(self, fitted, recovery_cohort, spec5):
         direct = gaussian_log_likelihood(
@@ -437,8 +442,10 @@ class TestConditionalCentile:
             )
 
     def test_validation(self, fitted):
-        with pytest.raises(ValueError):
-            mvn_conditional_centile(fitted, 22.0, -1.0, 26.0, 0.5)
+        # NaN and +inf priors pass a positivity check alone.
+        for y_prev in (-1.0, math.nan, math.inf, np.array([66.0, math.nan])):
+            with pytest.raises(ValueError, match="positive and finite"):
+                mvn_conditional_centile(fitted, 22.0, y_prev, 26.0, 0.5)
         with pytest.raises(ValueError):
             mvn_conditional_centile(fitted, 18.0, 66.0, 26.0, 0.5)
 

@@ -147,6 +147,26 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(2**64)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RngStream(1.5),
+            lambda: RngStream(1.0),
+            lambda: RngStream(1, (0, 2.5)),
+            lambda: RngStream(1).child(3.0),
+        ],
+    )
+    def test_non_integral_seed_or_path_rejected(self, build):
+        # int() would truncate them into another stream.
+        with pytest.raises(ValueError, match="must be integers"):
+            build()
+
+    def test_numpy_integers_accepted(self):
+        stream = RngStream(np.uint64(5), (np.int64(2),))
+        assert stream == RngStream(5, (2,))
+        want = RngStream(5, (2,)).generator().random(4)
+        assert np.array_equal(stream.generator().random(4), want)
+
     def test_uniform_mean(self):
         u = RngStream(2024, (0,)).generator().random(1_000_000)
         assert abs(u.mean() - 0.5) < 0.002

@@ -716,6 +716,18 @@ class TestPredictErrors:
         with pytest.raises(ValueError):
             predict_centile(fit, 26.0, y_prev=60.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_conditional_rejects_non_finite_history(self, recovery_cohort, spec5, bad):
+        # A NaN prior or gap would otherwise give NaN, and an infinite prior inf.
+        fit = fit_conditional_qr(recovery_cohort.pair_set(max_gap=None), 0.5, spec5)
+        for history in (
+            dict(y_prev=bad, dt=4.0),
+            dict(y_prev=np.array([60.0, bad]), dt=4.0),
+            dict(y_prev=60.0, dt=bad),
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                predict_centile(fit, 26.0, **history)
+
     def test_marginal_rejects_history(self, recovery_cohort, spec5):
         t, y = recovery_cohort.observed_points()
         fit = fit_marginal_qr(t, y, 0.5, spec5)

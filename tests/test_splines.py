@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
-from centilebench.splines import SplineSpec, design_matrix
+from centilebench.splines import SplineSpec, design_matrix, spline_values
 
 
 class TestSplineSpec:
@@ -175,6 +175,27 @@ class TestColumnLoopOracle:
         assert got.flags.c_contiguous
         assert [x.hex() for x in got.ravel()] == [
             x.hex() for x in column_loop_design_matrix(spec5, t).ravel()
+        ]
+
+
+class TestSplineValues:
+    @given(
+        spec=st.sampled_from(_ORACLE_SPECS),
+        random_times=st.lists(st.floats(16.0, 36.0), max_size=20),
+        seed=st.integers(0, 2**32 - 1),
+        n_curves=st.integers(1, 3),
+    )
+    def test_each_value_has_the_bits_of_its_time_alone(
+        self, spec, random_times, seed, n_curves
+    ):
+        # Times at every knot (both boundaries among them) and at random.
+        t = np.array(list(spec.knots) + random_times)
+        coefs = np.random.default_rng(seed).normal(4.0, 1.0, (n_curves, spec.n_basis))
+        got = spline_values(spec, t, *(tuple(c) for c in coefs))
+        assert got.shape == (n_curves, t.size)
+        want = [[design_matrix(spec, x)[0] @ c for x in t] for c in coefs]
+        assert [[v.hex() for v in row] for row in got.tolist()] == [
+            [float(v).hex() for v in row] for row in want
         ]
 
 
