@@ -190,7 +190,11 @@ def main(argv=None) -> int:
     )
 
     args = parser.parse_args(argv)
-    cfg = build_config(args.config, args.seed, args.reps, args.subjects, args.workers)
+    try:
+        cfg = build_config(args.config, args.seed, args.reps, args.subjects, args.workers)
+    except ValueError as exc:
+        # An invalid value ends the run in one line, as an unknown key does.
+        raise SystemExit(f"invalid config: {exc}") from None
     payload, rows, csv_fields = _COMMANDS[args.command][0](cfg, args)
     payload["metadata"] = {"command": args.command, **run_metadata(cfg)}
     _emit(args.out, args.format, payload, rows, csv_fields)

@@ -70,8 +70,8 @@ __all__ = [
 _METHODS = ("QR", "LMS", "MVN")
 # Fit counters each replication records and a study sums into its diagnostics.
 _COUNTERS = (
-    "qr_subgradient_violations", "qr_lp_fallbacks", "qr_ipm_steps", "qr_pfn_fallbacks",
-    "lms_newton_steps", "mvn_brent_evals",
+    "qr_subgradient_violations", "qr_lp_fallbacks", "qr_ipm_steps", "qr_pivots",
+    "qr_pfn_fallbacks", "lms_newton_steps", "mvn_brent_evals",
 )
 
 # What a fit raises on a cohort it cannot fit. Anything else is a bug and
@@ -119,6 +119,11 @@ class ExperimentConfig:
             object.__setattr__(self, name, operator.index(value))
         if self.n_reps < 1 or self.n_subjects < 1:
             raise ValueError("n_reps and n_subjects must be positive")
+        # RngStream would reject it only in the first replication.
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(
+                f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}"
+            )
         if any(not 0.0 < t < 1.0 for t in self.tau_grid):
             raise ValueError("tau grid levels must lie strictly in (0, 1)")
         if any(not 0.0 < r < 1.0 for _, r in self.paths):
@@ -284,6 +289,7 @@ def _replication(cfg: ExperimentConfig, marginal: bool, conditional: bool, rep: 
             diag["qr_subgradient_violations"] += not fit.subgradient_ok
             diag["qr_lp_fallbacks"] += fit.solver == "lp"
             diag["qr_ipm_steps"] += fit.ipm_steps
+            diag["qr_pivots"] += fit.pivots
             diag["qr_pfn_fallbacks"] += fit.pfn_fallback
         return fits
 

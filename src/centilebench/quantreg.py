@@ -13,11 +13,21 @@ program, in its bounded dual form
 
     max  y'd   s.t.  X'd = 0,   tau - 1 <= d_i <= tau
 
-whose equality multipliers are, up to sign, the coefficients. It is
-solved in three stages. A Frisch-Newton interior point (Portnoy & Koenker
-1997) follows the central path; each step factors one p x p normal matrix
-and inverts the triangular factor once for its predictor and corrector
-solves. The iterate is polished to the vertex through the p observations
+whose equality multipliers are, up to sign, the coefficients. Designs of
+fewer than _PFN_MIN_ROWS rows are first solved by exact simplex pivots
+(Barrodale & Roberts 1974; Koenker & d'Orey 1987): from the vertex through
+p rows near a shifted least-squares fit, each pivot follows the steepest
+descending edge to the row where the check loss stops falling, about 15
+O(n) pivots in all. A vertex whose every edge ascends strictly is the only
+minimizer; it must pass the certificate below, and since the interior
+point's certified vertex then has the same basis and is solved from it the
+same way, the bits are those the interior point would give. Any other
+ending (a flat edge, as at the median of an even count, a singular basis,
+the pivot cap) leaves the design to the three stages that follow, which
+also serve every larger design. A Frisch-Newton interior point (Portnoy &
+Koenker 1997) follows the central path; each step factors one p x p
+normal matrix and inverts the triangular factor once for its predictor
+and corrector solves. The iterate is polished to the vertex through the p observations
 with the smallest residuals, which is accepted only with an exact
 optimality certificate: every other residual is nonzero beyond its
 rounding error, so its sign is known, the basis multipliers lie in
@@ -50,7 +60,9 @@ Its vertex must pass the same certificate on the full data, so it is the
 vertex the full interior point would give; the reduced interior point
 also tries that certificate early, as above. When no vertex passes, the
 full interior point runs. Below the threshold the subsample and the band
-cost more than the smaller interior point saves.
+cost more than the smaller interior point saves, and the pivots run
+instead; above it the preprocessed interior point is the cheaper (cold
+pivots on a 20 000-row design cost about 1.7 times as much).
 """
 
 from __future__ import annotations
@@ -110,6 +122,14 @@ _PFN_MIN_ROWS = 8000
 _PFN_KEEP = 0.8
 _PFN_MAX_WRONG = 0.1
 _PFN_FIXUPS = 3
+# Below _PFN_MIN_ROWS the simplex pivots (_pivot_vertex) run first: at most
+# this many (1000-subject designs take 13 on average and at most 33), from a start basis whose
+# every row keeps this share of its norm once the rows before it are
+# projected out, sorting this many of the smallest breakpoints per pivot
+# before sorting more.
+_PIVOT_MAX = 100
+_START_INDEPENDENCE = 1e-6
+_PIVOT_SEARCH = 32
 # Week spacing of the grid on which count_quantile_crossings compares curves.
 _CROSSING_STEP = 0.5
 
@@ -121,10 +141,13 @@ class QuantileFit:
     Marginal fits have beta0 = beta1 = 0 by construction. ``n_neg`` and
     ``n_pos`` count strictly negative/positive residuals at the solution;
     subgradient optimality requires n_neg <= tau*n and n_pos <= (1-tau)*n.
-    ``solver`` names the path that produced the coefficients: "pfn" for the
+    ``solver`` names the path that produced the coefficients: "pivot" for
+    the simplex pivots below the preprocessing threshold, "pfn" for the
     preprocessed interior point and "ipm" for the full one, each with a
     vertex certified on the full data, "lp" for the HiGHS fallback.
-    ``ipm_steps`` counts the interior-point steps, 0 on the "lp" path.
+    ``ipm_steps`` counts the interior-point steps, 0 on the "pivot" and "lp"
+    paths, and ``pivots`` the simplex pivots, also those of a pivot run that
+    declined and left the fit to the interior point.
     ``pfn_fallback`` is set when the preprocessing ran but gave no certified
     vertex, so that another path produced the fit.
     """
@@ -141,6 +164,7 @@ class QuantileFit:
     n_pos: int = 0
     solver: str = "ipm"
     ipm_steps: int = 0
+    pivots: int = 0
     pfn_fallback: bool = False
 
     @property
@@ -394,7 +418,9 @@ def _ipm_start(design: _Design, tau: float) -> tuple[np.ndarray, np.ndarray]:
     return beta, design.y - beta @ design.XT
 
 
-def _certified_vertex(X: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float):
+def _certified_vertex(
+    X: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float, unique: bool = False
+):
     """The vertex through the p smallest residuals at beta, if provably optimal.
 
     The basis h interpolates to within _ZERO_REL_TOL; every other residual
@@ -406,7 +432,10 @@ def _certified_vertex(X: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float
     minimizer. A non-basis residual inside the audit's zero band but beyond
     rounding (1e-6 mmHg, say) is an ordinary residual of known sign; only a
     degenerate vertex, with more than p residuals within rounding of zero,
-    is left to the LP. Returns None when any condition fails.
+    is left to the LP. With ``unique``, v must lie inside [tau - 1, tau] by
+    more than _DUAL_SLACK instead of within it: every edge then ascends
+    strictly, so the vertex is the only minimizer. Returns None when any
+    condition fails.
     """
     p = X.shape[1]
     resid = y - X @ beta
@@ -438,7 +467,10 @@ def _certified_vertex(X: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float
     psi = np.where(resid < 0.0, tau - 1.0, tau)
     psi[h] = 0.0
     v = -((psi @ X) @ inv_h)
-    if np.any(v < tau - 1.0 - _DUAL_SLACK) or np.any(v > tau + _DUAL_SLACK):
+    if unique:
+        if not np.all(np.minimum(v - (tau - 1.0), tau - v) > _DUAL_SLACK):
+            return None
+    elif np.any(v < tau - 1.0 - _DUAL_SLACK) or np.any(v > tau + _DUAL_SLACK):
         return None
     if not _signs_balanced(_sign_counts(resid, tol), y.size, tau):
         return None
@@ -550,21 +582,161 @@ def _preprocessed_vertex(design: _Design, tau: float):
     return None, steps
 
 
-def _solve_check_loss(design: _Design, tau: float) -> tuple[np.ndarray, str, int, bool]:
-    """Exact check-loss minimizer, the path that produced it, its
-    interior-point step count, and whether the preprocessing ran and failed.
+def _pivot_vertex(design: _Design, tau: float):
+    """The check-loss minimizer by exact simplex pivots from vertex to
+    vertex, if it is the only minimizer and certified, else None; and the
+    pivot count.
 
-    "pfn": designs of at least _PFN_MIN_ROWS rows first try the
-    Portnoy-Koenker preprocessed problem (_preprocessed_vertex), whose
-    vertex is certified on the full data. "ipm": the interior point on the
-    full data, polished to a certified vertex, early or at the full gap
-    stop. "lp": the HiGHS dual LP, with the primal LP as its own fallback;
-    it runs whenever the interior point fails (singular normal matrix,
-    non-finite iterate) or its vertex is not certified optimal. The step
-    count covers every interior point that ran, and is 0 on the LP path.
+    An edge descent in the manner of Barrodale & Roberts (1974), as in
+    Koenker & d'Orey (1987). A vertex is the fit through p rows, the basis
+    h. Its multipliers v = -(psi'X) X_h^-1, psi the sign weights of the
+    other rows (the certificate's own formula), give the slope of every
+    edge: moving basis row j's residual up costs tau - v_j, down
+    v_j - (tau - 1). The steepest descending edge is followed to the
+    breakpoint where its slope, which rises by |fall_i| at each row i it
+    crosses (fall_i the rate at which that residual moves along the edge),
+    turns nonnegative; that row enters the basis in j's place.
+    The slope search visits the breakpoints in order by a partial
+    selection, and X_h^-1 and psi'X are updated, not rebuilt.
+
+    The start is the basis of p independent rows with the smallest
+    residuals at _ipm_start's shifted least-squares fit. The descent stops
+    when every edge ascends by more than _DUAL_SLACK; then the optimum is
+    unique, and the vertex is certified from scratch with that strictness
+    (_certified_vertex), so it is the vertex with the bits the interior
+    point's certificate would give. Every other ending (a singular basis
+    or normal matrix, a non-finite value, an edge too flat to call, no
+    breakpoint, _PIVOT_MAX pivots) returns None.
+    """
+    X, y, XT = design.X, design.y, design.XT
+    pivots = 0
+    try:
+        _, resid = _ipm_start(design, tau)
+        h = _independent_rows(X, resid)
+        if h is None:
+            return None, pivots
+        inv_h = np.linalg.inv(X[h])
+    except np.linalg.LinAlgError:
+        return None, pivots
+    resid = y - (inv_h @ y[h]) @ XT
+    psi = np.where(resid < 0.0, tau - 1.0, tau)
+    psi[h] = 0.0
+    # g = psi'X over the non-basis rows, so that v = -g X_h^-1.
+    g = psi @ X
+    while True:
+        v = g @ inv_h
+        up = tau + v
+        down = (1.0 - tau) - v
+        slopes = np.minimum(up, down)
+        j = int(slopes.argmin())
+        slope = float(slopes[j])
+        if slope > _DUAL_SLACK:
+            break
+        # A flat edge leaves the optimum not unique; NaN lands here too.
+        if not slope < -_DUAL_SLACK or pivots == _PIVOT_MAX:
+            return None, pivots
+        pivots += 1
+        # Moving residual h[j] up (sign 1) or down, residual i falls at
+        # fall[i] per unit of step, and reaches zero at step 1 / near[i].
+        sign = 1.0 if up[j] < down[j] else -1.0
+        fall = (-sign * inv_h[:, j]) @ XT
+        near = fall / resid
+        near[h] = -np.inf
+        i, order = _slope_breakpoint(near, fall, -slope)
+        if i is None:
+            return None, pivots
+        k = order[i]
+        crossed = order[:i]
+        # Rows crossed on the way change sign; k enters, and h[j] leaves
+        # with the sign it moved to.
+        g -= np.sign(fall[crossed]) @ X[crossed]
+        g += (tau if sign > 0.0 else tau - 1.0) * X[h[j]]
+        g -= (tau - 1.0 if resid[k] < 0.0 else tau) * X[k]
+        resid -= (resid[k] / fall[k]) * fall
+        # Replace row j of X_h by x_k: a rank-one update of its inverse.
+        coords = X[k] @ inv_h
+        column = inv_h[:, j] / coords[j]
+        inv_h -= column[:, None] * coords
+        inv_h[:, j] = column
+        h[j] = k
+    try:
+        beta = np.linalg.solve(X[h], y[h])
+    except np.linalg.LinAlgError:
+        return None, pivots
+    if not np.all(np.isfinite(beta)):
+        return None, pivots
+    return _certified_vertex(X, y, beta, tau, unique=True), pivots
+
+
+def _independent_rows(X: np.ndarray, resid: np.ndarray):
+    """Indices of p linearly independent rows of X, taken greedily in order
+    of |resid|: each row must keep more than _START_INDEPENDENCE of its norm
+    once the rows taken before it are projected out. None when no p rows
+    qualify."""
+    p = X.shape[1]
+    size = np.abs(resid)
+    rows = []
+    basis = np.empty((p, p))
+    # The 4p smallest first; only if they fall short, every row in order.
+    m = min(size.size, 4 * p)
+    while True:
+        order = np.argpartition(size, m - 1)[:m]
+        for i in order[np.argsort(size[order])].tolist():
+            x = X[i]
+            q = basis[: len(rows)]
+            r = x - (q @ x) @ q
+            norm = np.sqrt(r @ r)
+            if norm > _START_INDEPENDENCE * np.sqrt(x @ x):
+                basis[len(rows)] = r / norm
+                rows.append(i)
+                if len(rows) == p:
+                    return np.array(rows)
+        if m == size.size:
+            return None
+        m = size.size
+
+
+def _slope_breakpoint(near: np.ndarray, fall: np.ndarray, need: float):
+    """The position, in ``order``, of the row whose breakpoint lifts the
+    edge's slope by ``need``, and ``order``: the rows by decreasing
+    ``near``, the inverse step at which each reaches zero, up to and past
+    that row. (None, None) when every breakpoint together lifts it less.
+
+    Rows with near > 0 are crossed in order, each lifting the slope by
+    |fall|. Only the nearest few are sorted, more only when those do not
+    suffice."""
+    n = near.size
+    m = min(n, _PIVOT_SEARCH)
+    while True:
+        order = np.argpartition(near, n - m)[n - m :] if m < n else np.arange(n)
+        order = order[np.argsort(near[order])[::-1]]
+        i = int(np.searchsorted(np.cumsum(np.abs(fall[order])), need))
+        if i < m:
+            return (i, order) if near[order[i]] > 0.0 else (None, None)
+        if m == n or not near[order[-1]] > 0.0:
+            return None, None
+        m = min(n, 4 * m)
+
+
+def _solve_check_loss(design: _Design, tau: float) -> tuple[np.ndarray, str, int, int, bool]:
+    """Exact check-loss minimizer, the path that produced it, its
+    interior-point step count, its pivot count, and whether the
+    preprocessing ran and failed.
+
+    "pivot": designs of fewer than _PFN_MIN_ROWS rows first try the simplex
+    pivots (_pivot_vertex), whose vertex is certified as the only minimizer.
+    "pfn": larger designs first try the Portnoy-Koenker preprocessed problem
+    (_preprocessed_vertex), whose vertex is certified on the full data.
+    "ipm": the interior point on the full data, polished to a certified
+    vertex, early or at the full gap stop; it runs whenever the first path
+    gives no vertex. "lp": the HiGHS dual LP, with the primal LP as its own
+    fallback; it runs whenever the interior point fails (singular normal
+    matrix, non-finite iterate) or its vertex is not certified optimal. The
+    step count covers every interior point that ran, and is 0 on the LP
+    path; the pivot count covers the pivots taken, declined or not.
     """
     X, y = design.X, design.y
-    steps = 0
+    steps = pivots = 0
     pfn_fallback = y.size >= _PFN_MIN_ROWS
     with np.errstate(all="ignore"):
         if pfn_fallback:
@@ -573,16 +745,20 @@ def _solve_check_loss(design: _Design, tau: float) -> tuple[np.ndarray, str, int
             except np.linalg.LinAlgError:
                 vertex = None
             if vertex is not None:
-                return vertex, "pfn", steps, False
+                return vertex, "pfn", steps, pivots, False
+        else:
+            vertex, pivots = _pivot_vertex(design, tau)
+            if vertex is not None:
+                return vertex, "pivot", steps, pivots, False
         try:
             beta, full_steps, vertex = _frisch_newton(design, tau, certify_on=design)
             if vertex is None and np.all(np.isfinite(beta)):
                 vertex = _certified_vertex(X, y, beta, tau)
             if vertex is not None:
-                return vertex, "ipm", steps + full_steps, pfn_fallback
+                return vertex, "ipm", steps + full_steps, pivots, pfn_fallback
         except np.linalg.LinAlgError:
             pass
-    return _solve_check_loss_lp(X, y, tau), "lp", 0, pfn_fallback
+    return _solve_check_loss_lp(X, y, tau), "lp", 0, pivots, pfn_fallback
 
 
 def _solve_check_loss_lp(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
@@ -661,7 +837,7 @@ def _fit_levels(X, y, levels, spec: SplineSpec, conditional: bool) -> tuple:
     design = _Design(X, y)
     fits = []
     for tau in levels:
-        beta, solver, ipm_steps, pfn_fallback = _solve_check_loss(design, tau)
+        beta, solver, ipm_steps, pivots, pfn_fallback = _solve_check_loss(design, tau)
         resid = y - X @ beta
         n_neg, n_pos = _sign_counts(resid, _zero_tol(y))
         fits.append(QuantileFit(
@@ -677,6 +853,7 @@ def _fit_levels(X, y, levels, spec: SplineSpec, conditional: bool) -> tuple:
             n_pos=n_pos,
             solver=solver,
             ipm_steps=ipm_steps,
+            pivots=pivots,
             pfn_fallback=pfn_fallback,
         ))
     return tuple(fits)

@@ -193,6 +193,14 @@ class TestConfig:
         value = getattr(ExperimentConfig(**{field: np.int64(2)}), field)
         assert value == 2 and type(value) is int
 
+    def test_master_seed_range(self):
+        # Out of range, it would fail only inside the first replication.
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError, match="^master_seed must be an unsigned 64-bit"):
+                ExperimentConfig(master_seed=bad)
+        for good in (0, 2**64 - 1):
+            assert ExperimentConfig(master_seed=good).master_seed == good
+
 
 class TestRunStructure:
     def test_row_grid_complete(self, tiny_run):
@@ -317,6 +325,7 @@ class TestCellGrid:
         lost = fits[n_tau : 2 * n_tau]
         expected_diag = dict(clean[0].diagnostics, n_failed_replications=1)
         expected_diag["qr_ipm_steps"] -= sum(f.ipm_steps for f in lost)
+        expected_diag["qr_pivots"] -= sum(f.pivots for f in lost)
         expected_diag["qr_lp_fallbacks"] -= sum(f.solver == "lp" for f in lost)
         expected_diag["qr_pfn_fallbacks"] -= sum(f.pfn_fallback for f in lost)
         expected_diag["qr_subgradient_violations"] -= sum(not f.subgradient_ok for f in lost)
@@ -346,9 +355,9 @@ class TestCellGrid:
         monkeypatch.setattr(quantreg, "_solve_check_loss", failing_third_level)
         failures.append(run_both_experiments(cfg, keep_replicates=True))
         # Replication 1 solved two levels before the third failed, and
-        # their interior-point steps are not counted.
+        # their pivots are not counted.
         assert conditional_solves[n_tau : n_tau + 3] == list(cfg.tau_grid[:3])
-        assert all(f.ipm_steps > 0 for f in lost[:2])
+        assert all(f.solver == "pivot" and f.pivots > 0 for f in lost[:2])
 
         for failed in failures:
             for before, after in zip(clean, failed):
@@ -479,7 +488,9 @@ class TestSolverDiagnostics:
         monkeypatch.setattr(
             quantreg,
             "_certified_vertex",
-            lambda X, y, beta, tau: None if tau == 0.5 else certify(X, y, beta, tau),
+            lambda X, y, beta, tau, unique=False: (
+                None if tau == 0.5 else certify(X, y, beta, tau, unique)
+            ),
         )
         cfg = ExperimentConfig(**TINY, methods=("QR",))
         marg, cond = run_both_experiments(cfg)
@@ -491,7 +502,10 @@ class TestSolverDiagnostics:
 
 
 class TestIpmSteps:
-    def test_total_positive_and_worker_independent(self):
+    def test_total_positive_and_worker_independent(self, monkeypatch):
+        # Declined pivots leave every fit to the interior point; the pool's
+        # workers are forked, so they decline too.
+        monkeypatch.setattr(quantreg, "_pivot_vertex", lambda design, tau: (None, 0))
         cfg = dict(TINY, n_reps=3, methods=("QR",))
         serial, _ = run_both_experiments(ExperimentConfig(**cfg, workers=1))
         pooled, _ = run_both_experiments(ExperimentConfig(**cfg, workers=2))
@@ -516,6 +530,30 @@ class TestIpmSteps:
         assert all(fit.ipm_steps > 0 for fit in fits if fit.solver == "ipm")
         assert marg.diagnostics["qr_ipm_steps"] == sum(fit.ipm_steps for fit in fits)
         assert cond.diagnostics["qr_ipm_steps"] == marg.diagnostics["qr_ipm_steps"]
+
+
+class TestPivotCounter:
+    def test_total_sums_fits_and_is_worker_independent(self, monkeypatch):
+        fits = []
+
+        def recording(fit_fn):
+            def wrapped(*args, **kwargs):
+                grid = fit_fn(*args, **kwargs)
+                fits.extend(grid)
+                return grid
+
+            return wrapped
+
+        for name in ("fit_marginal_qr", "fit_conditional_qr"):
+            monkeypatch.setattr(experiment, name, recording(getattr(experiment, name)))
+        cfg = dict(TINY, n_reps=3, methods=("QR",))
+        serial, cond = run_both_experiments(ExperimentConfig(**cfg, workers=1))
+        assert {fit.solver for fit in fits} == {"pivot"}
+        pivots = serial.diagnostics["qr_pivots"]
+        assert isinstance(pivots, int) and pivots == sum(fit.pivots for fit in fits) > 0
+        assert cond.diagnostics["qr_pivots"] == pivots
+        pooled, _ = run_both_experiments(ExperimentConfig(**cfg, workers=2))
+        assert pooled.diagnostics == serial.diagnostics
 
 
 # 2500 subjects give about 10 000 observations, above the QR preprocessing
@@ -559,8 +597,9 @@ class TestCounters:
         marg, cond = run_both_experiments(ExperimentConfig(**PFN_DESIGN))
         fallbacks = [fit for fit in qr_fits if fit.pfn_fallback]
         assert [(f.tau, f.conditional, f.solver) for f in fallbacks] == [(0.5, False, "ipm")] * 2
-        assert {f.solver for f in qr_fits if not f.pfn_fallback} == {"pfn", "ipm"}
+        assert {f.solver for f in qr_fits if not f.pfn_fallback} == {"pfn", "pivot"}
         assert marg.diagnostics["qr_pfn_fallbacks"] == 2
+        assert marg.diagnostics["qr_pivots"] == sum(f.pivots for f in qr_fits) > 0
         assert marg.diagnostics["mvn_brent_evals"] == sum(f.brent_evals for f in mvn_fits)
         assert marg.diagnostics["qr_ipm_steps"] == sum(f.ipm_steps for f in qr_fits)
         assert cond.diagnostics == marg.diagnostics
@@ -755,8 +794,25 @@ class TestCli:
         # It would otherwise write the rows of seed 1 under an echo of 1.5.
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"master_seed": 1.5}))
-        with pytest.raises(ValueError, match="master_seed must be an integer"):
+        with pytest.raises(SystemExit, match="^invalid config: master_seed must be an integer"):
             main(["table1", "--config", str(cfg_file), "--reps", "1", "--subjects", "50"])
+
+    @pytest.mark.parametrize(
+        "raw,args,message",
+        [
+            ({}, ["--seed", "-1"], "master_seed must be an unsigned 64-bit integer, got -1"),
+            ({"model": {"c0": math.nan}}, [], "c0 must be finite"),
+            ({"n_reps": 0}, [], "n_reps and n_subjects must be positive"),
+        ],
+        ids=["negative-seed", "non-finite-c0", "zero-reps"],
+    )
+    def test_invalid_config_value_exits_in_one_line(self, tmp_path, raw, args, message):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(raw))
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--config", str(cfg_file), *args])
+        assert str(exc.value).startswith(f"invalid config: {message}")
+        assert "\n" not in str(exc.value)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -18,6 +18,7 @@ from centilebench.quantreg import (
     _Design,
     _frisch_newton,
     _ipm_start,
+    _pivot_vertex,
     _preprocessed_vertex,
     _sign_counts_ok,
     _solve_check_loss,
@@ -146,10 +147,14 @@ class TestConditionalFit:
         pred_marg = predict_centile(marg, t_cur)
         assert cond.objective == pytest.approx(marg.objective, abs=1e-6)
         assert np.max(np.abs(pred_cond - pred_marg)) < 1e-5
-        # The history columns repeat the intercept, so the interior point's
-        # normal matrix is singular and the fit must come from the LP.
+        # The history columns repeat the intercept, so the least-squares start
+        # and the interior point's normal matrix are singular and the fit
+        # must come from the LP; the regular marginal design pivots to the
+        # interior point's vertex.
         assert cond.solver == "lp"
-        assert marg.solver == "ipm"
+        assert marg.solver == "pivot"
+        X = design_matrix(spec5, t_cur)
+        assert hexes(marg.spline_coefs) == hexes(_full_vertex(X, pairs.y_cur, 0.5))
 
     def test_rho_zero_slope_vanishes(self):
         indep = LognormalAR1Model(rho=0.0)
@@ -275,9 +280,11 @@ class TestSolver:
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
         assert _sign_counts_ok(X, y, beta, tau)  # the subgradient_ok condition
 
-    def test_near_zero_start_residual_lifted(self, model):
+    def test_near_zero_start_residual_lifted(self, model, monkeypatch):
         # With an odd count at tau=0.5 the tau-shifted start puts one residual
-        # within rounding of zero; unlifted, its Newton weight is ~1e14.
+        # within rounding of zero; unlifted, its Newton weight is ~1e14. The
+        # pivots are declined, so that the interior point fits.
+        monkeypatch.setattr(quantreg, "_pivot_vertex", lambda design, tau: (None, 0))
         fit = fit_marginal_qr(mid_times(41), np.linspace(50.0, 90.0, 41), 0.5, INTERCEPT_SPEC)
         assert fit.solver == "ipm"
         assert predict_centile(fit, 26.0) == pytest.approx(70.0, abs=1e-9)
@@ -305,13 +312,15 @@ class TestSolver:
         # the optimum and must be certified, not left to the LP.
         X, y = _heavy_tailed_design(2_000)
         vertex, solver, *_ = solve_check_loss(X, y, tau)
-        assert solver == "ipm"
+        assert solver == "pivot"
+        assert hexes(vertex) == hexes(_full_vertex(X, y, tau))
         resid = y - X @ vertex
         i = int(np.argmax(resid))
         y[i] -= resid[i] - 2e-6
         assert abs(y[i] - X[i] @ vertex) < _zero_tol(y)
         moved, solver, *_ = solve_check_loss(X, y, tau)
-        assert solver == "ipm"
+        assert solver == "pivot"
+        assert hexes(moved) == hexes(_full_vertex(X, y, tau))
         np.testing.assert_allclose(moved, vertex, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(moved, _solve_check_loss_lp(X, y, tau), rtol=1e-9)
 
@@ -568,7 +577,7 @@ class TestPreprocessing:
             for X, y in _cohort_designs(5000, seed):
                 assert y.size >= _PFN_MIN_ROWS
                 for tau in TAUS:
-                    beta, solver, steps, fallback = solve_check_loss(X, y, tau)
+                    beta, solver, steps, _, fallback = solve_check_loss(X, y, tau)
                     solvers.append(solver)
                     assert fallback == (solver != "pfn")
                     assert hexes(beta) == hexes(_full_vertex(X, y, tau))
@@ -590,7 +599,7 @@ class TestPreprocessing:
         X, y = _stride_design(10_000, 0, 0.3)
         want = _full_vertex(X, y, 0.1)
         rows = _record_rows(monkeypatch)
-        beta, solver, _, fallback = solve_check_loss(X, y, 0.1)
+        beta, solver, _, _, fallback = solve_check_loss(X, y, 0.1)
         assert (solver, fallback) == ("pfn", False)
         assert hexes(beta) == hexes(want)
         # Subsample, reduced problem, and a re-solve with the wrong rows
@@ -634,7 +643,7 @@ class TestPreprocessing:
         X, y = _stride_design(10_000, 0, 1.0)
         want = _full_vertex(X, y, 0.5)
         rows = _record_rows(monkeypatch)
-        beta, solver, _, fallback = solve_check_loss(X, y, 0.5)
+        beta, solver, _, _, fallback = solve_check_loss(X, y, 0.5)
         assert (solver, fallback) == ("pfn", False)
         assert hexes(beta) == hexes(want)
         assert rows[2] == 2 * rows[0]
@@ -666,23 +675,25 @@ class TestPreprocessing:
             return None if len(calls) <= n_pfn else certify(X, y, beta, tau)
 
         monkeypatch.setattr(quantreg, "_certified_vertex", refuse_preprocessing)
-        beta, solver, steps, fallback = solve_check_loss(X, y, tau)
-        assert (solver, fallback) == ("ipm", True)
+        beta, solver, steps, pivots, fallback = solve_check_loss(X, y, tau)
+        assert (solver, pivots, fallback) == ("ipm", 0, True)
         # The full interior point certifies at its early try.
         assert len(calls) == n_pfn + 1
         assert hexes(beta) == hexes(want)
         assert steps == pfn_steps + full_steps
 
-    def test_below_threshold_only_the_full_interior_point_runs(self):
+    def test_below_threshold_only_the_full_interior_point_runs(self, monkeypatch):
         # Headline-sized designs, and the leading rows of a large one just
-        # below and at the threshold.
+        # below and at the threshold. The pivots, which run first below it,
+        # are declined, so that the interior point fits.
+        monkeypatch.setattr(quantreg, "_pivot_vertex", lambda design, tau: (None, 0))
         designs = _cohort_designs(1000, 1)
         X_big, y_big = _cohort_designs(5000, 1)[0]
         designs.append((X_big[: _PFN_MIN_ROWS - 1], y_big[: _PFN_MIN_ROWS - 1]))
         for X, y in designs:
             assert y.size < _PFN_MIN_ROWS
             for tau in TAUS:
-                beta, solver, steps, fallback = solve_check_loss(X, y, tau)
+                beta, solver, steps, _, fallback = solve_check_loss(X, y, tau)
                 assert (solver, fallback) == ("ipm", False)
                 design = _Design(X, y)
                 _, early_steps, early = _frisch_newton(design, tau, certify_on=design)
@@ -705,6 +716,68 @@ class TestPreprocessing:
         assert (fit.solver, fit.pfn_fallback) == ("pfn", False)
         assert fit.ipm_steps == solve_check_loss(design_matrix(SplineSpec(), t), y, 0.5)[2]
         assert fit.subgradient_ok
+
+
+class TestPivots:
+    """Below the preprocessing threshold the simplex pivots give the
+    interior point's vertex bit for bit, or decline."""
+
+    @pytest.mark.parametrize("n_subjects", [200, 1000])
+    def test_cohort_designs_give_the_full_vertex_bit_for_bit(self, n_subjects):
+        for seed in (1, 2, 3):
+            for X, y in _cohort_designs(n_subjects, seed):
+                assert y.size < _PFN_MIN_ROWS
+                design = _Design(X, y)
+                for tau in TAUS:
+                    want = hexes(_full_vertex(X, y, tau))
+                    with np.errstate(all="ignore"):
+                        vertex, pivots = _pivot_vertex(design, tau)
+                    assert vertex is not None and 0 < pivots <= quantreg._PIVOT_MAX
+                    assert hexes(vertex) == want
+                    beta, solver, steps, solved_pivots, fallback = solve_check_loss(X, y, tau)
+                    assert (solver, steps, solved_pivots, fallback) == ("pivot", 0, pivots, False)
+                    assert hexes(beta) == want
+
+    @given(design=_tied_designs())
+    @settings(max_examples=100, deadline=None)
+    def test_tied_designs_decline_or_reach_the_optimum(self, design):
+        # Ties make some optima degenerate or not unique: those must be
+        # declined, and every vertex given must be optimal.
+        X, y, tau = design
+        with np.errstate(all="ignore"):
+            vertex, pivots = _pivot_vertex(_Design(X, y), tau)
+        assert 0 <= pivots <= quantreg._PIVOT_MAX
+        if vertex is None:
+            return
+        want = _primal_lp_objective(X, y, tau)
+        got = float(np.sum(pinball_loss(y - X @ vertex, tau)))
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert _sign_counts_ok(X, y, vertex, tau)
+
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_median_of_an_even_count_is_declined(self, n):
+        # With an even count every point between the two middle values is a
+        # median; the pivots decline, and the interior point's vertex stands.
+        X = np.ones((n, 1))
+        y = np.linspace(50.0, 90.0, n)
+        with np.errstate(all="ignore"):
+            vertex, pivots = _pivot_vertex(_Design(X, y), 0.5)
+        beta, solver, steps, solved_pivots, _ = solve_check_loss(X, y, 0.5)
+        assert solved_pivots == pivots
+        assert hexes(beta) == hexes(_full_vertex(X, y, 0.5))
+        if n % 2 == 0:
+            assert vertex is None
+            assert solver == "ipm" and steps > 0
+        else:
+            assert hexes(vertex) == hexes(beta)
+            assert (solver, steps) == ("pivot", 0)
+
+    def test_declines_when_the_least_squares_start_fails(self):
+        # Collinear columns: the start's X'X is singular, so the pivots
+        # decline before their first, as does the interior point.
+        X = np.column_stack([np.ones(50), np.ones(50), np.linspace(0.0, 1.0, 50)])
+        y = np.linspace(0.0, 1.0, 50) ** 2
+        assert _pivot_vertex(_Design(X, y), 0.5) == (None, 0)
 
 
 class TestPredictErrors:
@@ -792,8 +865,13 @@ class TestTauGrid:
         assert [f.tau for f in grid] == list(TAUS)
         assert {f.solver for f in grid} == {solver}
 
-    @pytest.mark.parametrize("n_subjects, solver", [(1000, "ipm"), (5000, "pfn")])
-    def test_grid_equals_scalar_calls(self, n_subjects, solver, spec5):
+    @pytest.mark.parametrize(
+        "n_subjects, solver", [(1000, "pivot"), (1000, "ipm"), (5000, "pfn")]
+    )
+    def test_grid_equals_scalar_calls(self, monkeypatch, n_subjects, solver, spec5):
+        if solver == "ipm":
+            # Declined pivots leave the fits to the interior point.
+            monkeypatch.setattr(quantreg, "_pivot_vertex", lambda design, tau: (None, 0))
         (t, y), pairs = _cohort_data(n_subjects)
         self._assert_grid_matches_scalars(fit_marginal_qr, (t, y), spec5, solver)
         self._assert_grid_matches_scalars(fit_conditional_qr, (pairs,), spec5, solver)
@@ -803,7 +881,9 @@ class TestTauGrid:
         self._assert_grid_matches_scalars(fit_conditional_qr, (pairs,), spec5, "lp")
         # The marginal design is regular; refusing every vertex sends it to
         # the LP too.
-        monkeypatch.setattr(quantreg, "_certified_vertex", lambda X, y, beta, tau: None)
+        monkeypatch.setattr(
+            quantreg, "_certified_vertex", lambda X, y, beta, tau, unique=False: None
+        )
         self._assert_grid_matches_scalars(
             fit_marginal_qr, (pairs.t_cur, pairs.y_cur), spec5, "lp"
         )
