@@ -46,18 +46,20 @@ LP, re-solved on the primal if its answer fails the audit. Either way the
 solution is vertex-exact, and each fit records which path produced it.
 The setup that does not depend on tau (the contiguous X', the
 least-squares fit that each start shifts, and the preprocessing's
-subsample and band) is built once per design and shared by the grid.
+subsample, its least-squares fit and the band) is built once per design
+and shared by the grid.
 
 Designs of at least _PFN_MIN_ROWS rows first try the preprocessing step of
-Portnoy & Koenker (1997), as in Koenker's ``rq.fit.pfn``. An interior point
-on a stride subsample of about ((p+1) n)^(2/3) rows, stopped at the loose
-gap _PFN_SUB_GAP_REL, places a band around the fit; the rows inside it are
-kept, and the rows below and above it are each replaced by one "glob" row
-holding their sums of x and y. The reduced problem's interior point starts
-from the subsample's answer. When every globbed row lies on its glob's
-side of the reduced problem's fit, the reduced optimum is the full one.
-Its vertex must pass the same certificate on the full data, so it is the
-vertex the full interior point would give; the reduced interior point
+Portnoy & Koenker (1997), as in Koenker's ``rq.fit.pfn``. The least-squares
+fit of a stride subsample of about ((p+1) n)^(2/3) rows, shifted to its
+tau order statistic as every start is, places a band around the fit; no
+interior point runs on the subsample. The rows inside the band are kept,
+and the rows below and above it are each replaced by one "glob" row
+holding their sums of x and y. The reduced problem's interior point
+starts from that same shifted fit. When every globbed row lies on its
+glob's side of the reduced problem's fit, the reduced optimum is the full
+one. Its vertex must pass the same certificate on the full data, so it is
+the vertex the full interior point would give; the reduced interior point
 also tries that certificate early, as above. When no vertex passes, the
 full interior point runs. Below the threshold the subsample and the band
 cost more than the smaller interior point saves, and the pivots run
@@ -96,10 +98,6 @@ _IPM_STEP = 0.99995
 _IPM_MAX_ITER = 100
 _IPM_GAP_REL = 1e-9
 _IPM_START_LIFT = 0.1
-# The gap stop of the preprocessing's subsample interior point. Its answer
-# only places the band and starts the reduced problem, so a loose stop
-# suffices; a one-step stop misplaces the band and doubles the subsample.
-_PFN_SUB_GAP_REL = 1e-1
 # The duality gap, relative to the objective, at which the interior point
 # first tries the exact certificate; when it refuses, the iteration goes on.
 _IPM_CERTIFY_GAP_REL = 1e-5
@@ -193,19 +191,18 @@ class _Design:
 
     ``XT`` is a contiguous p x n copy of X, which makes every product of the
     interior point a fast BLAS call. ``least_squares`` is the fit that each
-    tau's start shifts (_ipm_start); it raises LinAlgError, and is not kept,
-    when X'X is not positive definite. ``subsample(m)`` is the stride
-    subsample of the preprocessing and the band it places (_preprocessed_vertex).
-    ``start``, when given, is the interior point's start coefficients in
-    place of the shifted least-squares fit, and ``gap_rel`` its duality gap
-    stop relative to the objective.
+    tau's start shifts (_ipm_start), or None when X'X is not positive
+    definite, so that a singular design is factored once for the whole
+    grid. ``subsample(m)`` is the preprocessing's stride subsample, as a
+    design whose shifted least-squares fit places the band, and the band
+    itself (_preprocessed_vertex). ``start``, when given, is the interior
+    point's start coefficients in place of the shifted least-squares fit.
     """
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, start=None, gap_rel=_IPM_GAP_REL):
+    def __init__(self, X: np.ndarray, y: np.ndarray, start=None):
         self.X = X
         self.y = y
         self.start = start
-        self.gap_rel = gap_rel
         self._subsamples = {}
 
     @cached_property
@@ -219,27 +216,29 @@ class _Design:
         return np.column_stack([self.X, self.y])
 
     @cached_property
-    def least_squares(self) -> tuple[np.ndarray, np.ndarray]:
+    def least_squares(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The least-squares coefficients of y and of the constant, as the
-        columns of one p x 2 array, and the residuals of the first."""
+        columns of one p x 2 array, and the residuals of the first; None
+        when X'X is not positive definite."""
         XT, y = self.XT, self.y
-        chol = np.linalg.cholesky(XT @ XT.T)
+        try:
+            chol = np.linalg.cholesky(XT @ XT.T)
+        except np.linalg.LinAlgError:
+            return None
         # Solve (L L') ls = X'[y 1] with the lower Cholesky factor L.
         rhs = XT @ np.column_stack([y, np.ones(y.size)])
         ls = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
         return ls, y - ls[:, 0] @ XT
 
     def subsample(self, m: int) -> tuple[_Design, np.ndarray]:
-        """The m rows taken at an even stride, and every row's band
-        ||L^-1 x_i|| = sqrt(x_i' (X_s'X_s)^-1 x_i), X_s the subsample. The
-        subsample's interior point stops at _PFN_SUB_GAP_REL: its answer
-        only places the band and starts the reduced problem."""
+        """The m rows taken at an even stride, as a design, and every row's
+        band ||L^-1 x_i|| = sqrt(x_i' (X_s'X_s)^-1 x_i), X_s the subsample.
+        The subsample's least-squares fit is then computed once for a grid."""
         if m not in self._subsamples:
-            p = self.X.shape[1]
-            sub = self.Xy[np.linspace(0, self.y.size - 1, m).astype(int)]
-            X_s = sub[:, :p]
+            rows = np.linspace(0, self.y.size - 1, m).astype(int)
+            X_s = self.X[rows]
             band = np.sqrt(np.sum((self.X @ np.linalg.inv(X_s.T @ X_s)) * self.X, axis=1))
-            self._subsamples[m] = (_Design(X_s, sub[:, p], gap_rel=_PFN_SUB_GAP_REL), band)
+            self._subsamples[m] = (_Design(X_s, self.y[rows]), band)
         return self._subsamples[m]
 
 
@@ -268,13 +267,12 @@ def _frisch_newton(design: _Design, tau: float, certify_on: _Design | None = Non
     below _IPM_CERTIFY_GAP_REL of the objective; a certified vertex ends the
     iteration and is returned. The certificate is exact, so the vertex is
     the one the full gap stop would polish to. Otherwise iteration stops
-    once the gap falls below the design's ``gap_rel`` of the objective, or
+    once the gap falls below _IPM_GAP_REL of the objective, or
     after _IPM_MAX_ITER steps, and the returned vertex is None: the caller
     certifies the answer, so stopping at the cap costs only a fallback.
     Raises LinAlgError when a normal matrix is not positive definite.
     """
-    XT, y = design.XT, design.y
-    n = y.size
+    XT, n = design.XT, design.y.size
     beta, resid = _ipm_start(design, tau)
     # Lift both parts of every start residual off zero. A residual within
     # rounding of zero would otherwise get a Newton weight near 1/rounding
@@ -379,7 +377,7 @@ def _frisch_newton(design: _Design, tau: float, certify_on: _Design | None = Non
         if not np.isfinite(gap):
             break
         objective = tau * w.sum() + (1.0 - tau) * z.sum()
-        if gap <= design.gap_rel * objective:
+        if gap <= _IPM_GAP_REL * objective:
             break
         if certify and gap <= _IPM_CERTIFY_GAP_REL * objective:
             certify = False
@@ -409,9 +407,12 @@ def _ipm_start(design: _Design, tau: float) -> tuple[np.ndarray, np.ndarray]:
     least-squares fit shifted by an order statistic of its residuals at
     tau, so that a tau share of them is negative whenever the design spans
     the constant. At tau near 0 or 1 this start sits far closer to the
-    optimum than the least-squares fit itself."""
+    optimum than the least-squares fit itself. Raises LinAlgError when that
+    fit is needed and X'X is not positive definite."""
     if design.start is not None:
         beta = np.array(design.start, dtype=float)
+    elif design.least_squares is None:
+        raise np.linalg.LinAlgError("X'X is not positive definite")
     else:
         ls, resid = design.least_squares
         beta = ls[:, 0] + _order_statistics(resid, [tau])[0] * ls[:, 1]
@@ -521,23 +522,23 @@ def _preprocessed_vertex(design: _Design, tau: float):
     The preprocessing of Portnoy & Koenker (1997), as in Koenker's
     ``rq.fit.pfn``, with a stride subsample so that fits stay deterministic:
 
-    1. Fit m = ((p+1) n)^(2/3) rows taken at an even stride, to the loose
-       gap _PFN_SUB_GAP_REL.
+    1. Take m = ((p+1) n)^(2/3) rows at an even stride, and shift their
+       least-squares fit to their tau order statistic (_ipm_start).
     2. Scale each residual by its band ||L^-1 x_i||, L the Cholesky factor
        of the subsample's X'X, and keep the _PFN_KEEP * m rows whose scaled
        residuals lie nearest the tau-quantile of them all.
     3. Replace the rows below that range by one pseudo-row (their sums of x
        and y), and the rows above it by another: the natural globs.
-    4. Fit the reduced problem, starting from the subsample's answer. If no
+    4. Fit the reduced problem, starting from that shifted fit. If no
        globbed row has a residual of the wrong sign, its optimum is the full
        problem's. Otherwise move the wrong rows out of their globs and fit
        again, at most _PFN_FIXUPS times, or double m when more than
        _PFN_MAX_WRONG of the kept count are wrong.
 
-    The subsample and its band do not depend on tau, so a grid shares them
-    (_Design.subsample). The answer is accepted only through
-    _certified_vertex on the full data, which each reduced interior point
-    also tries once on its way (_frisch_newton).
+    The subsample, its least-squares fit and its band do not depend on
+    tau, so a grid shares them (_Design.subsample). The answer is accepted
+    only through _certified_vertex on the full data, which each reduced
+    interior point also tries once on its way (_frisch_newton).
     Raises LinAlgError when a normal matrix is not positive definite.
     """
     X, y, Xy = design.X, design.y, design.Xy
@@ -546,8 +547,7 @@ def _preprocessed_vertex(design: _Design, tau: float):
     steps = 0
     while m < n:
         sub, band = design.subsample(m)
-        start, k, _ = _frisch_newton(sub, tau)
-        steps += k
+        start = _ipm_start(sub, tau)[0]
         scaled = (y - X @ start) / band
         kept = _PFN_KEEP * m
         lo, hi = _order_statistics(

@@ -557,17 +557,25 @@ def _stride_design(n, seed, tilt):
     return np.column_stack([np.ones(n), x]), y
 
 
-def _record_rows(monkeypatch):
-    """Row counts of the problems handed to the interior point, in order."""
-    rows = []
-    real = quantreg._frisch_newton
+def _record_problems(monkeypatch):
+    """The subsample designs the preprocessing takes, and the design and
+    ``certify_on`` of every interior point that runs, in order."""
+    subsamples, problems = [], []
+    real_subsample = _Design.subsample
+    real_frisch_newton = quantreg._frisch_newton
 
-    def recording(design, tau, certify_on=None):
-        rows.append(design.y.size)
-        return real(design, tau, certify_on)
+    def subsample(design, m):
+        out = real_subsample(design, m)
+        subsamples.append(out[0])
+        return out
 
-    monkeypatch.setattr(quantreg, "_frisch_newton", recording)
-    return rows
+    def frisch_newton(design, tau, certify_on=None):
+        problems.append((design, certify_on))
+        return real_frisch_newton(design, tau, certify_on)
+
+    monkeypatch.setattr(_Design, "subsample", subsample)
+    monkeypatch.setattr(quantreg, "_frisch_newton", frisch_newton)
+    return subsamples, problems
 
 
 class TestPreprocessing:
@@ -596,57 +604,51 @@ class TestPreprocessing:
         assert _sign_counts_ok(X, y, beta, tau)
 
     def test_wrongly_globbed_rows_move_out_of_their_glob(self, monkeypatch):
-        X, y = _stride_design(10_000, 0, 0.3)
-        want = _full_vertex(X, y, 0.1)
-        rows = _record_rows(monkeypatch)
-        beta, solver, _, _, fallback = solve_check_loss(X, y, 0.1)
-        assert (solver, fallback) == ("pfn", False)
-        assert hexes(beta) == hexes(want)
-        # Subsample, reduced problem, and a re-solve with the wrong rows
-        # back in it; the subsample is never doubled.
-        assert len(rows) >= 3 and rows[2] > rows[1]
-        assert 2 * rows[0] not in rows
+        subsamples, problems = _record_problems(monkeypatch)
+        for tilt, tau in ((0.25, 0.1), (0.2, 0.9)):
+            X, y = _stride_design(10_000, 0, tilt)
+            want = _full_vertex(X, y, tau)
+            subsamples.clear()
+            problems.clear()
+            beta, solver, _, _, fallback = solve_check_loss(X, y, tau)
+            assert (solver, fallback) == ("pfn", False)
+            assert hexes(beta) == hexes(want)
+            # The reduced problem, and a re-solve with the wrong rows back
+            # in it; the subsample is never doubled.
+            rows = [design.y.size for design, _ in problems]
+            assert len(rows) >= 2 and rows[1] > rows[0]
+            assert len(subsamples) == 1
 
-    def test_loose_subsample_stop_and_warm_started_reduced_problem(self, monkeypatch):
-        # The subsample's interior point stops at the loose gap, in fewer
-        # steps than the full stop takes on the same subsample, and every
-        # reduced interior point starts from the subsample's answer.
-        calls = []
-        real = quantreg._frisch_newton
-
-        def recording(design, tau, certify_on=None):
-            out = real(design, tau, certify_on)
-            calls.append((design, certify_on, out))
-            return out
-
-        monkeypatch.setattr(quantreg, "_frisch_newton", recording)
+    def test_reduced_problems_start_from_the_shifted_subsample_fit(self, monkeypatch):
+        # No interior point runs on the subsample: every one that runs is a
+        # reduced problem certified on the full data, and it starts from
+        # the subsample's least-squares fit shifted to its tau order
+        # statistic.
+        subsamples, problems = _record_problems(monkeypatch)
         for X, y in _cohort_designs(5000, 1):
             design = _Design(X, y)
             for tau in TAUS:
-                calls.clear()
+                subsamples.clear()
+                problems.clear()
                 vertex, _ = _preprocessed_vertex(design, tau)
                 assert vertex is not None
                 assert hexes(vertex) == hexes(_full_vertex(X, y, tau))
-                assert calls[0][1] is None
-                for sub, certify_on, (answer, steps, _) in calls:
-                    if certify_on is None:
-                        assert sub.gap_rel == quantreg._PFN_SUB_GAP_REL
-                        full_steps = frisch_newton(sub.X, sub.y, tau)[1]
-                        assert steps < full_steps
-                        start = answer
-                    else:
-                        assert certify_on is design
-                        assert hexes(sub.start) == hexes(start)
-                        assert hexes(_ipm_start(sub, tau)[0]) == hexes(start)
+                (sub,) = subsamples
+                start = hexes(_ipm_start(sub, tau)[0])
+                assert problems
+                for reduced, certify_on in problems:
+                    assert certify_on is design
+                    assert hexes(reduced.start) == start
 
     def test_many_wrong_rows_double_the_subsample(self, monkeypatch):
         X, y = _stride_design(10_000, 0, 1.0)
         want = _full_vertex(X, y, 0.5)
-        rows = _record_rows(monkeypatch)
+        subsamples, _ = _record_problems(monkeypatch)
         beta, solver, _, _, fallback = solve_check_loss(X, y, 0.5)
         assert (solver, fallback) == ("pfn", False)
         assert hexes(beta) == hexes(want)
-        assert rows[2] == 2 * rows[0]
+        sizes = [sub.y.size for sub in subsamples]
+        assert sizes[1] == 2 * sizes[0]
 
     def test_refused_reduced_answer_falls_back_to_full_interior_point(self, monkeypatch):
         X, y = _cohort_designs(5000, 1)[0]
@@ -887,6 +889,36 @@ class TestTauGrid:
         self._assert_grid_matches_scalars(
             fit_marginal_qr, (pairs.t_cur, pairs.y_cur), spec5, "lp"
         )
+
+    def test_singular_design_is_factored_once_for_the_grid(self, monkeypatch, spec5):
+        # The constant-prior design's X'X is singular. Its failed factoring
+        # is kept: the grid's starts factor it once, each start still
+        # raises, and every level comes from the LP.
+        pairs = _constant_prior_pairs()
+        X = np.column_stack([
+            design_matrix(spec5, pairs.t_cur),
+            pairs.y_prev,
+            pairs.y_prev * (pairs.t_cur - pairs.t_prev),
+        ])
+        factored = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            factored.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        fits = fit_conditional_qr(pairs, TAUS, spec5)
+        assert factored == [(7, 7)]
+        assert [f.solver for f in fits] == ["lp"] * len(TAUS)
+        for fit in fits:
+            want = _solve_check_loss_lp(X, pairs.y_cur, fit.tau)
+            assert hexes(fit.spline_coefs + (fit.beta0, fit.beta1)) == hexes(want)
+        design = _Design(X, pairs.y_cur)
+        for tau in TAUS:
+            with pytest.raises(np.linalg.LinAlgError):
+                _ipm_start(design, tau)
+        assert len(factored) == 2
 
     def test_call_shapes(self, recovery_cohort, spec5):
         t, y = recovery_cohort.observed_points()
