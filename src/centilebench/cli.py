@@ -150,7 +150,10 @@ def _screening(cfg: ExperimentConfig, args):
 
 
 def _true_centiles(cfg: ExperimentConfig, args):
-    data = emit_true_centiles(cfg.model, cfg.tau_grid, week_step=args.step)
+    try:
+        data = emit_true_centiles(cfg.model, cfg.tau_grid, week_step=args.step)
+    except ValueError as exc:
+        raise SystemExit(f"invalid --step: {exc}") from None
     rows = [{"week": t, "tau": tau, "mmhg": v} for t, tau, v in data]
     return {"rows": rows}, rows, ["week", "tau", "mmhg"]
 

@@ -45,7 +45,6 @@ class PairSet:
 class Cohort:
     """A simulated cohort: per-subject times, latent values and attendance."""
 
-    model: LognormalAR1Model
     schedule: VisitSchedule
     times: np.ndarray  # (n_subjects, n_intervals)
     values: np.ndarray  # (n_subjects, n_intervals), mmHg
@@ -116,6 +115,4 @@ def generate_cohort(
         z[:, j] = model.rho * z[:, j - 1] + carry * innov[:, j]
     values = np.exp(log_mean(model, times) + model.sigma * z)
 
-    return Cohort(
-        model=model, schedule=schedule, times=times, values=values, observed=observed
-    )
+    return Cohort(schedule=schedule, times=times, values=values, observed=observed)

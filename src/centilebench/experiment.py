@@ -11,7 +11,6 @@ and the screening headline numbers.
 
 from __future__ import annotations
 
-import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from functools import partial
@@ -37,7 +36,7 @@ from .model import (
     marginal_percentile,
 )
 from .mvn import fit_mvn, mvn_conditional_centile, mvn_marginal_centile
-from .numerics import PRNG_NAME, RngStream
+from .numerics import PRNG_NAME, RngStream, _checked_index
 from .quantreg import (
     count_quantile_crossings,
     fit_conditional_qr,
@@ -113,10 +112,7 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         # A fractional count or seed would be truncated, or fail mid-run.
         for name in ("n_reps", "n_subjects", "workers", "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+            object.__setattr__(self, name, _checked_index(getattr(self, name), name))
         if self.n_reps < 1 or self.n_subjects < 1:
             raise ValueError("n_reps and n_subjects must be positive")
         # RngStream would reject it only in the first replication.
@@ -124,6 +120,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}"
             )
+        # An empty grid would fail every fit, and no methods write empty tables.
+        if not (self.tau_grid and self.methods):
+            raise ValueError("tau_grid and methods must be nonempty")
         if any(not 0.0 < t < 1.0 for t in self.tau_grid):
             raise ValueError("tau grid levels must lie strictly in (0, 1)")
         if any(not 0.0 < r < 1.0 for _, r in self.paths):
@@ -158,13 +157,11 @@ class ExperimentConfig:
             self.schedule.check_adjacent(self.prior_week, self.eval_week_conditional)
         # Every cell must evaluate, so a bad week fails here and not as a
         # failed fit in every replication.
-        lo = max(self.spline.boundary[0], GA_WINDOW[0])
-        hi = min(self.spline.boundary[1], GA_WINDOW[1])
+        lo, hi = GA_WINDOW
         weeks = (*self.eval_weeks_marginal, self.prior_week, self.eval_week_conditional)
         if not all(lo <= w <= hi for w in weeks):
             raise ValueError(
-                f"evaluation weeks {weeks!r} must lie in [{lo}, {hi}], inside both "
-                f"the spline boundary and the study window"
+                f"evaluation weeks {weeks!r} must lie in the study window [{lo}, {hi}]"
             )
 
     def prior_values(self) -> dict[str, float]:
@@ -178,17 +175,13 @@ class ExperimentConfig:
         """JSON-able echo of the design: every field, nested sections too,
         with tuples as lists. ``workers`` is left out, since it does not
         affect results, and the ``qr_pair_mode`` constant is added; paths
-        echo as a name -> rank map, and the spline as its degree, size and
+        echo as a name -> rank map, and the spline section also holds its
         full knot vector."""
         echo = _as_lists(asdict(self))
         del echo["workers"]
         echo["paths"] = dict(self.paths)
         echo["qr_pair_mode"] = self.qr_pair_mode
-        echo["spline"] = {
-            "degree": self.spline.degree,
-            "n_basis": self.spline.n_basis,
-            "knots": list(self.spline.knots),
-        }
+        echo["spline"]["knots"] = list(self.spline.knots)
         return echo
 
 
@@ -425,7 +418,7 @@ def run_both_experiments(
 
 
 def emit_true_centiles(
-    model: LognormalAR1Model, tau_grid, week_step: float = 0.5
+    model: LognormalAR1Model, tau_grid, week_step: float
 ) -> list[tuple[float, float, float]]:
     """Rows (week, tau, mmHg) of exact percentile curves over the study window."""
     if not (np.isfinite(week_step) and week_step > 0.0):
@@ -451,10 +444,9 @@ _DRIFT_REFERENCE = {"C": (0.68, 0.74, 0.83), "D": (0.50, 0.85, 0.66, 0.66)}
 _DRIFT_TOL = 0.005
 
 
-def run_drift_report(model: LognormalAR1Model | None = None) -> dict:
+def run_drift_report(model: LognormalAR1Model) -> dict:
     """Conditional ranks of the drift and jump scenarios, with pass flags
     against their reference values at tolerance 0.005."""
-    model = model or LognormalAR1Model()
     scenarios = []
     for name, path in DRIFT_SCENARIOS.items():
         ranks = drift_conditional_ranks(model, path)
@@ -475,18 +467,23 @@ def run_drift_report(model: LognormalAR1Model | None = None) -> dict:
     return {"scenarios": scenarios}
 
 
-# Headline screening checks: quantity, mode, computed-value key, reference,
-# tolerance.
 _SCREENING_TARGET = 0.9
 _SCREENING_WEEK = 26.0
+# Headline screening checks: quantity, mode, computed-value key, reference,
+# tolerance.
+_SCREENING_CHECKS = (
+    ("required_difference_onset", ShiftMode.ONSET_AT_SCREEN, "d", 0.2276, 0.001),
+    ("abs_diff_mmhg_onset", ShiftMode.ONSET_AT_SCREEN, "abs_diff_mmhg", 15.6, 0.1),
+    ("sd_units_onset", ShiftMode.ONSET_AT_SCREEN, "sd_units", 2.3, 0.05),
+    ("required_difference_constant", ShiftMode.CONSTANT_SHIFT, "d", 0.6696, 0.002),
+)
 
 
-def run_screening_report(model: LognormalAR1Model | None = None) -> dict:
+def run_screening_report(model: LognormalAR1Model) -> dict:
     """Required mean differences for 90/90 accuracy and their absolute-scale
     translations, with pass flags against the reference values."""
-    model = model or LognormalAR1Model()
-    entries = []
-    for mode in (ShiftMode.ONSET_AT_SCREEN, ShiftMode.CONSTANT_SHIFT):
+    entries = {}
+    for mode in ShiftMode:
         d = required_difference(
             _SCREENING_TARGET, _SCREENING_TARGET, model.sigma, model.rho, mode
         )
@@ -497,45 +494,24 @@ def run_screening_report(model: LognormalAR1Model | None = None) -> dict:
             )
         )
         abs_diff, sd_units = absolute_shift_report(model, _SCREENING_WEEK, d)
-        entries.append(
-            {
-                "mode": mode.value,
-                "d": d,
-                "sigma": model.sigma,
-                "rho": model.rho,
-                "specificity": _SCREENING_TARGET,
-                "sensitivity": sens,
-                "abs_diff_mmhg": abs_diff,
-                "sd_units": sd_units,
-            }
-        )
-    onset, constant = entries
+        entries[mode] = {
+            "mode": mode.value,
+            "d": d,
+            "sigma": model.sigma,
+            "rho": model.rho,
+            "specificity": _SCREENING_TARGET,
+            "sensitivity": sens,
+            "abs_diff_mmhg": abs_diff,
+            "sd_units": sd_units,
+        }
     checks = [
         {
-            "quantity": "required_difference_onset",
-            "computed": onset["d"],
-            "reference": 0.2276,
-            "tolerance": 0.001,
-        },
-        {
-            "quantity": "abs_diff_mmhg_onset",
-            "computed": onset["abs_diff_mmhg"],
-            "reference": 15.6,
-            "tolerance": 0.1,
-        },
-        {
-            "quantity": "sd_units_onset",
-            "computed": onset["sd_units"],
-            "reference": 2.3,
-            "tolerance": 0.05,
-        },
-        {
-            "quantity": "required_difference_constant",
-            "computed": constant["d"],
-            "reference": 0.6696,
-            "tolerance": 0.002,
-        },
+            "quantity": quantity,
+            "computed": entries[mode][key],
+            "reference": reference,
+            "tolerance": tolerance,
+            "pass": bool(abs(entries[mode][key] - reference) <= tolerance),
+        }
+        for quantity, mode, key, reference, tolerance in _SCREENING_CHECKS
     ]
-    for chk in checks:
-        chk["pass"] = bool(abs(chk["computed"] - chk["reference"]) <= chk["tolerance"])
-    return {"entries": entries, "checks": checks}
+    return {"entries": list(entries.values()), "checks": checks}

@@ -1,7 +1,7 @@
 """Shared numerical primitives.
 
-Standard-normal distribution functions, the check (pinball) loss used by
-quantile regression, and splittable deterministic random-number streams.
+Standard-normal distribution functions, splittable deterministic
+random-number streams, and the integer check shared by the config classes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
-    "pinball_loss",
     "RngStream",
     "draw_normal",
     "PRNG_NAME",
@@ -130,13 +129,12 @@ def std_normal_quantile(p):
     return float(out[0]) if scalar else out
 
 
-def pinball_loss(residual, tau: float):
-    """Check loss residual * (tau - 1{residual < 0}); nonnegative for tau in (0, 1)."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie strictly in (0, 1), got {tau!r}")
-    r = np.asarray(residual, dtype=float)
-    out = r * (tau - (r < 0.0))
-    return float(out) if np.isscalar(residual) or out.ndim == 0 else out
+def _checked_index(value, name: str) -> int:
+    """``value`` as an int; a bool, a float (integral or not) or a string
+    raises a ValueError that names it."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe): a pool of four uint32

@@ -76,7 +76,6 @@ import numpy as np
 
 from .cohort import PairSet
 from .errors import FitError
-from .numerics import pinball_loss
 from .splines import SplineSpec, design_matrix, spline_values
 
 __all__ = [
@@ -156,7 +155,6 @@ class QuantileFit:
     beta0: float = 0.0
     beta1: float = 0.0
     conditional: bool = False
-    objective: float = float("nan")
     n_obs: int = 0
     n_neg: int = 0
     n_pos: int = 0
@@ -835,11 +833,11 @@ def _fit_levels(X, y, levels, spec: SplineSpec, conditional: bool) -> tuple:
     """One QuantileFit per tau level on the checked design X, in order."""
     k = spec.n_basis
     design = _Design(X, y)
+    tol = _zero_tol(y)
     fits = []
     for tau in levels:
         beta, solver, ipm_steps, pivots, pfn_fallback = _solve_check_loss(design, tau)
-        resid = y - X @ beta
-        n_neg, n_pos = _sign_counts(resid, _zero_tol(y))
+        n_neg, n_pos = _sign_counts(y - X @ beta, tol)
         fits.append(QuantileFit(
             tau=tau,
             spec=spec,
@@ -847,7 +845,6 @@ def _fit_levels(X, y, levels, spec: SplineSpec, conditional: bool) -> tuple:
             beta0=float(beta[k]) if conditional else 0.0,
             beta1=float(beta[k + 1]) if conditional else 0.0,
             conditional=conditional,
-            objective=float(np.sum(pinball_loss(resid, tau))),
             n_obs=y.size,
             n_neg=n_neg,
             n_pos=n_pos,

@@ -1,43 +1,43 @@
-"""Clamped cubic B-spline basis over gestational age.
+"""Clamped cubic B-spline basis over the study window.
 
-All three estimators express their smooth age terms in this basis. The knot
-vector is open uniform: boundary knots repeated degree+1 times and the
-remaining interior knots spread evenly (for the default five cubic basis
-functions that is a single interior knot at the window midpoint, week 26).
-The upper boundary is included, so measurements at the right endpoint
-evaluate.
+All three estimators express their smooth age terms in this basis. It spans
+gestational weeks 16 to 36, the study window, and its knot vector is open
+uniform: boundary knots repeated degree+1 times and the remaining interior
+knots spread evenly (for the default five cubic basis functions that is a
+single interior knot at the window midpoint, week 26). The upper boundary is
+included, so measurements at the right endpoint evaluate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 from .model import GA_WINDOW
+from .numerics import _checked_index
 
 __all__ = ["SplineSpec", "design_matrix", "spline_values"]
 
 
 @dataclass(frozen=True)
 class SplineSpec:
-    """B-spline basis specification.
-
-    ``interior_knots`` may be given explicitly; by default the
-    n_basis - degree - 1 interior knots are equally spaced strictly inside
-    the boundary.
-    """
+    """B-spline basis of ``n_basis`` functions of degree ``degree`` over the
+    study window, with its n_basis - degree - 1 interior knots equally spaced
+    strictly inside it."""
 
     degree: int = 3
-    boundary: tuple[float, float] = GA_WINDOW
     n_basis: int = 5
-    interior_knots: tuple[float, ...] | None = None
+    boundary: ClassVar[tuple[float, float]] = GA_WINDOW
 
     def __post_init__(self):
-        object.__setattr__(self, "boundary", tuple(float(b) for b in self.boundary))
-        lo, hi = self.boundary
-        if not lo < hi:
-            raise ValueError(f"boundary must be increasing, got {self.boundary!r}")
+        # A float size would fail inside np.linspace, and True would fit at
+        # degree 1.
+        for name in ("degree", "n_basis"):
+            value = _checked_index(getattr(self, name), f"spline {name}")
+            object.__setattr__(self, name, value)
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
         if self.n_basis < self.degree + 1:
@@ -45,28 +45,14 @@ class SplineSpec:
                 f"n_basis={self.n_basis} needs at least degree+1={self.degree + 1} "
                 "basis functions"
             )
-        n_interior = self.n_basis - self.degree - 1
-        if self.interior_knots is None:
-            interior = tuple(np.linspace(lo, hi, n_interior + 2)[1:-1])
-        else:
-            interior = tuple(float(k) for k in self.interior_knots)
-            if len(interior) != n_interior:
-                raise ValueError(
-                    f"expected {n_interior} interior knots, got {len(interior)}"
-                )
-        if any(b < a for a, b in zip(interior, interior[1:])):
-            raise ValueError("interior knots must be nondecreasing")
-        if any(not lo < k < hi for k in interior):
-            raise ValueError("interior knots must lie strictly inside the boundary")
-        object.__setattr__(self, "interior_knots", interior)
 
-    @property
+    @cached_property
     def knots(self) -> tuple[float, ...]:
         """Full knot vector with boundary knots at multiplicity degree+1."""
         lo, hi = self.boundary
-        return (
-            (lo,) * (self.degree + 1) + self.interior_knots + (hi,) * (self.degree + 1)
-        )
+        n_interior = self.n_basis - self.degree - 1
+        interior = tuple(np.linspace(lo, hi, n_interior + 2)[1:-1])
+        return (lo,) * (self.degree + 1) + interior + (hi,) * (self.degree + 1)
 
 
 def design_matrix(spec: SplineSpec, times) -> np.ndarray:

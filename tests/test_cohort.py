@@ -25,15 +25,14 @@ from centilebench.splines import SplineSpec
 from conftest import TWO_WEEK_SCHEDULE, true_log_mean
 
 
-def make_cohort(observed_rows, model=None, schedule=None):
+def make_cohort(observed_rows, schedule=None):
     """Hand-built cohort with given attendance masks and simple times/values."""
-    model = model or LognormalAR1Model()
     schedule = schedule or VisitSchedule()
     observed = np.asarray(observed_rows, dtype=bool)
     n, k = observed.shape
     times = np.tile([18.0, 22.0, 26.0, 30.0, 34.0][:k], (n, 1))
     values = np.full((n, k), 70.0) + np.arange(k)
-    return Cohort(model=model, schedule=schedule, times=times, values=values, observed=observed)
+    return Cohort(schedule=schedule, times=times, values=values, observed=observed)
 
 
 def scan_pairs(cohort, max_gap):

@@ -119,15 +119,20 @@ class TestConfig:
             dict(eval_weeks_marginal=(float("nan"),)),
             dict(methods=("QR",), prior_week=12.0),
             dict(methods=("QR",), eval_week_conditional=36.5),
-            dict(spline=SplineSpec(boundary=(16.0, 30.0))),
+            dict(eval_weeks_marginal=(24.0, math.inf)),
         ],
     )
     def test_eval_weeks_outside_basis_or_model_rejected(self, design):
-        # Weeks must lie in the study window and, like week 32 here, in the
-        # narrowed basis. A bad week used to fit every cohort and then fail
-        # every replication.
+        # Weeks must lie in the study window, which the spline basis spans.
+        # A bad week used to fit every cohort and then fail every replication.
         with pytest.raises(ValueError, match="evaluation weeks"):
             ExperimentConfig(**design)
+
+    @pytest.mark.parametrize("field", ["tau_grid", "methods"])
+    def test_empty_tau_grid_or_methods_rejected(self, field):
+        # An empty grid used to fail every fit; no methods wrote empty tables.
+        with pytest.raises(ValueError, match="tau_grid and methods must be nonempty"):
+            ExperimentConfig(**{field: ()})
 
     def test_duplicate_tau_levels_rejected(self):
         with pytest.raises(ValueError, match="duplicate tau levels"):
@@ -180,8 +185,14 @@ class TestConfig:
             assert echo[name] == {
                 f.name: as_json(getattr(section, f.name)) for f in dataclasses.fields(section)
             }
-        # The spline's boundary and interior knots echo as its full knot vector.
-        assert echo["spline"] == {"degree": 3, "n_basis": 6, "knots": list(cfg.spline.knots)}
+        # The spline section is its fields plus the full knot vector.
+        spline_fields = {f.name for f in dataclasses.fields(SplineSpec)}
+        assert set(echo["spline"]) == spline_fields | {"knots"}
+        assert echo["spline"] == {
+            **{name: getattr(cfg.spline, name) for name in spline_fields},
+            "knots": list(cfg.spline.knots),
+        }
+        assert echo["spline"]["n_basis"] == 6
 
     @pytest.mark.parametrize("field", ["n_reps", "n_subjects", "workers", "master_seed"])
     def test_counts_and_seed_must_be_integers(self, field):
@@ -639,8 +650,8 @@ class TestTrueCentiles:
 
 
 class TestReports:
-    def test_drift_report_values(self):
-        report = run_drift_report()
+    def test_drift_report_values(self, model):
+        report = run_drift_report(model)
         by_name = {sc["scenario"]: sc for sc in report["scenarios"]}
         assert np.allclose(by_name["C"]["conditional_ranks"], [0.68, 0.74, 0.83], atol=0.005)
         assert np.allclose(
@@ -652,8 +663,8 @@ class TestReports:
         assert DRIFT_SCENARIOS["C"].marginal_ranks == (0.60, 0.70, 0.80, 0.90)
         assert DRIFT_SCENARIOS["D"].times == (18.0, 22.0, 26.0, 30.0, 34.0)
 
-    def test_screening_report_checks_pass(self):
-        report = run_screening_report()
+    def test_screening_report_checks_pass(self, model):
+        report = run_screening_report(model)
         assert all(chk["pass"] for chk in report["checks"])
         by_name = {chk["quantity"]: chk["computed"] for chk in report["checks"]}
         assert by_name["required_difference_onset"] == pytest.approx(0.2276, abs=1e-3)
@@ -661,8 +672,8 @@ class TestReports:
         assert by_name["sd_units_onset"] == pytest.approx(2.3, abs=0.05)
         assert by_name["required_difference_constant"] == pytest.approx(0.6696, abs=2e-3)
 
-    def test_screening_report_entry_fields(self):
-        report = run_screening_report()
+    def test_screening_report_entry_fields(self, model):
+        report = run_screening_report(model)
         for entry in report["entries"]:
             assert set(entry) == {
                 "mode", "d", "sigma", "rho", "specificity",
@@ -745,6 +756,14 @@ class TestCli:
         assert lines[0] == "week,tau,mmhg"
         assert len(lines) - 1 == 6 * 5
 
+    @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+    def test_bad_true_centiles_step_exits_in_one_line(self, step):
+        with pytest.raises(SystemExit) as exc:
+            main(["true-centiles", "--step", step])
+        message = str(exc.value)
+        assert message.startswith("invalid --step: week_step must be finite and positive")
+        assert "\n" not in message
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"n_reps": 7, "n_subjects": 80, "master_seed": 2}))
@@ -803,8 +822,15 @@ class TestCli:
             ({}, ["--seed", "-1"], "master_seed must be an unsigned 64-bit integer, got -1"),
             ({"model": {"c0": math.nan}}, [], "c0 must be finite"),
             ({"n_reps": 0}, [], "n_reps and n_subjects must be positive"),
+            ({"spline": {"n_basis": 6.0}}, [], "spline n_basis must be an integer, got 6.0"),
+            ({"spline": {"degree": True, "n_basis": 2}}, [], "spline degree must be an integer"),
+            ({"tau_grid": []}, [], "tau_grid and methods must be nonempty"),
+            ({"methods": []}, [], "tau_grid and methods must be nonempty"),
         ],
-        ids=["negative-seed", "non-finite-c0", "zero-reps"],
+        ids=[
+            "negative-seed", "non-finite-c0", "zero-reps", "float-n-basis", "bool-degree",
+            "empty-tau-grid", "no-methods",
+        ],
     )
     def test_invalid_config_value_exits_in_one_line(self, tmp_path, raw, args, message):
         cfg_file = tmp_path / "cfg.json"
@@ -847,9 +873,14 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "section,key",
-        [("model", "rhoo"), ("model", "window"), ("schedule", "window"), ("spline", "knots")],
+        [
+            ("model", "rhoo"), ("model", "window"), ("schedule", "window"), ("spline", "knots"),
+            ("spline", "boundary"), ("spline", "interior_knots"),
+        ],
     )
     def test_unknown_nested_config_key_rejected(self, tmp_path, section, key):
+        # The spline basis spans the study window. A boundary short of the
+        # last visit used to drop every replication with a visit beyond it.
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({section: {key: 0.4}}))
         message = rf"unknown config {section} keys: \['{key}'\]"

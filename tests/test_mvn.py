@@ -152,12 +152,11 @@ class TestFit:
         assert observed[0].any()
         observed[0] = False
         masked = Cohort(
-            model=model, schedule=schedule, times=cohort.times,
-            values=cohort.values, observed=observed,
+            schedule=schedule, times=cohort.times, values=cohort.values, observed=observed
         )
         # The empty subject adds nothing: the fit is that of the other 49.
         rest = Cohort(
-            model=model, schedule=schedule, times=cohort.times[1:],
+            schedule=schedule, times=cohort.times[1:],
             values=cohort.values[1:], observed=cohort.observed[1:],
         )
         assert fit_mvn(masked, spec5) == fit_mvn(rest, spec5)
@@ -177,9 +176,9 @@ class TestFit:
         )
         assert fit.loglik >= at_truth - 1e-6
 
-    def test_scale_invariance(self, recovery_cohort, spec5, fitted, model, schedule):
+    def test_scale_invariance(self, recovery_cohort, spec5, fitted, schedule):
         scaled = Cohort(
-            model=model, schedule=schedule, times=recovery_cohort.times,
+            schedule=schedule, times=recovery_cohort.times,
             values=recovery_cohort.values * 3.0, observed=recovery_cohort.observed,
         )
         fit3 = fit_mvn(scaled, spec5)
@@ -218,7 +217,7 @@ class TestPatternMoments:
     def test_matches_per_subject_reference(self, spec5, mask):
         n = mask.shape[0]
         cohort = Cohort(
-            model=_MASK_SOURCE.model, schedule=_MASK_SOURCE.schedule,
+            schedule=_MASK_SOURCE.schedule,
             times=_MASK_SOURCE.times[:n], values=_MASK_SOURCE.values[:n],
             observed=mask,
         )

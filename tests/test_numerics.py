@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from centilebench.numerics import (
     RngStream,
     draw_normal,
-    pinball_loss,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -91,39 +90,6 @@ class TestStdNormalQuantile:
     def test_rejects_bad_array_element(self):
         with pytest.raises(ValueError):
             std_normal_quantile(np.array([0.4, 1.0]))
-
-
-class TestPinballLoss:
-    @pytest.mark.parametrize(
-        "residual,tau,expected",
-        [(1.0, 0.5, 0.5), (-1.0, 0.5, 0.5), (-2.0, 0.9, 0.2)],
-    )
-    def test_values(self, residual, tau, expected):
-        assert pinball_loss(residual, tau) == pytest.approx(expected, abs=1e-12)
-
-    @pytest.mark.parametrize("tau", [0.0, 1.0, -0.5, 2.0])
-    def test_tau_domain(self, tau):
-        with pytest.raises(ValueError):
-            pinball_loss(1.0, tau)
-
-    @given(
-        r=st.floats(-1e6, 1e6),
-        tau=st.floats(0.01, 0.99),
-    )
-    def test_nonnegative(self, r, tau):
-        assert pinball_loss(r, tau) >= 0.0
-
-    @given(
-        r1=st.floats(-1e3, 1e3),
-        r2=st.floats(-1e3, 1e3),
-        lam=st.floats(0.0, 1.0),
-        tau=st.floats(0.01, 0.99),
-    )
-    @settings(max_examples=200)
-    def test_convexity(self, r1, r2, lam, tau):
-        mid = lam * r1 + (1.0 - lam) * r2
-        bound = lam * pinball_loss(r1, tau) + (1.0 - lam) * pinball_loss(r2, tau)
-        assert pinball_loss(mid, tau) <= bound + 1e-9
 
 
 class TestRngStream:

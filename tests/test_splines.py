@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
+from centilebench.model import GA_WINDOW
 from centilebench.splines import SplineSpec, design_matrix, spline_values
 
 
@@ -15,35 +17,31 @@ class TestSplineSpec:
 
     def test_interior_count_derived(self):
         spec = SplineSpec(n_basis=7)
-        assert len(spec.interior_knots) == 3
-        assert spec.interior_knots == (21.0, 26.0, 31.0)
-
-    def test_explicit_interior_knots(self):
-        spec = SplineSpec(interior_knots=(24.0,))
-        assert spec.knots[4] == 24.0
+        assert spec.knots[4:-4] == (21.0, 26.0, 31.0)
+        # The metadata prints the knots, so they keep np.linspace's bits.
+        assert SplineSpec(n_basis=6).knots[4:-4] == (22.666666666666668, 29.333333333333336)
 
     def test_n_basis_floor(self):
         with pytest.raises(ValueError):
             SplineSpec(n_basis=3)
 
-    def test_interior_strictly_inside(self):
-        with pytest.raises(ValueError):
-            SplineSpec(interior_knots=(16.0,))
+    def test_basis_spans_the_study_window(self):
+        # Degree and size are the only settings; the boundary is the window.
+        assert [f.name for f in dataclasses.fields(SplineSpec)] == ["degree", "n_basis"]
+        assert SplineSpec().boundary == SplineSpec(degree=2, n_basis=6).boundary == GA_WINDOW
+        for key, value in (("boundary", (16.0, 30.0)), ("interior_knots", (24.0,))):
+            with pytest.raises(TypeError, match=key):
+                SplineSpec(**{key: value})
 
-    def test_wrong_interior_count(self):
-        with pytest.raises(ValueError):
-            SplineSpec(interior_knots=(20.0, 30.0))
-
-    @pytest.mark.parametrize("boundary", [[16.0, 36.0], [16, 36], (16, 36.0)])
-    def test_boundary_coerced_to_float_tuple(self, boundary):
-        # A JSON config gives a list; a frozen spec must stay hashable and
-        # equal to the one built from the tuple.
-        spec = SplineSpec(boundary=boundary)
-        assert spec.boundary == (16.0, 36.0)
-        assert all(type(b) is float for b in spec.boundary)
-        assert spec == SplineSpec()
-        assert hash(spec) == hash(SplineSpec())
-        assert all(type(k) is float for k in spec.knots[:4] + spec.knots[-4:])
+    @pytest.mark.parametrize("field", ["degree", "n_basis"])
+    def test_settings_must_be_integers(self, field):
+        # A float size used to fail inside np.linspace, and True fitted at
+        # degree 1 and echoed as true.
+        for bad in (6.0, 2.5, True, "6"):
+            with pytest.raises(ValueError, match=f"^spline {field} must be an integer"):
+                SplineSpec(**{field: bad})
+        value = getattr(SplineSpec(**{field: np.int64(4)}), field)
+        assert value == 4 and type(value) is int
 
 
 class TestBasisRow:
@@ -149,7 +147,7 @@ _ORACLE_SPECS = [
     SplineSpec(n_basis=7),
     SplineSpec(degree=0, n_basis=1),
     SplineSpec(degree=1, n_basis=4),
-    SplineSpec(degree=2, n_basis=6, interior_knots=(20.0, 20.0, 30.0)),
+    SplineSpec(degree=2, n_basis=6),
 ]
 
 
