@@ -17,6 +17,7 @@ import sys
 
 from . import __version__
 from .cohort import VisitSchedule, generate_cohort
+from .errors import EmptyTableError
 from .experiment import (
     ExperimentConfig,
     SummaryRow,
@@ -120,7 +121,11 @@ def _simulate(cfg: ExperimentConfig, args):
 
 def _table(runner):
     def run(cfg: ExperimentConfig, args):
-        payload = runner(cfg).to_payload()
+        try:
+            summary = runner(cfg)
+        except EmptyTableError as exc:
+            raise SystemExit(f"invalid config: {exc}") from None
+        payload = summary.to_payload()
         return payload, payload["rows"], [f.name for f in dataclasses.fields(SummaryRow)]
 
     return run

@@ -1,7 +1,8 @@
 """Simulated antenatal cohorts.
 
-Each subject is scheduled for one visit per window of a ``VisitSchedule``
-(defined in ``model``, which owns the visit intervals; re-exported here).
+Each subject is scheduled for one visit in each of the study's five
+four-week windows (``VisitSchedule``, defined in ``model``, which owns the
+visit intervals; re-exported here).
 Visit times are uniform within the window, log measurements follow the
 AR(1) process, and attendance is an independent coin per visit. The latent
 value is kept for every slot (missingness is a mask), so oracle tests can
@@ -45,7 +46,6 @@ class PairSet:
 class Cohort:
     """A simulated cohort: per-subject times, latent values and attendance."""
 
-    schedule: VisitSchedule
     times: np.ndarray  # (n_subjects, n_intervals)
     values: np.ndarray  # (n_subjects, n_intervals), mmHg
     observed: np.ndarray  # (n_subjects, n_intervals), bool
@@ -98,7 +98,6 @@ def generate_cohort(
     """
     if n_subjects < 1:
         raise ValueError("n_subjects must be at least 1")
-    schedule.check_in_study_window()
     k = schedule.n_intervals
     uniforms = stream.child_uniforms(n_subjects, 3 * k)
 
@@ -115,4 +114,4 @@ def generate_cohort(
         z[:, j] = model.rho * z[:, j - 1] + carry * innov[:, j]
     values = np.exp(log_mean(model, times) + model.sigma * z)
 
-    return Cohort(schedule=schedule, times=times, values=values, observed=observed)
+    return Cohort(times=times, values=values, observed=observed)

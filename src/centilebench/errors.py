@@ -7,3 +7,7 @@ class FitError(RuntimeError):
 
 class ExperimentError(RuntimeError):
     """A replication experiment exceeded its failed-fit budget."""
+
+
+class EmptyTableError(ValueError):
+    """A valid design would write a requested table without rows."""

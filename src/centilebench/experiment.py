@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .cohort import VisitSchedule, generate_cohort
-from .errors import ExperimentError, FitError
+from .errors import EmptyTableError, ExperimentError, FitError
 from .lms import (
     fit_ar1_z,
     fit_lms,
@@ -150,11 +150,9 @@ class ExperimentConfig:
                 f"prior_week {self.prior_week!r} must precede eval_week_conditional "
                 f"{self.eval_week_conditional!r}"
             )
-        # Every cohort's visits must lie in the study window.
-        self.schedule.check_in_study_window()
         # The LMS and MVN conditional centiles chain one interval's correlation.
         if {"LMS", "MVN"} & set(self.methods):
-            self.schedule.check_adjacent(self.prior_week, self.eval_week_conditional)
+            VisitSchedule.check_adjacent(self.prior_week, self.eval_week_conditional)
         # Every cell must evaluate, so a bad week fails here and not as a
         # failed fit in every replication.
         lo, hi = GA_WINDOW
@@ -175,12 +173,13 @@ class ExperimentConfig:
         """JSON-able echo of the design: every field, nested sections too,
         with tuples as lists. ``workers`` is left out, since it does not
         affect results, and the ``qr_pair_mode`` constant is added; paths
-        echo as a name -> rank map, and the spline section also holds its
-        full knot vector."""
+        echo as a name -> rank map, the schedule section also holds its fixed
+        windows, and the spline section its full knot vector."""
         echo = _as_lists(asdict(self))
         del echo["workers"]
         echo["paths"] = dict(self.paths)
         echo["qr_pair_mode"] = self.qr_pair_mode
+        echo["schedule"]["windows"] = _as_lists(self.schedule.windows)
         echo["spline"]["knots"] = list(self.spline.knots)
         return echo
 
@@ -307,7 +306,7 @@ def _replication(cfg: ExperimentConfig, marginal: bool, conditional: bool, rep: 
             rho_hat = fit_ar1_z(*zscore_pairs(fit, pairs_adj))
             diag["lms_rho_hat"] = rho_hat
             blocks.append(lms_conditional_centile(
-                fit, rho_hat, week_p, y_prev[:, None], week_c, taus, schedule=cfg.schedule
+                fit, rho_hat, week_p, y_prev[:, None], week_c, taus
             ))
         return blocks
 
@@ -340,6 +339,14 @@ def _replication(cfg: ExperimentConfig, marginal: bool, conditional: bool, rep: 
 
 
 def _run(cfg: ExperimentConfig, marginal: bool, conditional: bool, keep_replicates=False):
+    # A table without rows would still fit every cohort; the config stays
+    # valid for the other table.
+    for wanted, values, what in (
+        (marginal, cfg.eval_weeks_marginal, "eval_weeks_marginal"),
+        (conditional, cfg.paths, "paths"),
+    ):
+        if wanted and not values:
+            raise EmptyTableError(f"{what} is empty, so its table would have no rows")
     replicate = partial(_replication, cfg, marginal, conditional)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:

@@ -339,21 +339,18 @@ def lms_conditional_centile(
     y_prev,
     t_cur: float,
     tau,
-    *,
-    schedule: VisitSchedule = VisitSchedule(),
 ):
     """Conditional tau-centile at t_cur given y_prev in the interval before.
 
     The previous value is scored, shrunk by rho_hat, combined with the
     standard normal quantile at the conditional scale sqrt(1 - rho_hat^2),
-    and mapped back through the inverse transform at t_cur. Adjacency is
-    judged on ``schedule``, the one rho_hat was estimated over. y_prev
+    and mapped back through the inverse transform at t_cur. y_prev
     broadcasts against tau, and scalars give a float; each element has the
     bits of its scalar call.
     """
     if not abs(rho_hat) < 1.0:
         raise ValueError(f"rho_hat must lie strictly in (-1, 1), got {rho_hat!r}")
-    schedule.check_adjacent(t_prev, t_cur)
+    VisitSchedule.check_adjacent(t_prev, t_cur)
     z_prev = lms_zscore(fit, t_prev, y_prev)
     z_cond = rho_hat * z_prev + std_normal_quantile(tau) * np.sqrt(
         1.0 - rho_hat * rho_hat

@@ -4,18 +4,18 @@ Log blood pressure at gestational age t weeks is normal with mean
 mu(t) = c0 + c2*(t/10)^2 + c3*(t/10)^3 and constant standard deviation
 sigma; standardized values in adjacent visit intervals follow a first-order
 autoregression with correlation rho. ``VisitSchedule`` owns the visit
-intervals and the one adjacency check: the truth layer reads the default
-schedule's five four-week windows over weeks 16-36, the cohort generator
-steps the AR(1) over a schedule's windows, and the fitted conditional
-centiles judge adjacency on the schedule they were fitted over. Everything
-else here is exact closed-form math: marginal and conditional percentiles,
-and the conditional ranks traced by drifting or jumping subject paths.
+intervals, the study's five four-week windows over weeks 16-36, and the one
+adjacency check: the truth layer, the cohort generator and the fitted
+conditional centiles all read those windows. Everything else here is exact
+closed-form math: marginal and conditional percentiles, and the conditional
+ranks traced by drifting or jumping subject paths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,81 +40,44 @@ GA_WINDOW = (16.0, 36.0)
 
 @dataclass(frozen=True)
 class VisitSchedule:
-    """Visit windows (half-open week intervals) and the attendance probability.
+    """The study's visit schedule: five four-week windows (half-open week
+    intervals) over the study window, and the attendance probability, the
+    one setting."""
 
-    The default is five four-week windows over the study window.
-    """
-
-    windows: tuple[tuple[float, float], ...] = tuple(
+    attendance_prob: float = 0.8
+    windows: ClassVar[tuple[tuple[float, float], ...]] = tuple(
         (lo, lo + 4.0) for lo in (16.0, 20.0, 24.0, 28.0, 32.0)
     )
-    attendance_prob: float = 0.8
+    n_intervals: ClassVar[int] = len(windows)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "windows", tuple((float(a), float(b)) for a, b in self.windows)
-        )
-        if not self.windows:
-            raise ValueError("schedule needs at least one window")
-        for lo, hi in self.windows:
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"window ({lo}, {hi}) must have finite bounds")
-            if not lo < hi:
-                raise ValueError(f"degenerate window ({lo}, {hi})")
-        for (_, hi), (lo, _) in zip(self.windows, self.windows[1:]):
-            if lo != hi:
-                raise ValueError("windows must be ordered and contiguous")
         if not 0.0 < self.attendance_prob <= 1.0:
             raise ValueError(
                 f"attendance_prob must lie in (0, 1], got {self.attendance_prob!r}"
             )
 
-    @property
-    def n_intervals(self) -> int:
-        return len(self.windows)
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return (self.windows[0][0], self.windows[-1][1])
-
-    def interval_index(self, t):
+    @classmethod
+    def interval_index(cls, t):
         """0-based index of the window containing gestational age t.
 
-        The last window is closed on the right so the span's upper endpoint
-        maps to the last visit; times outside the span, and NaN, raise
-        ValueError.
+        The last window is closed on the right so the study window's upper
+        endpoint maps to the last visit; times outside the study window, and
+        NaN, raise ValueError.
         """
-        arr = np.asarray(t, dtype=float)
-        lo, hi = self.span
-        if not np.all((arr >= lo) & (arr <= hi)):
-            raise ValueError(
-                f"gestational age {t!r} is not finite or lies outside the "
-                f"schedule span [{lo}, {hi}]"
-            )
-        starts = [w[0] for w in self.windows]
-        idx = np.searchsorted(starts, arr, side="right") - 1
+        arr = _check_window(t)
+        idx = np.searchsorted([lo for lo, _ in cls.windows], arr, side="right") - 1
         return int(idx) if arr.ndim == 0 else idx
 
-    def check_in_study_window(self) -> None:
-        """Raise ValueError unless the span lies inside the study window
-        GA_WINDOW, on which the model and the spline basis are defined."""
-        lo, hi = self.span
-        if lo < GA_WINDOW[0] or hi > GA_WINDOW[1]:
-            raise ValueError(f"schedule span {self.span} exceeds the study window {GA_WINDOW}")
-
-    def check_adjacent(self, t_prev: float, t_cur: float) -> None:
+    @classmethod
+    def check_adjacent(cls, t_prev: float, t_cur: float) -> None:
         """Raise ValueError unless t_cur lies in the window right after
         t_prev's: the AR(1) links adjacent intervals only."""
-        gap = self.interval_index(t_cur) - self.interval_index(t_prev)
+        gap = cls.interval_index(t_cur) - cls.interval_index(t_prev)
         if gap != 1:
             raise ValueError(
                 f"times {t_prev!r} and {t_cur!r} are {gap} visit intervals apart; "
                 "conditional centiles are defined for adjacent intervals only"
             )
-
-
-# The truth layer's visit intervals.
-_VISITS = VisitSchedule()
 
 
 @dataclass(frozen=True)
@@ -206,7 +169,7 @@ def conditional_params(
     model: LognormalAR1Model, t_prev: float, t_cur: float, y_prev: float
 ) -> ConditionalParams:
     """Log-scale parameters at t_cur given the adjacent-interval value y_prev."""
-    _VISITS.check_adjacent(t_prev, t_cur)
+    VisitSchedule.check_adjacent(t_prev, t_cur)
     if not y_prev > 0.0:
         raise ValueError(f"previous blood pressure must be positive, got {y_prev!r}")
     mu_cond = log_mean(model, t_cur) + model.rho * (
@@ -231,14 +194,12 @@ def drift_conditional_ranks(model: LognormalAR1Model, path: PercentilePath):
     For visits j >= 2 the rank is Phi((z_j - rho*z_{j-1}) / sqrt(1 - rho^2))
     with z_j the standard normal quantile of the j-th marginal rank; it
     depends only on the standardized path and rho, not on the mean curve.
-    Times must lie in the study window and in consecutive intervals of the
-    default visit schedule.
+    Times must lie in consecutive intervals of the visit schedule.
     """
     if len(path.times) < 2:
         raise ValueError("path needs at least two visits")
-    _check_window(path.times)
     for t_prev, t_cur in zip(path.times, path.times[1:]):
-        _VISITS.check_adjacent(t_prev, t_cur)
+        VisitSchedule.check_adjacent(t_prev, t_cur)
     z = std_normal_quantile(np.array(path.marginal_ranks))
     denom = math.sqrt(1.0 - model.rho * model.rho)
     return std_normal_cdf((z[1:] - model.rho * z[:-1]) / denom)

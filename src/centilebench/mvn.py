@@ -12,8 +12,8 @@ The data enter the profile only through per-pattern cross moments, one set
 for each attendance pattern, built once per fit. The patterns of each size
 are then stacked, so that an evaluation of the profile costs one batched
 inverse, one batched log-determinant and three batched contractions per
-pattern size, however many patterns there are (up to 31 on the default
-schedule). The pattern contributions are summed in order of first
+pattern size, however many patterns there are (up to 31 over the study's
+five visits). The pattern contributions are summed in order of first
 appearance, so every evaluation has the bits of a per-pattern running sum.
 """
 
@@ -44,9 +44,9 @@ _RHO_XATOL = 1e-7
 class MVNFit:
     """Fitted mean-curve coefficients (log scale) and covariance parameters.
 
-    ``schedule`` is the fitted cohort's visit schedule; rho_hat is the
-    correlation between its adjacent intervals. ``brent_evals`` counts the
-    profile-likelihood evaluations of the search for rho_hat.
+    rho_hat is the correlation between adjacent visit intervals.
+    ``brent_evals`` counts the profile-likelihood evaluations of the search
+    for rho_hat.
     """
 
     spec: SplineSpec
@@ -54,7 +54,6 @@ class MVNFit:
     sigma_hat: float
     rho_hat: float
     loglik: float = float("nan")
-    schedule: VisitSchedule = VisitSchedule()
     brent_evals: int = 0
 
     def __post_init__(self):
@@ -289,7 +288,6 @@ def fit_mvn(cohort: Cohort, spec: SplineSpec) -> MVNFit:
         sigma_hat=sigma,
         rho_hat=rho,
         loglik=float(ll),
-        schedule=cohort.schedule,
         brent_evals=nfev,
     )
 
@@ -305,14 +303,13 @@ def mvn_marginal_centile(fit: MVNFit, t, tau):
 def mvn_conditional_centile(fit: MVNFit, t_prev: float, y_prev, t_cur: float, tau):
     """Conditional tau-centile at t_cur given y_prev in the interval before.
 
-    Adjacency is judged on the fitted cohort's visit schedule. y_prev
-    broadcasts against tau, and scalars give a float; ``math`` takes the log
-    of y_prev, so each element has the bits of its scalar call.
+    y_prev broadcasts against tau, and scalars give a float; ``math`` takes
+    the log of y_prev, so each element has the bits of its scalar call.
     """
     prev = np.asarray(y_prev, dtype=float)
     if not np.all(np.isfinite(prev) & (prev > 0.0)):
         raise ValueError(f"previous measurement must be positive and finite, got {y_prev!r}")
-    fit.schedule.check_adjacent(t_prev, t_cur)
+    VisitSchedule.check_adjacent(t_prev, t_cur)
     y_prev, q = np.broadcast_arrays(prev, std_normal_quantile(tau))
     log_prev = np.array([math.log(y) for y in y_prev.ravel().tolist()]).reshape(y_prev.shape)
     mean_cur, mean_prev = fit.mean_at([t_cur, t_prev])

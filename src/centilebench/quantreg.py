@@ -145,8 +145,6 @@ class QuantileFit:
     ``ipm_steps`` counts the interior-point steps, 0 on the "pivot" and "lp"
     paths, and ``pivots`` the simplex pivots, also those of a pivot run that
     declined and left the fit to the interior point.
-    ``pfn_fallback`` is set when the preprocessing ran but gave no certified
-    vertex, so that another path produced the fit.
     """
 
     tau: float
@@ -161,7 +159,12 @@ class QuantileFit:
     solver: str = "ipm"
     ipm_steps: int = 0
     pivots: int = 0
-    pfn_fallback: bool = False
+
+    @property
+    def pfn_fallback(self) -> bool:
+        """The preprocessing ran but gave no certified vertex, so that
+        another path produced the fit."""
+        return self.n_obs >= _PFN_MIN_ROWS and self.solver != "pfn"
 
     @property
     def subgradient_ok(self) -> bool:
@@ -716,10 +719,9 @@ def _slope_breakpoint(near: np.ndarray, fall: np.ndarray, need: float):
         m = min(n, 4 * m)
 
 
-def _solve_check_loss(design: _Design, tau: float) -> tuple[np.ndarray, str, int, int, bool]:
+def _solve_check_loss(design: _Design, tau: float) -> tuple[np.ndarray, str, int, int]:
     """Exact check-loss minimizer, the path that produced it, its
-    interior-point step count, its pivot count, and whether the
-    preprocessing ran and failed.
+    interior-point step count and its pivot count.
 
     "pivot": designs of fewer than _PFN_MIN_ROWS rows first try the simplex
     pivots (_pivot_vertex), whose vertex is certified as the only minimizer.
@@ -735,28 +737,27 @@ def _solve_check_loss(design: _Design, tau: float) -> tuple[np.ndarray, str, int
     """
     X, y = design.X, design.y
     steps = pivots = 0
-    pfn_fallback = y.size >= _PFN_MIN_ROWS
     with np.errstate(all="ignore"):
-        if pfn_fallback:
+        if y.size >= _PFN_MIN_ROWS:
             try:
                 vertex, steps = _preprocessed_vertex(design, tau)
             except np.linalg.LinAlgError:
                 vertex = None
             if vertex is not None:
-                return vertex, "pfn", steps, pivots, False
+                return vertex, "pfn", steps, pivots
         else:
             vertex, pivots = _pivot_vertex(design, tau)
             if vertex is not None:
-                return vertex, "pivot", steps, pivots, False
+                return vertex, "pivot", steps, pivots
         try:
             beta, full_steps, vertex = _frisch_newton(design, tau, certify_on=design)
             if vertex is None and np.all(np.isfinite(beta)):
                 vertex = _certified_vertex(X, y, beta, tau)
             if vertex is not None:
-                return vertex, "ipm", steps + full_steps, pivots, pfn_fallback
+                return vertex, "ipm", steps + full_steps, pivots
         except np.linalg.LinAlgError:
             pass
-    return _solve_check_loss_lp(X, y, tau), "lp", 0, pivots, pfn_fallback
+    return _solve_check_loss_lp(X, y, tau), "lp", 0, pivots
 
 
 def _solve_check_loss_lp(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
@@ -836,7 +837,7 @@ def _fit_levels(X, y, levels, spec: SplineSpec, conditional: bool) -> tuple:
     tol = _zero_tol(y)
     fits = []
     for tau in levels:
-        beta, solver, ipm_steps, pivots, pfn_fallback = _solve_check_loss(design, tau)
+        beta, solver, ipm_steps, pivots = _solve_check_loss(design, tau)
         n_neg, n_pos = _sign_counts(y - X @ beta, tol)
         fits.append(QuantileFit(
             tau=tau,
@@ -851,7 +852,6 @@ def _fit_levels(X, y, levels, spec: SplineSpec, conditional: bool) -> tuple:
             solver=solver,
             ipm_steps=ipm_steps,
             pivots=pivots,
-            pfn_fallback=pfn_fallback,
         ))
     return tuple(fits)
 

@@ -132,7 +132,7 @@ def monte_carlo_screen(
 
     ``screen_weeks`` lists the 1-based visit numbers at which the
     conditional chart is consulted; each must have a preceding visit, so
-    valid entries are whole numbers from 2 to the default ``VisitSchedule``'s
+    valid entries are whole numbers from 2 to the ``VisitSchedule``'s
     number of visit intervals (5). A subject screens positive if the
     true-model conditional rank exceeds x at any screened visit. The diseased arm's log mean is shifted by ln(1+d) at
     every visit for the constant-shift mode, and from the first screened
@@ -145,7 +145,7 @@ def monte_carlo_screen(
         raise ValueError(f"specificity centile x must lie strictly in (0, 1), got {x!r}")
     if n_per_arm < 1000:
         raise ValueError(f"n_per_arm must be at least 1000, got {n_per_arm!r}")
-    n_intervals = VisitSchedule().n_intervals
+    n_intervals = VisitSchedule.n_intervals
     if not all(float(w).is_integer() for w in screen_weeks):
         raise ValueError(f"screen visits must be whole numbers, got {screen_weeks!r}")
     screens = sorted(int(w) for w in screen_weeks)

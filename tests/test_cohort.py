@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from centilebench.cohort import Cohort, VisitSchedule, generate_cohort
 from centilebench.experiment import ExperimentConfig
 from centilebench.lms import LMSFit, lms_conditional_centile
 from centilebench.model import (
+    GA_WINDOW,
     LognormalAR1Model,
     PercentilePath,
     conditional_params,
@@ -22,17 +24,16 @@ from centilebench.mvn import MVNFit, mvn_conditional_centile
 from centilebench.numerics import RngStream
 from centilebench.splines import SplineSpec
 
-from conftest import TWO_WEEK_SCHEDULE, true_log_mean
+from conftest import true_log_mean
 
 
-def make_cohort(observed_rows, schedule=None):
+def make_cohort(observed_rows):
     """Hand-built cohort with given attendance masks and simple times/values."""
-    schedule = schedule or VisitSchedule()
     observed = np.asarray(observed_rows, dtype=bool)
     n, k = observed.shape
     times = np.tile([18.0, 22.0, 26.0, 30.0, 34.0][:k], (n, 1))
     values = np.full((n, k), 70.0) + np.arange(k)
-    return Cohort(schedule=schedule, times=times, values=values, observed=observed)
+    return Cohort(times=times, values=values, observed=observed)
 
 
 def scan_pairs(cohort, max_gap):
@@ -68,21 +69,17 @@ class TestVisitSchedule:
         assert schedule.n_intervals == 5
         assert schedule.attendance_prob == 0.8
 
-    def test_contiguity_enforced(self):
-        with pytest.raises(ValueError):
-            VisitSchedule(windows=((16.0, 20.0), (24.0, 28.0)))
-
-    @pytest.mark.parametrize(
-        "windows",
-        [
-            ((16.0, 20.0), (20.0, math.inf)),
-            ((-math.inf, 20.0), (20.0, 24.0)),
-            ((16.0, math.nan),),
-        ],
-    )
-    def test_window_bounds_finite(self, windows):
-        with pytest.raises(ValueError, match=r"window \(.*\) must have finite bounds"):
-            VisitSchedule(windows=windows)
+    def test_windows_are_fixed(self):
+        # The study's five four-week windows over the study window; the
+        # attendance probability is the one setting.
+        assert [f.name for f in dataclasses.fields(VisitSchedule)] == ["attendance_prob"]
+        assert VisitSchedule.windows == (
+            (16.0, 20.0), (20.0, 24.0), (24.0, 28.0), (28.0, 32.0), (32.0, 36.0)
+        )
+        assert VisitSchedule(attendance_prob=0.5).windows is VisitSchedule.windows
+        assert (VisitSchedule.windows[0][0], VisitSchedule.windows[-1][1]) == GA_WINDOW
+        with pytest.raises(TypeError):
+            VisitSchedule(windows=((16.0, 36.0),))
 
     def test_attendance_domain(self):
         with pytest.raises(ValueError):
@@ -97,10 +94,13 @@ class TestVisitSchedule:
         assert isinstance(schedule.interval_index(22.0), int)
 
     def test_interval_index_follows_windows(self):
-        weeks = [16.0, 18.0, 22.0, 24.0, 26.0, 36.0]
-        assert list(TWO_WEEK_SCHEDULE.interval_index(weeks)) == [0, 1, 3, 4, 5, 9]
-        uneven = VisitSchedule(windows=((16.0, 19.0), (19.0, 27.0), (27.0, 36.0)))
-        assert list(uneven.interval_index([18.9, 19.0, 26.9, 27.0, 36.0])) == [0, 1, 1, 2, 2]
+        # Each window is half-open, except the last, which holds week 36.
+        for j, (lo, hi) in enumerate(VisitSchedule.windows):
+            assert VisitSchedule.interval_index(lo) == j
+            assert VisitSchedule.interval_index(np.nextafter(hi, lo)) == j
+        assert list(VisitSchedule.interval_index([16.0, 18.0, 22.0, 24.0, 26.0, 36.0])) == [
+            0, 0, 1, 2, 2, 4
+        ]
 
     @pytest.mark.parametrize("t", [15.9, 36.1, math.nan, math.inf])
     def test_interval_index_rejects_outside_span(self, schedule, t):
@@ -116,37 +116,32 @@ def _accepts(call) -> bool:
     return True
 
 
-def _span_times(schedule):
-    """Window edges, points just below them, and any time in the span."""
-    edges = sorted({t for w in schedule.windows for t in w})
+def _study_times():
+    """Window edges, points just below them, and any time in the study window."""
+    edges = sorted({t for w in VisitSchedule.windows for t in w})
     below = [t - 1e-12 for t in edges[1:]]
-    lo, hi = schedule.span
-    return st.one_of(st.sampled_from(edges + below), st.floats(lo, hi))
+    return st.one_of(st.sampled_from(edges + below), st.floats(*GA_WINDOW))
 
 
-def _fitted_layers(schedule, t_prev, t_cur):
+def _fitted_layers(t_prev, t_cur):
     """Calls of the fitted conditional centiles and of the config check on
-    one pair of times, all judged on ``schedule``."""
+    one pair of times."""
     flat = (math.log(70.0),) * 5
     lms = LMSFit(SplineSpec(), (0.0,) * 5, flat, (math.log(0.1),) * 5)
-    mvn = MVNFit(SplineSpec(), flat, sigma_hat=0.1, rho_hat=0.6, schedule=schedule)
+    mvn = MVNFit(SplineSpec(), flat, sigma_hat=0.1, rho_hat=0.6)
     return {
-        "lms": lambda: lms_conditional_centile(
-            lms, 0.6, t_prev, 64.0, t_cur, 0.5, schedule=schedule
-        ),
+        "lms": lambda: lms_conditional_centile(lms, 0.6, t_prev, 64.0, t_cur, 0.5),
         "mvn": lambda: mvn_conditional_centile(mvn, t_prev, 64.0, t_cur, 0.5),
-        "config": lambda: ExperimentConfig(
-            schedule=schedule, prior_week=t_prev, eval_week_conditional=t_cur
-        ),
+        "config": lambda: ExperimentConfig(prior_week=t_prev, eval_week_conditional=t_cur),
     }
 
 
 class TestAdjacencyHasOneOwner:
     """Every layer that conditions on the previous visit accepts exactly the
-    pairs of times its schedule's adjacency check accepts."""
+    pairs of times the schedule's adjacency check accepts."""
 
     @settings(max_examples=150, deadline=None)
-    @given(t_prev=_span_times(VisitSchedule()), t_cur=_span_times(VisitSchedule()))
+    @given(t_prev=_study_times(), t_cur=_study_times())
     @example(t_prev=16.0, t_cur=20.0)
     @example(t_prev=20.0 - 1e-12, t_cur=20.0)
     @example(t_prev=20.0 - 1e-12, t_cur=24.0)
@@ -156,10 +151,9 @@ class TestAdjacencyHasOneOwner:
     @example(t_prev=20.0, t_cur=20.0)
     @example(t_prev=26.0, t_cur=22.0)
     def test_default_schedule(self, t_prev, t_cur):
-        schedule = VisitSchedule()
-        expected = _accepts(lambda: schedule.check_adjacent(t_prev, t_cur))
+        expected = _accepts(lambda: VisitSchedule.check_adjacent(t_prev, t_cur))
         model = LognormalAR1Model()
-        layers = _fitted_layers(schedule, t_prev, t_cur)
+        layers = _fitted_layers(t_prev, t_cur)
         layers["truth"] = lambda: conditional_params(model, t_prev, t_cur, 64.0)
         layers["drift"] = lambda: drift_conditional_ranks(
             model, PercentilePath((t_prev, t_cur), (0.5, 0.6))
@@ -167,23 +161,18 @@ class TestAdjacencyHasOneOwner:
         for name, call in layers.items():
             assert _accepts(call) == expected, name
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        t_prev=_span_times(TWO_WEEK_SCHEDULE), t_cur=_span_times(TWO_WEEK_SCHEDULE)
+    @pytest.mark.parametrize(
+        "t_prev,t_cur,adjacent", [(18.0, 26.0, False), (22.0, 26.0, True), (22.0, 24.0, True)]
     )
-    @example(t_prev=22.0, t_cur=24.0)
-    @example(t_prev=22.0, t_cur=26.0)
-    @example(t_prev=20.0 - 1e-12, t_cur=20.0)
-    @example(t_prev=34.0, t_cur=36.0)
-    def test_two_week_schedule(self, t_prev, t_cur):
-        expected = _accepts(lambda: TWO_WEEK_SCHEDULE.check_adjacent(t_prev, t_cur))
-        for name, call in _fitted_layers(TWO_WEEK_SCHEDULE, t_prev, t_cur).items():
-            assert _accepts(call) == expected, name
+    def test_fixed_windows(self, t_prev, t_cur, adjacent):
+        assert _accepts(lambda: VisitSchedule.check_adjacent(t_prev, t_cur)) == adjacent
+        for name, call in _fitted_layers(t_prev, t_cur).items():
+            assert _accepts(call) == adjacent, name
 
     def test_message(self):
         with pytest.raises(ValueError, match="2 visit intervals apart.*adjacent intervals"):
             VisitSchedule().check_adjacent(18.0, 26.0)
-        with pytest.raises(ValueError, match="schedule span"):
+        with pytest.raises(ValueError, match="study window"):
             VisitSchedule().check_adjacent(12.0, 18.0)
 
 
@@ -239,7 +228,7 @@ class TestGenerateCohort:
             generate_cohort(model, schedule, 0, RngStream(1))
 
     @pytest.mark.parametrize(
-        "seed,rep,n_subjects,two_week",
+        "seed,rep,n_subjects,full_attendance",
         [
             (20260809, 0, 1000, False),
             (20260809, 499, 1, False),
@@ -249,10 +238,10 @@ class TestGenerateCohort:
         ],
     )
     def test_matches_per_subject_generators(
-        self, model, schedule, monkeypatch, seed, rep, n_subjects, two_week
+        self, model, schedule, monkeypatch, seed, rep, n_subjects, full_attendance
     ):
         # The per-subject Generator is the oracle for the vectorised pass.
-        sched = TWO_WEEK_SCHEDULE if two_week else schedule
+        sched = VisitSchedule(attendance_prob=1.0) if full_attendance else schedule
         stream = RngStream(seed).child(rep)
         fast = generate_cohort(model, sched, n_subjects, stream)
         monkeypatch.setattr(
@@ -267,11 +256,6 @@ class TestGenerateCohort:
             got, want = getattr(fast, name), getattr(slow, name)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), name
-
-    def test_schedule_must_fit_window(self, model):
-        wide = VisitSchedule(windows=((12.0, 16.0), (16.0, 20.0)))
-        with pytest.raises(ValueError, match="exceeds the study window"):
-            generate_cohort(model, wide, 10, RngStream(1))
 
 
 class TestPairs:

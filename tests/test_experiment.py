@@ -13,7 +13,7 @@ import centilebench
 from centilebench import experiment, lms, mvn, quantreg, splines
 from centilebench.cli import build_config, main
 from centilebench.cohort import VisitSchedule, generate_cohort
-from centilebench.errors import ExperimentError, FitError
+from centilebench.errors import EmptyTableError, ExperimentError, FitError
 from centilebench.experiment import (
     DRIFT_SCENARIOS,
     ExperimentConfig,
@@ -38,7 +38,7 @@ from centilebench.numerics import RngStream
 from centilebench.quantreg import fit_conditional_qr, fit_marginal_qr, predict_centile
 from centilebench.splines import SplineSpec
 
-from conftest import TWO_WEEK_SCHEDULE, summary_cell, true_log_mean
+from conftest import summary_cell, true_log_mean
 
 TINY = dict(n_reps=4, n_subjects=150, master_seed=314)
 
@@ -66,11 +66,6 @@ class TestConfig:
         assert priors["A"] == pytest.approx(marginal_percentile(model, 22.0, 0.03), rel=1e-14)
         assert priors["B"] == pytest.approx(82.0, abs=0.05)
 
-    @pytest.mark.parametrize("window", [(16.0, math.inf), (-math.inf, 36.0)])
-    def test_non_finite_window_rejected(self, window):
-        with pytest.raises(ValueError, match=r"window \(.*\) must have finite bounds"):
-            ExperimentConfig(schedule=VisitSchedule(windows=(window,)))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(methods=("QR", "GAM"))
@@ -85,24 +80,16 @@ class TestConfig:
             ExperimentConfig(qr_pair_mode="adjacent")
 
     def test_conditional_weeks_must_be_adjacent_intervals(self):
-        # Under 2-week windows, weeks 22 and 26 are two intervals apart: the
-        # LMS and MVN conditional centiles would fail in every replication.
+        # Weeks 18 and 26 are two intervals apart: the LMS and MVN
+        # conditional centiles would fail in every replication.
         for methods in (("LMS",), ("MVN",), ("QR", "LMS", "MVN")):
             with pytest.raises(ValueError, match="adjacent intervals"):
-                ExperimentConfig(schedule=TWO_WEEK_SCHEDULE, methods=methods)
-        ExperimentConfig(schedule=TWO_WEEK_SCHEDULE, methods=("QR",))
-        ExperimentConfig(schedule=TWO_WEEK_SCHEDULE, eval_week_conditional=24.0)
-        with pytest.raises(ValueError, match="schedule span"):
+                ExperimentConfig(prior_week=18.0, methods=methods)
+        ExperimentConfig(prior_week=18.0, methods=("QR",))
+        ExperimentConfig(prior_week=22.0, eval_week_conditional=26.0)
+        ExperimentConfig(prior_week=22.0, eval_week_conditional=24.0)
+        with pytest.raises(ValueError, match="study window"):
             ExperimentConfig(prior_week=12.0)
-
-    def test_schedule_must_lie_in_the_study_window(self):
-        # Without LMS or MVN no adjacency check reads the schedule, so only
-        # the span check stops this design before any replication runs.
-        early = VisitSchedule(windows=((12.0, 16.0), (16.0, 20.0), (20.0, 24.0)))
-        late = VisitSchedule(windows=((28.0, 32.0), (32.0, 38.0)))
-        for schedule in (early, late):
-            with pytest.raises(ValueError, match="exceeds the study window"):
-                ExperimentConfig(methods=("QR",), schedule=schedule)
 
     @pytest.mark.parametrize("methods", [("QR",), ("LMS",), ("MVN",), ("QR", "LMS", "MVN")])
     @pytest.mark.parametrize("eval_week", [22.0, 26.0])
@@ -133,6 +120,25 @@ class TestConfig:
         # An empty grid used to fail every fit; no methods wrote empty tables.
         with pytest.raises(ValueError, match="tau_grid and methods must be nonempty"):
             ExperimentConfig(**{field: ()})
+
+    @pytest.mark.parametrize(
+        "field,other", [("eval_weeks_marginal", "conditional"), ("paths", "marginal")]
+    )
+    def test_table_without_rows_refused_before_any_fit(self, monkeypatch, field, other):
+        # No marginal weeks leave Table 1 without rows, and no paths Table 2;
+        # the design still writes the other table.
+        cfg = ExperimentConfig(**dict(TINY, n_reps=1), **{field: ()})
+        real = experiment.generate_cohort
+        cohorts = []
+        monkeypatch.setattr(
+            experiment, "generate_cohort", lambda *args: cohorts.append(1) or real(*args)
+        )
+        with pytest.raises(EmptyTableError, match=f"^{field} is empty"):
+            run_both_experiments(cfg)
+        assert not cohorts
+        runner = {"marginal": run_marginal_experiment, "conditional": run_conditional_experiment}
+        assert runner[other](cfg).rows
+        assert cohorts == [1]
 
     def test_duplicate_tau_levels_rejected(self):
         with pytest.raises(ValueError, match="duplicate tau levels"):
@@ -180,11 +186,15 @@ class TestConfig:
         assert echo["paths"] == {"A": 0.2}
         for name in fields - {"workers", "paths", "model", "schedule", "spline"}:
             assert echo[name] == as_json(getattr(cfg, name)), name
-        for name in ("model", "schedule"):
-            section = getattr(cfg, name)
-            assert echo[name] == {
-                f.name: as_json(getattr(section, f.name)) for f in dataclasses.fields(section)
-            }
+        assert echo["model"] == {
+            f.name: as_json(getattr(cfg.model, f.name)) for f in dataclasses.fields(cfg.model)
+        }
+        # The schedule section is its fields plus the fixed windows.
+        assert echo["schedule"] == {
+            **{f.name: as_json(getattr(cfg.schedule, f.name))
+               for f in dataclasses.fields(cfg.schedule)},
+            "windows": as_json(VisitSchedule.windows),
+        }
         # The spline section is its fields plus the full knot vector.
         spline_fields = {f.name for f in dataclasses.fields(SplineSpec)}
         assert set(echo["spline"]) == spline_fields | {"knots"}
@@ -293,7 +303,7 @@ def _scalar_cells(cfg: ExperimentConfig, rep: int) -> dict:
                 qr_cond, week_c, y_prev=y_prev, dt=week_c - week_p
             )
             cells[("LMS", week_c, tau, name)] = lms_conditional_centile(
-                lms_fit, rho_hat, week_p, y_prev, week_c, tau, schedule=cfg.schedule
+                lms_fit, rho_hat, week_p, y_prev, week_c, tau
             )
             cells[("MVN", week_c, tau, name)] = mvn_conditional_centile(
                 mvn_fit, week_p, y_prev, week_c, tau
@@ -307,7 +317,7 @@ class TestCellGrid:
         [
             dict(master_seed=11),
             dict(master_seed=12),
-            dict(master_seed=13, schedule=TWO_WEEK_SCHEDULE, eval_week_conditional=24.0),
+            dict(master_seed=13, eval_week_conditional=24.0),
         ],
     )
     def test_cells_equal_scalar_calls(self, design):
@@ -803,11 +813,22 @@ class TestCli:
 
     @pytest.mark.parametrize("window", [[16.0, math.inf], [-math.inf, 36.0]])
     def test_config_file_non_finite_window_rejected(self, tmp_path, window):
-        # JSON admits Infinity; the schedule's windows bound the visit times.
+        # JSON admits Infinity; the visit windows are fixed, so no file sets one.
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"schedule": {"windows": [window]}}))
-        with pytest.raises(ValueError, match=r"window \(.*\) must have finite bounds"):
+        with pytest.raises(SystemExit, match=r"unknown config schedule keys: \['windows'\]"):
             build_config(str(cfg_file))
+
+    def test_schedule_windows_are_not_a_config_key(self, tmp_path):
+        # Moved windows made cohorts the truth does not describe, or a
+        # design that failed in every replication. Even the study's own
+        # windows, which the metadata echoes, are refused in one line.
+        cfg_file = tmp_path / "cfg.json"
+        windows = [list(w) for w in VisitSchedule.windows]
+        cfg_file.write_text(json.dumps({"schedule": {"windows": windows}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--config", str(cfg_file), "--reps", "1"])
+        assert str(exc.value) == "unknown config schedule keys: ['windows']"
 
     def test_config_file_fractional_seed_rejected(self, tmp_path):
         # It would otherwise write the rows of seed 1 under an echo of 1.5.
@@ -837,6 +858,28 @@ class TestCli:
         cfg_file.write_text(json.dumps(raw))
         with pytest.raises(SystemExit) as exc:
             main(["table1", "--config", str(cfg_file), *args])
+        assert str(exc.value).startswith(f"invalid config: {message}")
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "table,raw,message",
+        [
+            ("table1", {"eval_weeks_marginal": []}, "eval_weeks_marginal is empty"),
+            ("table2", {"paths": {}}, "paths is empty"),
+        ],
+    )
+    def test_table_without_rows_exits_in_one_line(
+        self, tmp_path, monkeypatch, table, raw, message
+    ):
+        # Every cohort used to be fitted for a header-only table, with exit 0.
+        def no_cohort(*args):
+            raise AssertionError("a cohort was generated")
+
+        monkeypatch.setattr(experiment, "generate_cohort", no_cohort)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(raw))
+        with pytest.raises(SystemExit) as exc:
+            main([table, "--config", str(cfg_file), "--reps", "2"])
         assert str(exc.value).startswith(f"invalid config: {message}")
         assert "\n" not in str(exc.value)
 

@@ -22,7 +22,7 @@ from centilebench.numerics import RngStream, std_normal_quantile
 from centilebench.errors import FitError
 from centilebench.splines import design_matrix
 
-from conftest import TWO_WEEK_SCHEDULE, true_log_mean
+from conftest import true_log_mean
 
 
 def constant_fit(spec, L, M, S):
@@ -191,13 +191,16 @@ class TestConditionalCentile:
             lms_conditional_centile(fitted, 0.6, 18.0, 64.0, 26.0, 0.5)
 
     def test_adjacency_follows_schedule(self, fitted):
-        with pytest.raises(ValueError, match="adjacent"):
-            lms_conditional_centile(
-                fitted, 0.6, 22.0, 64.0, 26.0, 0.5, schedule=TWO_WEEK_SCHEDULE
-            )
-        assert lms_conditional_centile(
-            fitted, 0.6, 22.0, 64.0, 24.0, 0.5, schedule=TWO_WEEK_SCHEDULE
-        ) > 0.0
+        # Midweeks of every pair of the study's windows: only a window and
+        # the next one are adjacent.
+        mids = [(lo + hi) / 2.0 for lo, hi in VisitSchedule.windows]
+        for i, t_prev in enumerate(mids):
+            for j, t_cur in enumerate(mids):
+                if j == i + 1:
+                    assert lms_conditional_centile(fitted, 0.6, t_prev, 64.0, t_cur, 0.5) > 0.0
+                else:
+                    with pytest.raises(ValueError, match="visit intervals apart"):
+                        lms_conditional_centile(fitted, 0.6, t_prev, 64.0, t_cur, 0.5)
 
     def test_domain_edge_raises(self, spec5):
         fit = constant_fit(spec5, L=-2.0, M=70.0, S=0.5)

@@ -25,7 +25,7 @@ from centilebench.mvn import (
 from centilebench.numerics import RngStream, std_normal_quantile
 from centilebench.splines import design_matrix
 
-from conftest import TWO_WEEK_SCHEDULE, true_log_mean
+from conftest import many_visit_cohort, true_log_mean
 
 def gaussian_log_likelihood(cohort, spec, mean_coefs, sigma, rho) -> float:
     """Exact joint log-likelihood of the observed data at given parameters.
@@ -151,13 +151,10 @@ class TestFit:
         observed = cohort.observed.copy()
         assert observed[0].any()
         observed[0] = False
-        masked = Cohort(
-            schedule=schedule, times=cohort.times, values=cohort.values, observed=observed
-        )
+        masked = Cohort(times=cohort.times, values=cohort.values, observed=observed)
         # The empty subject adds nothing: the fit is that of the other 49.
         rest = Cohort(
-            schedule=schedule, times=cohort.times[1:],
-            values=cohort.values[1:], observed=cohort.observed[1:],
+            times=cohort.times[1:], values=cohort.values[1:], observed=cohort.observed[1:]
         )
         assert fit_mvn(masked, spec5) == fit_mvn(rest, spec5)
 
@@ -176,9 +173,9 @@ class TestFit:
         )
         assert fit.loglik >= at_truth - 1e-6
 
-    def test_scale_invariance(self, recovery_cohort, spec5, fitted, schedule):
+    def test_scale_invariance(self, recovery_cohort, spec5, fitted):
         scaled = Cohort(
-            schedule=schedule, times=recovery_cohort.times,
+            times=recovery_cohort.times,
             values=recovery_cohort.values * 3.0, observed=recovery_cohort.observed,
         )
         fit3 = fit_mvn(scaled, spec5)
@@ -217,7 +214,6 @@ class TestPatternMoments:
     def test_matches_per_subject_reference(self, spec5, mask):
         n = mask.shape[0]
         cohort = Cohort(
-            schedule=_MASK_SOURCE.schedule,
             times=_MASK_SOURCE.times[:n], values=_MASK_SOURCE.values[:n],
             observed=mask,
         )
@@ -242,10 +238,9 @@ class TestPatternMoments:
     def test_pattern_codes_hold_64_visits(self, model, spec5):
         # Each pattern is a 64-bit code: 64 visits group as the reference
         # does, and a 65th is refused rather than folded onto another bit.
+        # The study has five visits, so these cohorts are built by hand.
         for n_visits in (64, 65):
-            edges = np.linspace(16.0, 36.0, n_visits + 1)
-            schedule = VisitSchedule(windows=tuple(zip(edges[:-1], edges[1:])))
-            cohort = generate_cohort(model, schedule, 30, RngStream(4).child(0))
+            cohort = many_visit_cohort(model, n_visits, 30, seed=4)
             if n_visits == 65:
                 with pytest.raises(ValueError, match="at most 64 visits"):
                     _pattern_moments(cohort, spec5, 4.2)
@@ -291,17 +286,21 @@ class TestBatchedProfile:
     @given(
         n_subjects=st.integers(30, 600),
         seed=st.integers(0, 2**32 - 1),
-        two_week=st.booleans(),
+        ten_visits=st.booleans(),
         attendance=st.sampled_from([0.3, 0.8, 1.0]),
         rho=st.floats(-0.99, 0.99),
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_per_pattern_sum(
-        self, model, spec5, n_subjects, seed, two_week, attendance, rho
+        self, model, spec5, n_subjects, seed, ten_visits, attendance, rho
     ):
-        windows = (TWO_WEEK_SCHEDULE if two_week else VisitSchedule()).windows
-        schedule = VisitSchedule(windows=windows, attendance_prob=attendance)
-        cohort = generate_cohort(model, schedule, n_subjects, RngStream(seed).child(0))
+        # Ten visits, built by hand, give many more patterns than the
+        # study's five.
+        if ten_visits:
+            cohort = many_visit_cohort(model, 10, n_subjects, seed, attendance)
+        else:
+            schedule = VisitSchedule(attendance_prob=attendance)
+            cohort = generate_cohort(model, schedule, n_subjects, RngStream(seed).child(0))
         if cohort.observed.sum() < spec5.n_basis + 2:
             return
         self.assert_same_bits(cohort, spec5, [rho, 0.0, 0.6])
@@ -312,7 +311,7 @@ class TestBatchedProfile:
         self.assert_same_bits(cohort, spec5, np.linspace(-0.99, 0.99, 21))
 
     def test_fit_equals_per_pattern_fit(self, model, spec5, monkeypatch):
-        cohort = generate_cohort(model, TWO_WEEK_SCHEDULE, 400, RngStream(12).child(0))
+        cohort = many_visit_cohort(model, 10, 400, seed=12)
         fit = fit_mvn(cohort, spec5)
         monkeypatch.setattr(centilebench.mvn, "_stack_patterns", lambda groups: groups)
         monkeypatch.setattr(centilebench.mvn, "_profile", reference_profile)
@@ -447,11 +446,3 @@ class TestConditionalCentile:
                 mvn_conditional_centile(fitted, 22.0, y_prev, 26.0, 0.5)
         with pytest.raises(ValueError):
             mvn_conditional_centile(fitted, 18.0, 66.0, 26.0, 0.5)
-
-    def test_adjacency_follows_fitted_schedule(self, model, spec5):
-        cohort = generate_cohort(model, TWO_WEEK_SCHEDULE, 300, RngStream(12).child(0))
-        fit = fit_mvn(cohort, spec5)
-        assert fit.schedule == TWO_WEEK_SCHEDULE
-        with pytest.raises(ValueError, match="adjacent"):
-            mvn_conditional_centile(fit, 22.0, 70.0, 26.0, 0.5)
-        assert mvn_conditional_centile(fit, 22.0, 70.0, 24.0, 0.5) > 0.0

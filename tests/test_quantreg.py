@@ -43,7 +43,11 @@ def n_params(fit):
 
 
 def solve_check_loss(X, y, tau):
-    return _solve_check_loss(_Design(X, y), tau)
+    """The solver's vertex, path, step and pivot counts, and whether the
+    preprocessing fell back, as a fit of this design reports it."""
+    beta, solver, steps, pivots = _solve_check_loss(_Design(X, y), tau)
+    fit = QuantileFit(tau=tau, spec=SplineSpec(), spline_coefs=(), n_obs=y.size, solver=solver)
+    return beta, solver, steps, pivots, fit.pfn_fallback
 
 
 def check_loss(residual, tau):
