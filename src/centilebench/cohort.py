@@ -23,7 +23,13 @@ __all__ = ["VisitSchedule", "Cohort", "PairSet", "generate_cohort"]
 
 @dataclass(frozen=True)
 class PairSet:
-    """Vectorized pairs of earlier/later observed measurements per subject."""
+    """Vectorized pairs of earlier/later observed measurements per subject.
+
+    ``pos_prev`` and ``pos_cur`` are the positions of each pair's ends among
+    the cohort's ``n_observed`` observed measurements, in
+    ``Cohort.observed_points`` order, so that the rows of a basis built once
+    on those times serve the pairs too.
+    """
 
     subject_id: np.ndarray
     idx_prev: np.ndarray  # interval index of the earlier measurement
@@ -32,6 +38,9 @@ class PairSet:
     y_prev: np.ndarray
     t_cur: np.ndarray
     y_cur: np.ndarray
+    pos_prev: np.ndarray
+    pos_cur: np.ndarray
+    n_observed: int
 
     @property
     def gap(self) -> np.ndarray:
@@ -67,6 +76,7 @@ class Cohort:
         keep = subj[1:] == subj[:-1]
         if max_gap is not None:
             keep &= np.diff(slot) <= max_gap
+        pos = np.flatnonzero(keep)
         subj, ia, ib = subj[:-1][keep], slot[:-1][keep], slot[1:][keep]
         return PairSet(
             subject_id=subj,
@@ -76,6 +86,9 @@ class Cohort:
             y_prev=self.values[subj, ia],
             t_cur=self.times[subj, ib],
             y_cur=self.values[subj, ib],
+            pos_prev=pos,
+            pos_cur=pos + 1,
+            n_observed=slot.size,
         )
 
 

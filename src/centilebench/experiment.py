@@ -36,7 +36,7 @@ from .model import (
     marginal_percentile,
 )
 from .mvn import fit_mvn, mvn_conditional_centile, mvn_marginal_centile
-from .numerics import PRNG_NAME, RngStream, _checked_index
+from .numerics import PRNG_NAME, RngStream, _checked_index, _checked_real
 from .quantreg import (
     count_quantile_crossings,
     fit_conditional_qr,
@@ -50,7 +50,7 @@ from .screening import (
     required_difference,
     sensitivity_closed_form,
 )
-from .splines import SplineSpec
+from .splines import SplineSpec, design_matrix
 
 __all__ = [
     "ExperimentConfig",
@@ -100,15 +100,19 @@ class ExperimentConfig:
     spline: SplineSpec = SplineSpec()
 
     def __post_init__(self):
-        object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
-        object.__setattr__(
-            self, "eval_weeks_marginal", tuple(float(w) for w in self.eval_weeks_marginal)
-        )
-        object.__setattr__(self, "eval_week_conditional", float(self.eval_week_conditional))
-        object.__setattr__(self, "prior_week", float(self.prior_week))
-        object.__setattr__(
-            self, "paths", tuple((str(n), float(r)) for n, r in self.paths)
-        )
+        # A string would iterate over its characters, and a string or bool
+        # number would compare or echo as something other than a number.
+        for name in ("tau_grid", "eval_weeks_marginal", "paths", "methods"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list or a tuple, got {value!r}")
+        for name in ("tau_grid", "eval_weeks_marginal"):
+            values = tuple(_checked_real(v, f"{name} entry") for v in getattr(self, name))
+            object.__setattr__(self, name, values)
+        for name in ("eval_week_conditional", "prior_week"):
+            object.__setattr__(self, name, _checked_real(getattr(self, name), name))
+        paths = tuple((str(n), _checked_real(r, f"path {n!r} rank")) for n, r in self.paths)
+        object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "methods", tuple(self.methods))
         # A fractional count or seed would be truncated, or fail mid-run.
         for name in ("n_reps", "n_subjects", "workers", "master_seed"):
@@ -255,11 +259,14 @@ def _replication(cfg: ExperimentConfig, marginal: bool, conditional: bool, rep: 
     tau, path), plus failures and diagnostics. Each method fills its cell
     grid (see _grid_rows) with one call per fit, and QR fits each family's
     whole tau grid in one call; a failed method is recorded and contributes
-    no cells or counters of the family that failed.
+    no cells or counters of the family that failed. The spline basis of the
+    observed times is built once and shared by every fit; the pair fits
+    gather its rows.
     """
     stream = RngStream(cfg.master_seed).child(rep)
     cohort = generate_cohort(cfg.model, cfg.schedule, cfg.n_subjects, stream)
     t_obs, y_obs = cohort.observed_points()
+    basis = design_matrix(cfg.spline, t_obs)
     weeks = np.array(cfg.eval_weeks_marginal)
     taus = np.array(cfg.tau_grid)
     week_p, week_c = cfg.prior_week, cfg.eval_week_conditional
@@ -288,22 +295,22 @@ def _replication(cfg: ExperimentConfig, marginal: bool, conditional: bool, rep: 
     def qr_grid():
         blocks = []
         if marginal:
-            fits = qr_audited(fit_marginal_qr(t_obs, y_obs, cfg.tau_grid, cfg.spline))
-            blocks.append(np.column_stack([predict_centile(f, weeks) for f in fits]))
+            fits = fit_marginal_qr(t_obs, y_obs, cfg.tau_grid, cfg.spline, basis=basis)
+            blocks.append(predict_centile(qr_audited(fits), weeks))
             diag["qr_crossing_grid_points"] = count_quantile_crossings(fits)
         if conditional:
-            fits = qr_audited(fit_conditional_qr(pairs_succ, cfg.tau_grid, cfg.spline))
-            blocks.append(np.column_stack([
-                predict_centile(f, week_c, y_prev=y_prev, dt=week_c - week_p) for f in fits
-            ]))
+            fits = fit_conditional_qr(pairs_succ, cfg.tau_grid, cfg.spline, basis=basis)
+            blocks.append(
+                predict_centile(qr_audited(fits), week_c, y_prev=y_prev, dt=week_c - week_p)
+            )
         return blocks
 
     def lms_grid():
-        fit = fit_lms(t_obs, y_obs, cfg.spline)
+        fit = fit_lms(t_obs, y_obs, cfg.spline, basis=basis)
         diag["lms_newton_steps"] = fit.newton_steps
         blocks = [lms_centile(fit, weeks, taus[:, None]).T] if marginal else []
         if conditional:
-            rho_hat = fit_ar1_z(*zscore_pairs(fit, pairs_adj))
+            rho_hat = fit_ar1_z(*zscore_pairs(fit, pairs_adj, basis=basis))
             diag["lms_rho_hat"] = rho_hat
             blocks.append(lms_conditional_centile(
                 fit, rho_hat, week_p, y_prev[:, None], week_c, taus
@@ -311,7 +318,7 @@ def _replication(cfg: ExperimentConfig, marginal: bool, conditional: bool, rep: 
         return blocks
 
     def mvn_grid():
-        fit = fit_mvn(cohort, cfg.spline)
+        fit = fit_mvn(cohort, cfg.spline, basis=basis)
         diag["mvn_rho_hat"] = fit.rho_hat
         diag["mvn_sigma_hat"] = fit.sigma_hat
         diag["mvn_brent_evals"] = fit.brent_evals

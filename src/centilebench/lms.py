@@ -27,7 +27,7 @@ import numpy as np
 from .cohort import PairSet, VisitSchedule
 from .errors import FitError
 from .numerics import std_normal_quantile
-from .splines import SplineSpec, design_matrix, spline_values
+from .splines import SplineSpec, _checked_basis, design_matrix, spline_values
 
 __all__ = [
     "LMSFit",
@@ -72,7 +72,10 @@ class LMSFit:
 
     def curves_at(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(L, M, S) evaluated at the given ages."""
-        basis = design_matrix(self.spec, t)
+        return self._curves_on(design_matrix(self.spec, t))
+
+    def _curves_on(self, basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(L, M, S) at the ages whose basis rows are ``basis``."""
         return (
             basis @ np.asarray(self.l_coefs),
             np.exp(basis @ np.asarray(self.m_coefs)),
@@ -88,7 +91,7 @@ def _expm1_ratio(x):
 
 def _expm1_ratio_derivs(x):
     """E(x) and its first two derivatives, E' = (e^x - E) / x and
-    E'' = (e^x - 2E') / x, elementwise.
+    E'' = (e^x - 2E') / x, elementwise, and e^x.
 
     Below _SERIES_CUTOFF the derivatives come from the Taylor series
     E^(j)(x) = sum_m x^m / (m! (m + j + 1)), which is exact to rounding there.
@@ -109,7 +112,7 @@ def _expm1_ratio_derivs(x):
             s2 = s2 * xm + 1.0 / (m_fact * (m + 3))
         e1[small] = s1
         e2[small] = s2
-    return e0, e1, e2
+    return e0, e1, e2, ex
 
 
 def _boxcox_z(L, S, u):
@@ -158,8 +161,7 @@ def _nll_grad_hess(x, basis, ln_y, products):
     u = ln_y - ln_m
     inv_s = np.exp(-ln_s)
     lu = L * u
-    e0, e1, e2 = _expm1_ratio_derivs(lu)
-    w = np.exp(lu)
+    e0, e1, e2, w = _expm1_ratio_derivs(lu)
     z = u * e0 * inv_s
     z_l = u * u * e1 * inv_s
     z_m = -w * inv_s
@@ -254,7 +256,7 @@ def _projected_newton(x, lower, upper, basis, ln_y):
     )
 
 
-def fit_lms(times, values, spec: SplineSpec) -> LMSFit:
+def fit_lms(times, values, spec: SplineSpec, basis=None) -> LMSFit:
     """Maximize the Box-Cox normal likelihood over the L/M/S coefficients.
 
     Starts from L identically zero, the least-squares log-median curve, and
@@ -263,6 +265,8 @@ def fit_lms(times, values, spec: SplineSpec) -> LMSFit:
     box. It stops when the Newton decrement on the free coefficients is at
     most 1e-10 of max(|nll|, 1); a line search that cannot decrease the
     likelihood, or no convergence within 50 steps, raises FitError.
+    ``basis``, when given, is design_matrix(spec, times) built by the
+    caller, and is used instead of a new build.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -275,7 +279,7 @@ def fit_lms(times, values, spec: SplineSpec) -> LMSFit:
     if not np.all(np.isfinite(y) & (y > 0.0)):
         raise ValueError("all measurements must be positive and finite")
 
-    basis = design_matrix(spec, t)
+    basis = design_matrix(spec, t) if basis is None else _checked_basis(spec, basis, t.size)
     ln_y = np.log(y)
     m0, *_ = np.linalg.lstsq(basis, ln_y, rcond=None)
     m0 = np.clip(m0, *_LNM_BOUNDS)
@@ -294,12 +298,24 @@ def fit_lms(times, values, spec: SplineSpec) -> LMSFit:
 
 def lms_zscore(fit: LMSFit, t, y):
     """z-score of measurement y at age t under the fitted L/M/S curves."""
+    y_arr = _measurements(y)
+    out = _zscore_on(fit, design_matrix(fit.spec, np.atleast_1d(t)), y_arr)
+    return float(out[0]) if np.ndim(t) == 0 and np.ndim(y) == 0 else out
+
+
+def _measurements(y) -> np.ndarray:
+    """y as a float array, checked positive and finite."""
     y_arr = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y_arr) & (y_arr > 0.0)):
         raise ValueError("measurements must be positive and finite")
-    L, M, S = fit.curves_at(np.atleast_1d(t))
-    out = _boxcox_z(L, S, np.log(y_arr / M))
-    return float(out[0]) if np.ndim(t) == 0 and np.ndim(y) == 0 else out
+    return y_arr
+
+
+def _zscore_on(fit: LMSFit, basis, y_arr):
+    """z-scores of the measurements y_arr at the ages whose basis rows are
+    ``basis``."""
+    L, M, S = fit._curves_on(basis)
+    return _boxcox_z(L, S, np.log(y_arr / M))
 
 
 def _from_zscore(L: float, M: float, S: float, z: float) -> float:
@@ -361,20 +377,29 @@ def lms_conditional_centile(
     return float(out) if out.ndim == 0 else out
 
 
-def zscore_pairs(fit: LMSFit, pairs: PairSet) -> tuple[np.ndarray, np.ndarray]:
+def zscore_pairs(fit: LMSFit, pairs: PairSet, basis=None) -> tuple[np.ndarray, np.ndarray]:
     """z-scores of the earlier and later measurements of each lag-1 pair.
 
     The autoregression is defined for adjacent intervals, so pairs spanning
-    a missed visit are rejected.
+    a missed visit are rejected. ``basis``, when given, is design_matrix on
+    the cohort's observed times (``Cohort.observed_points`` order), built by
+    the caller; each end's rows are gathered from it at ``pairs.pos_prev``
+    and ``pairs.pos_cur`` instead of building the basis of the pair times.
     """
     if len(pairs) and np.any(pairs.gap != 1):
         raise ValueError(
             "z-score pairs must be exactly one visit interval apart; "
             "build them with pair_set(max_gap=1)"
         )
+    if basis is None:
+        return (
+            lms_zscore(fit, pairs.t_prev, pairs.y_prev),
+            lms_zscore(fit, pairs.t_cur, pairs.y_cur),
+        )
+    basis = _checked_basis(fit.spec, basis, pairs.n_observed)
     return (
-        lms_zscore(fit, pairs.t_prev, pairs.y_prev),
-        lms_zscore(fit, pairs.t_cur, pairs.y_cur),
+        _zscore_on(fit, basis[pairs.pos_prev], _measurements(pairs.y_prev)),
+        _zscore_on(fit, basis[pairs.pos_cur], _measurements(pairs.y_cur)),
     )
 
 

@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .numerics import std_normal_cdf, std_normal_quantile
+from .numerics import _checked_real, std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "GA_WINDOW",
@@ -51,6 +51,8 @@ class VisitSchedule:
     n_intervals: ClassVar[int] = len(windows)
 
     def __post_init__(self):
+        prob = _checked_real(self.attendance_prob, "attendance_prob")
+        object.__setattr__(self, "attendance_prob", prob)
         if not 0.0 < self.attendance_prob <= 1.0:
             raise ValueError(
                 f"attendance_prob must lie in (0, 1], got {self.attendance_prob!r}"
@@ -92,6 +94,8 @@ class LognormalAR1Model:
     rho: float = 0.6
 
     def __post_init__(self):
+        for name in ("c0", "c2", "c3", "sigma", "rho"):
+            object.__setattr__(self, name, _checked_real(getattr(self, name), name))
         for name in ("c0", "c2", "c3", "sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")

@@ -9,7 +9,11 @@ by Brent's bounded search. Centiles come from back-transforming normal quantiles
 to the measurement scale.
 
 The data enter the profile only through per-pattern cross moments, one set
-for each attendance pattern, built once per fit. The patterns of each size
+for each attendance pattern, built once per fit from the basis of the
+observed times, which a replication builds once and shares with the other
+fits. Each pattern's moments are flat two-index einsums over its subjects'
+basis rows, reshaped to the pattern's (visit, visit, basis, basis) layout;
+they have the bits of the four-index einsums. The patterns of each size
 are then stacked, so that an evaluation of the profile costs one batched
 inverse, one batched log-determinant and three batched contractions per
 pattern size, however many patterns there are (up to 31 over the study's
@@ -27,7 +31,7 @@ import numpy as np
 from .cohort import Cohort, VisitSchedule
 from .errors import FitError
 from .numerics import std_normal_quantile
-from .splines import SplineSpec, design_matrix, spline_values
+from .splines import SplineSpec, _checked_basis, design_matrix, spline_values
 
 __all__ = [
     "MVNFit",
@@ -68,19 +72,34 @@ class MVNFit:
         return spline_values(self.spec, t, self.mean_coefs)[0]
 
 
-def _pattern_moments(cohort: Cohort, spec: SplineSpec, center: float):
+def _pattern_moments(cohort: Cohort, spec: SplineSpec, center: float, obs_basis=None):
     """Group subjects by missingness pattern and accumulate cross moments.
 
     For each pattern the per-rho GLS pieces reduce to contractions of the
     inverse correlation matrix with fixed tensors, so the optimizer never
-    revisits the data. The basis is evaluated once for all observed times.
-    Patterns are kept in order of first appearance, which fixes the order
-    _profile sums them in; the all-missing pattern is skipped.
+    revisits the data. ``obs_basis`` is the basis of every observed time,
+    in ``Cohort.observed_points`` order, as fit_mvn receives it; when None
+    it is built here, and otherwise its shape is checked.
+
+    With F a pattern's (subjects, visits x basis) rows, sxx is the einsum
+    F'F and sxy the einsum F'ys, each reshaped and transposed to the four-
+    and three-index layouts and made contiguous. numpy's C einsum sums each
+    element over the subjects in the same order as the four-index forms
+    "nka,nlb->klab" and "nka,nl->kla", so the bits are theirs, and
+    _profile's einsums then run over the same memory layout (a strided
+    view changes their bits). Patterns are kept in order of first
+    appearance, which fixes the order _profile sums them in; the
+    all-missing pattern is skipped.
     """
     observed = cohort.observed
     logs = np.log(cohort.values) - center
-    basis = np.zeros(observed.shape + (spec.n_basis,))
-    basis[observed] = design_matrix(spec, cohort.times[observed])
+    if obs_basis is None:
+        obs_basis = design_matrix(spec, cohort.times[observed])
+    else:
+        obs_basis = _checked_basis(spec, obs_basis, int(np.count_nonzero(observed)))
+    n_basis = spec.n_basis
+    basis = np.zeros(observed.shape + (n_basis,))
+    basis[observed] = obs_basis
     # Each pattern's integer code, one bit per visit in an int64; one stable
     # sort lists every group's subjects in order, and a group's first
     # subject is its first appearance.
@@ -97,14 +116,16 @@ def _pattern_moments(cohort: Cohort, spec: SplineSpec, center: float):
         k = np.flatnonzero(observed[idx[0]])
         if k.size == 0:
             continue
-        bases = basis[np.ix_(idx, k)]
+        flat = basis[np.ix_(idx, k)].reshape(idx.size, k.size * n_basis)
         ys = logs[np.ix_(idx, k)]
+        sxx = np.einsum("nm,nq->mq", flat, flat).reshape(k.size, n_basis, k.size, n_basis)
+        sxy = np.einsum("nm,nl->ml", flat, ys).reshape(k.size, n_basis, k.size)
         groups.append(
             {
                 "gaps": np.abs(np.subtract.outer(k, k)).astype(float),
                 "count": len(idx),
-                "sxx": np.einsum("nka,nlb->klab", bases, bases),
-                "sxy": np.einsum("nka,nl->kla", bases, ys),
+                "sxx": np.ascontiguousarray(sxx.transpose(0, 2, 1, 3)),
+                "sxy": np.ascontiguousarray(sxy.transpose(0, 2, 1)),
                 "syy": np.einsum("nk,nl->kl", ys, ys),
             }
         )
@@ -260,10 +281,15 @@ def _minimize_bounded(func, lower: float, upper: float, xatol: float, maxfun: in
     return xf, fx, num, status
 
 
-def fit_mvn(cohort: Cohort, spec: SplineSpec) -> MVNFit:
-    """Maximum likelihood fit of (beta, sigma, rho); empty subjects are skipped."""
+def fit_mvn(cohort: Cohort, spec: SplineSpec, basis=None) -> MVNFit:
+    """Maximum likelihood fit of (beta, sigma, rho); empty subjects are skipped.
+
+    ``basis``, when given, is design_matrix on the cohort's observed times
+    (``Cohort.observed_points`` order), built by the caller, and is used
+    instead of a new build.
+    """
     center = float(np.log(cohort.values[cohort.observed]).mean())
-    groups, n_obs = _pattern_moments(cohort, spec, center)
+    groups, n_obs = _pattern_moments(cohort, spec, center, basis)
     if not groups:
         raise ValueError("cohort has no observed measurements")
     if n_obs < spec.n_basis + 2:

@@ -1,11 +1,13 @@
 """Shared numerical primitives.
 
 Standard-normal distribution functions, splittable deterministic
-random-number streams, and the integer check shared by the config classes.
+random-number streams, and the integer and real checks shared by the config
+classes.
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -135,6 +137,14 @@ def _checked_index(value, name: str) -> int:
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def _checked_real(value, name: str) -> float:
+    """``value`` as a float; a bool, a string, None or any other non-number
+    raises a ValueError that names it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe): a pool of four uint32

@@ -45,9 +45,9 @@ iterate, uncertified vertex) is solved by the HiGHS simplex on the same
 LP, re-solved on the primal if its answer fails the audit. Either way the
 solution is vertex-exact, and each fit records which path produced it.
 The setup that does not depend on tau (the contiguous X', the
-least-squares fit that each start shifts, and the preprocessing's
-subsample, its least-squares fit and the band) is built once per design
-and shared by the grid.
+least-squares fit that each start shifts, the preprocessing's subsample,
+its least-squares fit and the band, and the |X| and max|y| of the
+certificate's bounds) is built once per design and shared by the grid.
 
 Designs of at least _PFN_MIN_ROWS rows first try the preprocessing step of
 Portnoy & Koenker (1997), as in Koenker's ``rq.fit.pfn``. The least-squares
@@ -76,7 +76,7 @@ import numpy as np
 
 from .cohort import PairSet
 from .errors import FitError
-from .splines import SplineSpec, design_matrix, spline_values
+from .splines import SplineSpec, _checked_basis, design_matrix, spline_values
 
 __all__ = [
     "QuantileFit",
@@ -188,10 +188,14 @@ def _check_design(X: np.ndarray, what: str) -> None:
 
 class _Design:
     """A check-loss design (X, y) with the tau-independent setup of its
-    interior points, built on first use and shared by every tau of a grid.
+    interior points and certificates, built on first use and shared by
+    every tau of a grid.
 
     ``XT`` is a contiguous p x n copy of X, which makes every product of the
-    interior point a fast BLAS call. ``least_squares`` is the fit that each
+    interior point a fast BLAS call. ``abs_X`` = |X| and ``max_abs_y`` =
+    max|y| are the parts of the certificate's bounds (_unclear_rows,
+    _zero_tol) that do not depend on the vertex, formed once however many
+    certificates the grid runs. ``least_squares`` is the fit that each
     tau's start shifts (_ipm_start), or None when X'X is not positive
     definite, so that a singular design is factored once for the whole
     grid. ``subsample(m)`` is the preprocessing's stride subsample, as a
@@ -209,6 +213,15 @@ class _Design:
     @cached_property
     def XT(self) -> np.ndarray:
         return np.ascontiguousarray(self.X.T)
+
+    @cached_property
+    def abs_X(self) -> np.ndarray:
+        return np.abs(self.X)
+
+    @cached_property
+    def max_abs_y(self) -> float:
+        """max|y|, 0 for an empty y."""
+        return float(np.max(np.abs(self.y), initial=0.0))
 
     @cached_property
     def Xy(self) -> np.ndarray:
@@ -383,7 +396,7 @@ def _frisch_newton(design: _Design, tau: float, certify_on: _Design | None = Non
         if certify and gap <= _IPM_CERTIFY_GAP_REL * objective:
             certify = False
             if np.all(np.isfinite(beta)):
-                vertex = _certified_vertex(certify_on.X, certify_on.y, beta, tau)
+                vertex = _certified_vertex(certify_on, beta, tau)
                 if vertex is not None:
                     return beta, it, vertex
     return beta, it, None
@@ -397,10 +410,17 @@ def _damped(rate: float) -> float:
 
 def _order_statistics(values: np.ndarray, levels) -> np.ndarray:
     """The order statistics of values at the lower ends of numpy's linear
-    quantiles at levels: one partition instead of np.quantile's sort and
-    interpolation."""
+    quantiles at levels: partitions instead of np.quantile's sort and
+    interpolation. One partition per distinct rank, from the highest down,
+    each of the part below the rank before, since numpy's partition at
+    several ranks at once is several times slower than that."""
     ranks = [int(q * (values.size - 1)) for q in levels]
-    return np.partition(values, ranks)[ranks]
+    part = values.copy()
+    end = part.size
+    for rank in sorted(set(ranks), reverse=True):
+        part[:end].partition(rank)
+        end = rank
+    return part[ranks]
 
 
 def _ipm_start(design: _Design, tau: float) -> tuple[np.ndarray, np.ndarray]:
@@ -420,10 +440,9 @@ def _ipm_start(design: _Design, tau: float) -> tuple[np.ndarray, np.ndarray]:
     return beta, design.y - beta @ design.XT
 
 
-def _certified_vertex(
-    X: np.ndarray, y: np.ndarray, beta: np.ndarray, tau: float, unique: bool = False
-):
-    """The vertex through the p smallest residuals at beta, if provably optimal.
+def _certified_vertex(design: _Design, beta: np.ndarray, tau: float, unique: bool = False):
+    """The vertex of the design (X, y) through the p smallest residuals at
+    beta, if provably optimal.
 
     The basis h interpolates to within _ZERO_REL_TOL; every other residual
     must be nonzero beyond its rounding error (_residual_rounding, on the
@@ -439,6 +458,7 @@ def _certified_vertex(
     strictly, so the vertex is the only minimizer. Returns None when any
     condition fails.
     """
+    X, y = design.X, design.y
     p = X.shape[1]
     resid = y - X @ beta
     h = np.sort(np.argpartition(np.abs(resid), p - 1)[:p])
@@ -452,13 +472,13 @@ def _certified_vertex(
         return None
     vertex = np.linalg.solve(X_h, y[h])
     resid = y - X @ vertex
-    tol = _zero_tol(y)
+    tol = _zero_tol(design)
     if np.any(np.abs(resid[h]) > tol):
         return None
     basis_terms = np.abs(resid[h]) + _evaluation_rounding(X_h, y[h], vertex)
     nonbasis = np.ones(y.size, dtype=bool)
     nonbasis[h] = False
-    rows = np.flatnonzero(_unclear_rows(X, y, vertex, resid, inv_h, basis_terms) & nonbasis)
+    rows = np.flatnonzero(_unclear_rows(design, vertex, resid, inv_h, basis_terms) & nonbasis)
     if rows.size:
         # Row i of coords holds x_i' X_h^{-1}: row i of X in the basis rows'
         # coordinates, needed only on the rows the first bound left.
@@ -499,8 +519,9 @@ def _residual_rounding(X, y, vertex, coords, basis_terms) -> np.ndarray:
     return _evaluation_rounding(X, y, vertex) + np.abs(coords) @ basis_terms
 
 
-def _unclear_rows(X, y, vertex, resid, inv_h, basis_terms) -> np.ndarray:
-    """Rows whose residual the cheap rounding bound does not clear.
+def _unclear_rows(design: _Design, vertex, resid, inv_h, basis_terms) -> np.ndarray:
+    """Rows of the design whose residual the cheap rounding bound does not
+    clear.
 
     Since |x_i' X_h^{-1}| <= |x_i|' |X_h^{-1}| elementwise, the bound of
     _residual_rounding is at most c max|y| + |x_i|' (c |vertex| +
@@ -509,10 +530,10 @@ def _unclear_rows(X, y, vertex, resid, inv_h, basis_terms) -> np.ndarray:
     rounding, so every row it clears the exact bound clears too, and the
     certificate decides as if every row took the exact bound.
     """
-    ulps = _RESID_EVAL_ULPS * X.shape[1] * np.finfo(float).eps
+    ulps = _RESID_EVAL_ULPS * design.X.shape[1] * np.finfo(float).eps
     per_column = ulps * np.abs(vertex) + np.abs(inv_h) @ basis_terms
-    bound = np.abs(X) @ (per_column * _CLEAR_MARGIN)
-    bound += ulps * _CLEAR_MARGIN * float(np.max(np.abs(y)))
+    bound = design.abs_X @ (per_column * _CLEAR_MARGIN)
+    bound += ulps * _CLEAR_MARGIN * design.max_abs_y
     return np.abs(resid) <= bound
 
 
@@ -572,7 +593,7 @@ def _preprocessed_vertex(design: _Design, tau: float):
             if n_wrong == 0:
                 if not np.all(np.isfinite(beta)):
                     return None, steps
-                return _certified_vertex(X, y, beta, tau), steps
+                return _certified_vertex(design, beta, tau), steps
             if n_wrong > _PFN_MAX_WRONG * kept:
                 break
             if fixups == _PFN_FIXUPS:
@@ -666,7 +687,7 @@ def _pivot_vertex(design: _Design, tau: float):
         return None, pivots
     if not np.all(np.isfinite(beta)):
         return None, pivots
-    return _certified_vertex(X, y, beta, tau, unique=True), pivots
+    return _certified_vertex(design, beta, tau, unique=True), pivots
 
 
 def _independent_rows(X: np.ndarray, resid: np.ndarray):
@@ -735,10 +756,9 @@ def _solve_check_loss(design: _Design, tau: float) -> tuple[np.ndarray, str, int
     step count covers every interior point that ran, and is 0 on the LP
     path; the pivot count covers the pivots taken, declined or not.
     """
-    X, y = design.X, design.y
     steps = pivots = 0
     with np.errstate(all="ignore"):
-        if y.size >= _PFN_MIN_ROWS:
+        if design.y.size >= _PFN_MIN_ROWS:
             try:
                 vertex, steps = _preprocessed_vertex(design, tau)
             except np.linalg.LinAlgError:
@@ -752,12 +772,12 @@ def _solve_check_loss(design: _Design, tau: float) -> tuple[np.ndarray, str, int
         try:
             beta, full_steps, vertex = _frisch_newton(design, tau, certify_on=design)
             if vertex is None and np.all(np.isfinite(beta)):
-                vertex = _certified_vertex(X, y, beta, tau)
+                vertex = _certified_vertex(design, beta, tau)
             if vertex is not None:
                 return vertex, "ipm", steps + full_steps, pivots
         except np.linalg.LinAlgError:
             pass
-    return _solve_check_loss_lp(X, y, tau), "lp", 0, pivots
+    return _solve_check_loss_lp(design.X, design.y, tau), "lp", 0, pivots
 
 
 def _solve_check_loss_lp(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
@@ -800,9 +820,9 @@ def _solve_check_loss_lp(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray
     return np.asarray(res.x[:p], dtype=float)
 
 
-def _zero_tol(y: np.ndarray) -> float:
-    """Residuals at most this large in magnitude count as zero."""
-    return _ZERO_REL_TOL * max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
+def _zero_tol(design: _Design) -> float:
+    """Residuals of the design at most this large in magnitude count as zero."""
+    return _ZERO_REL_TOL * max(1.0, design.max_abs_y)
 
 
 def _sign_counts(resid: np.ndarray, tol: float) -> tuple[int, int]:
@@ -818,7 +838,8 @@ def _signs_balanced(counts: tuple[int, int], n: int, tau: float) -> bool:
 
 
 def _sign_counts_ok(X, y, beta, tau) -> bool:
-    return _signs_balanced(_sign_counts(y - X @ beta, _zero_tol(y)), y.size, tau)
+    tol = _zero_tol(_Design(X, y))
+    return _signs_balanced(_sign_counts(y - X @ beta, tol), y.size, tau)
 
 
 def _tau_levels(tau) -> tuple:
@@ -834,7 +855,7 @@ def _fit_levels(X, y, levels, spec: SplineSpec, conditional: bool) -> tuple:
     """One QuantileFit per tau level on the checked design X, in order."""
     k = spec.n_basis
     design = _Design(X, y)
-    tol = _zero_tol(y)
+    tol = _zero_tol(design)
     fits = []
     for tau in levels:
         beta, solver, ipm_steps, pivots = _solve_check_loss(design, tau)
@@ -856,10 +877,12 @@ def _fit_levels(X, y, levels, spec: SplineSpec, conditional: bool) -> tuple:
     return tuple(fits)
 
 
-def fit_marginal_qr(times, values, tau, spec: SplineSpec):
+def fit_marginal_qr(times, values, tau, spec: SplineSpec, basis=None):
     """Fit a marginal centile curve B(t) . c at each quantile level of tau:
     a QuantileFit for a scalar, a tuple of them in order for a sequence. The
-    design is built and checked once for all levels."""
+    design is built and checked once for all levels. ``basis``, when given,
+    is design_matrix(spec, times) built by the caller, and is used as the
+    design instead of a new build."""
     levels = _tau_levels(tau)
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -870,18 +893,21 @@ def fit_marginal_qr(times, values, tau, spec: SplineSpec):
             f"need at least n_basis+1={spec.n_basis + 1} observations, got {t.size}"
         )
     _check_finite(times=t, values=y)
-    X = design_matrix(spec, t)
+    X = design_matrix(spec, t) if basis is None else _checked_basis(spec, basis, t.size)
     _check_design(X, "marginal")
     fits = _fit_levels(X, y, levels, spec, conditional=False)
     return fits[0] if np.ndim(tau) == 0 else fits
 
 
-def fit_conditional_qr(pairs: PairSet, tau, spec: SplineSpec):
+def fit_conditional_qr(pairs: PairSet, tau, spec: SplineSpec, basis=None):
     """Fit the lag-adjusted conditional model on measurement pairs.
 
     The regressors are the spline basis at the later time, the earlier
     value, and the earlier value times the time gap. tau is a level or a
-    sequence of levels, as in fit_marginal_qr.
+    sequence of levels, as in fit_marginal_qr. ``basis``, when given, is
+    design_matrix on the cohort's observed times (``Cohort.observed_points``
+    order), built by the caller; the spline block gathers its rows at
+    ``pairs.pos_cur`` instead of building the basis of the later times.
     """
     levels = _tau_levels(tau)
     if len(pairs) < spec.n_basis + 3:
@@ -891,7 +917,10 @@ def fit_conditional_qr(pairs: PairSet, tau, spec: SplineSpec):
     _check_finite(
         t_prev=pairs.t_prev, y_prev=pairs.y_prev, t_cur=pairs.t_cur, y_cur=pairs.y_cur
     )
-    basis = design_matrix(spec, pairs.t_cur)
+    if basis is None:
+        basis = design_matrix(spec, pairs.t_cur)
+    else:
+        basis = _checked_basis(spec, basis, pairs.n_observed)[pairs.pos_cur]
     # Only the spline block must be well determined by the data spread; the
     # history columns may be collinear (constant prior, constant gap), in
     # which case the optimum is non-unique and any vertex solution is
@@ -904,27 +933,37 @@ def fit_conditional_qr(pairs: PairSet, tau, spec: SplineSpec):
     return fits[0] if np.ndim(tau) == 0 else fits
 
 
-def predict_centile(fit: QuantileFit, t, y_prev=None, dt=None):
+def predict_centile(fit, t, y_prev=None, dt=None):
     """Evaluate the fitted centile: B(t) . c plus the history adjustment.
 
+    ``fit`` is a QuantileFit, or a sequence of fits on one spline basis, as
+    fit_marginal_qr and fit_conditional_qr return for a tau sequence.
     Conditional fits require both y_prev and dt, and both must be finite;
-    marginal fits accept neither. Arguments broadcast, and scalars give a
-    float. The curve comes from spline_values, so every element has the bits
-    of its own scalar call.
+    marginal fits accept neither. Arguments broadcast, and for one fit
+    scalars give a float; a sequence adds a last axis over its fits. The
+    curves come from one spline_values call, so the basis of t is built
+    once for all the fits, and every element has the bits of its own scalar
+    call.
     """
-    if fit.conditional:
+    fits = (fit,) if isinstance(fit, QuantileFit) else tuple(fit)
+    spec, conditional = fits[0].spec, fits[0].conditional
+    if any(f.spec != spec or f.conditional != conditional for f in fits):
+        raise ValueError("fits must share one spline basis and one model")
+    if conditional:
         if y_prev is None or dt is None:
             raise ValueError("conditional fit requires y_prev and dt")
         if not (np.all(np.isfinite(y_prev)) and np.all(np.isfinite(dt))):
             raise ValueError(f"y_prev and dt must be finite, got {y_prev!r} and {dt!r}")
     elif y_prev is not None or dt is not None:
         raise ValueError("marginal fit takes no y_prev or dt")
-    base = spline_values(fit.spec, np.ravel(t), fit.spline_coefs)[0].reshape(np.shape(t))
-    if fit.conditional:
-        base = base + (fit.beta0 + fit.beta1 * np.asarray(dt, dtype=float)) * np.asarray(
-            y_prev, dtype=float
-        )
-    return float(base) if base.ndim == 0 else base
+    curves = spline_values(spec, np.ravel(t), *(f.spline_coefs for f in fits))
+    out = [curve.reshape(np.shape(t)) for curve in curves]
+    if conditional:
+        dt, y_prev = np.asarray(dt, dtype=float), np.asarray(y_prev, dtype=float)
+        out = [base + (f.beta0 + f.beta1 * dt) * y_prev for f, base in zip(fits, out)]
+    if isinstance(fit, QuantileFit):
+        return float(out[0]) if out[0].ndim == 0 else out[0]
+    return np.stack(out, axis=-1)
 
 
 def count_quantile_crossings(fits) -> int:

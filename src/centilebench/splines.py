@@ -102,6 +102,21 @@ def design_matrix(spec: SplineSpec, times) -> np.ndarray:
     return np.ascontiguousarray(basis[: spec.n_basis].T)
 
 
+def _checked_basis(spec: SplineSpec, basis, n_rows: int) -> np.ndarray:
+    """``basis``, a design_matrix built once by the caller and shared by
+    several fits, as a C-ordered float array; a shape other than
+    (n_rows, n_basis) raises ValueError. A row of design_matrix does not
+    depend on the other rows, so its rows, gathered or not, have the bits of
+    rows built alone."""
+    basis = np.ascontiguousarray(basis, dtype=float)
+    if basis.shape != (n_rows, spec.n_basis):
+        raise ValueError(
+            f"basis must have shape {(n_rows, spec.n_basis)} (one row per observed "
+            f"time, n_basis columns), got {basis.shape}"
+        )
+    return basis
+
+
 def spline_values(spec: SplineSpec, times, *coefs) -> np.ndarray:
     """Each coefficient vector's spline at the times: row k holds coefs[k]'s.
 

@@ -22,7 +22,7 @@ from centilebench.model import (
 )
 from centilebench.mvn import MVNFit, mvn_conditional_centile
 from centilebench.numerics import RngStream
-from centilebench.splines import SplineSpec
+from centilebench.splines import SplineSpec, design_matrix
 
 from conftest import true_log_mean
 
@@ -37,24 +37,31 @@ def make_cohort(observed_rows):
 
 
 def scan_pairs(cohort, max_gap):
-    """Reference pair builder: a per-subject scan of the attendance mask."""
-    subj, ia, ib = [], [], []
+    """Reference pair builder: a per-subject scan of the attendance mask,
+    counting the observed measurements before each pair's earlier end."""
+    subj, ia, ib, pos = [], [], [], []
+    seen = 0
     for i in range(cohort.times.shape[0]):
         idx = np.nonzero(cohort.observed[i])[0]
-        for a, b in zip(idx[:-1], idx[1:]):
+        for n, (a, b) in enumerate(zip(idx[:-1], idx[1:])):
             if max_gap is not None and b - a > max_gap:
                 continue
             subj.append(i)
             ia.append(int(a))
             ib.append(int(b))
+            pos.append(seen + n)
+        seen += idx.size
     subj = np.asarray(subj, dtype=int)
     ia = np.asarray(ia, dtype=int)
     ib = np.asarray(ib, dtype=int)
+    pos = np.asarray(pos, dtype=int)
     empty = not len(subj)
     return {
         "subject_id": subj,
         "idx_prev": ia,
         "idx_cur": ib,
+        "pos_prev": pos,
+        "pos_cur": pos + 1,
         "t_prev": np.empty(0) if empty else cohort.times[subj, ia],
         "y_prev": np.empty(0) if empty else cohort.values[subj, ia],
         "t_cur": np.empty(0) if empty else cohort.times[subj, ib],
@@ -308,9 +315,30 @@ class TestPairs:
         )
         for max_gap in (1, None):
             pairs = cohort.pair_set(max_gap=max_gap)
+            assert pairs.n_observed == np.count_nonzero(mask)
             for name, want in scan_pairs(cohort, max_gap).items():
                 got = getattr(pairs, name)
                 assert got.dtype == want.dtype, name
                 assert got.shape == want.shape, name
                 assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SplineSpec(), SplineSpec(degree=2), SplineSpec(n_basis=7)],
+        ids=["cubic-5", "quadratic-5", "cubic-7"],
+    )
+    def test_gathered_rows_are_the_rows_built_alone(self, model, spec):
+        # A basis row does not depend on the other rows, so the rows of the
+        # observed basis at a pair's positions have the bits of the basis
+        # built on the pair's times.
+        cohort = generate_cohort(model, VisitSchedule(), 1000, RngStream(12).child(0))
+        basis = design_matrix(spec, cohort.observed_points()[0])
+        for max_gap in (1, None):
+            pairs = cohort.pair_set(max_gap=max_gap)
+            for pos, times in ((pairs.pos_prev, pairs.t_prev), (pairs.pos_cur, pairs.t_cur)):
+                gathered = basis[pos]
+                built = design_matrix(spec, times)
+                assert gathered.flags.c_contiguous
+                assert gathered.shape == built.shape
+                assert gathered.tobytes() == built.tobytes()
 

@@ -395,20 +395,44 @@ class TestCellGrid:
                     cfg.n_reps - (r.method == "QR") for r in before.rows
                 ]
 
-    def test_basis_built_at_most_22_times(self, monkeypatch):
+    def test_basis_built_at_most_12_times(self, monkeypatch):
         calls = []
         real = splines.design_matrix
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counted(spec, times):
+            calls.append(np.size(times))
+            return real(spec, times)
 
-        for module in (quantreg, lms, mvn):
+        for module in (experiment, splines, quantreg, lms, mvn):
             monkeypatch.setattr(module, "design_matrix", counted)
-        experiment._replication(ExperimentConfig(), True, True, 0)
-        # The two QR designs, one LMS and one MVN fit build theirs; the rest
-        # serve every cell and diagnostic of the replication.
-        assert 4 <= len(calls) <= 22
+        cfg = ExperimentConfig()
+        experiment._replication(cfg, True, True, 0)
+        cohort = generate_cohort(
+            cfg.model, cfg.schedule, cfg.n_subjects, RngStream(cfg.master_seed).child(0)
+        )
+        # One basis of the observed times serves every fit and both pair
+        # sets; the others are evaluation grids of a few weeks each.
+        assert calls.count(int(cohort.observed.sum())) == 1
+        assert len(calls) <= 12
+
+    def test_basis_of_the_wrong_shape_is_refused(self):
+        cfg = ExperimentConfig()
+        cohort = generate_cohort(cfg.model, cfg.schedule, 200, RngStream(3).child(0))
+        t, y = cohort.observed_points()
+        spec = cfg.spline
+        good = splines.design_matrix(spec, t)
+        calls = [
+            lambda b: fit_marginal_qr(t, y, 0.5, spec, basis=b),
+            lambda b: fit_conditional_qr(cohort.pair_set(max_gap=None), 0.5, spec, basis=b),
+            lambda b: fit_lms(t, y, spec, basis=b),
+            lambda b: zscore_pairs(fit_lms(t, y, spec), cohort.pair_set(max_gap=1), basis=b),
+            lambda b: fit_mvn(cohort, spec, basis=b),
+        ]
+        for call in calls:
+            call(good)
+            for bad in (good[:-1], np.vstack([good, good[:1]]), good[:, :-1], good.ravel()):
+                with pytest.raises(ValueError, match="basis must have shape"):
+                    call(bad)
 
 
 class TestDeterminism:
@@ -509,8 +533,8 @@ class TestSolverDiagnostics:
         monkeypatch.setattr(
             quantreg,
             "_certified_vertex",
-            lambda X, y, beta, tau, unique=False: (
-                None if tau == 0.5 else certify(X, y, beta, tau, unique)
+            lambda design, beta, tau, unique=False: (
+                None if tau == 0.5 else certify(design, beta, tau, unique)
             ),
         )
         cfg = ExperimentConfig(**TINY, methods=("QR",))
@@ -847,10 +871,30 @@ class TestCli:
             ({"spline": {"degree": True, "n_basis": 2}}, [], "spline degree must be an integer"),
             ({"tau_grid": []}, [], "tau_grid and methods must be nonempty"),
             ({"methods": []}, [], "tau_grid and methods must be nonempty"),
+            # A number setting takes an int or a float: a string used to end
+            # in a TypeError traceback, and true ran as 1.0 but echoed true.
+            (
+                {"schedule": {"attendance_prob": "0.9"}}, [],
+                "attendance_prob must be a number, got '0.9'",
+            ),
+            ({"model": {"rho": "0.5"}}, [], "rho must be a number, got '0.5'"),
+            ({"tau_grid": [0.1, "0.5"]}, [], "tau_grid entry must be a number, got '0.5'"),
+            (
+                {"schedule": {"attendance_prob": True}}, [],
+                "attendance_prob must be a number, got True",
+            ),
+            ({"paths": {"A": True}}, [], "path 'A' rank must be a number, got True"),
+            ({"model": {"sigma": None}}, [], "sigma must be a number, got None"),
+            ({"prior_week": None}, [], "prior_week must be a number, got None"),
+            # A string sequence used to iterate over its characters.
+            ({"tau_grid": "0.5"}, [], "tau_grid must be a list or a tuple, got '0.5'"),
+            ({"methods": "QR"}, [], "methods must be a list or a tuple, got 'QR'"),
         ],
         ids=[
             "negative-seed", "non-finite-c0", "zero-reps", "float-n-basis", "bool-degree",
-            "empty-tau-grid", "no-methods",
+            "empty-tau-grid", "no-methods", "string-attendance", "string-rho",
+            "string-tau-level", "bool-attendance", "bool-path-rank", "none-sigma",
+            "none-prior-week", "string-tau-grid", "string-methods",
         ],
     )
     def test_invalid_config_value_exits_in_one_line(self, tmp_path, raw, args, message):

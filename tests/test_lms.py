@@ -258,6 +258,27 @@ class TestZscorePairsGuard:
             zscore_pairs(fitted, recovery_cohort.pair_set(max_gap=None))
 
 
+class TestSharedBasis:
+    @pytest.mark.parametrize("n_subjects", [200, 5000])
+    def test_fit_and_pair_scores_keep_their_bits(self, monkeypatch, spec5, n_subjects):
+        # The observed basis, built once by the caller, serves the fit as it
+        # is and the pair z-scores by its rows at both ends of each pair.
+        cohort = generate_cohort(
+            LognormalAR1Model(), VisitSchedule(), n_subjects, RngStream(9).child(0)
+        )
+        t, y = cohort.observed_points()
+        pairs = cohort.pair_set(max_gap=1)
+        basis = design_matrix(spec5, t)
+        fit = fit_lms(t, y, spec5)
+        want = zscore_pairs(fit, pairs)
+        monkeypatch.setattr(lms, "design_matrix", None)
+        shared = fit_lms(t, y, spec5, basis=basis)
+        assert hexes(coefs_of(shared)) == hexes(coefs_of(fit))
+        assert shared.newton_steps == fit.newton_steps
+        for got, ends in zip(zscore_pairs(fit, pairs, basis=basis), want):
+            assert got.tobytes() == ends.tobytes()
+
+
 def oracle_nll(x, basis, ln_y):
     """Box-Cox negative log-likelihood (up to a constant), written from the
     density ((y/M)^L - 1) / (L S) directly; complex x gives complex-step
@@ -329,7 +350,7 @@ class TestExpm1Ratio:
     @given(x=st.floats(-3.0, 3.0) | st.sampled_from([0.0, 1e-2, -1e-2, 1e-300, 5e-3]))
     @settings(max_examples=200, deadline=None)
     def test_matches_mpmath(self, x):
-        e0, e1, e2 = (float(v[0]) for v in lms._expm1_ratio_derivs(np.array([x])))
+        e0, e1, e2, ex = (float(v[0]) for v in lms._expm1_ratio_derivs(np.array([x])))
         with mpmath.workdps(40):
             xm = mpmath.mpf(x)
             f = lambda s: mpmath.expm1(s) / s if s != 0 else mpmath.mpf(1)
@@ -338,6 +359,8 @@ class TestExpm1Ratio:
         # cancellation just above the series cutoff x = 1e-2.
         for got, ref, rel in zip((e0, e1, e2), want, (1e-14, 1e-12, 1e-10)):
             assert got == pytest.approx(float(ref), rel=rel)
+        # The Hessian takes e^x from here, with the bits of its own np.exp.
+        assert ex.hex() == float(np.exp(np.array([x]))[0]).hex()
 
 
 def likelihood_point(seed, level, spread):

@@ -52,9 +52,10 @@ def gaussian_log_likelihood(cohort, spec, mean_coefs, sigma, rho) -> float:
     return float(total)
 
 
-def reference_pattern_moments(cohort, spec, center):
+def reference_pattern_moments(cohort, spec, center, obs_basis=None):
     """Per-subject moment builder: one basis call per subject, patterns kept
-    in order of first appearance, the all-missing pattern skipped."""
+    in order of first appearance, the all-missing pattern skipped. It builds
+    its own basis, whatever observed basis a fit passes on."""
     logs = np.log(cohort.values) - center
     by_pattern = {}
     for i in range(cohort.times.shape[0]):
@@ -263,8 +264,34 @@ class TestPatternMoments:
 
         cohort = generate_cohort(model, schedule, n_subjects, RngStream(6).child(0))
         monkeypatch.setattr(centilebench.mvn, "design_matrix", counting)
-        fit_mvn(cohort, spec5)
+        fit = fit_mvn(cohort, spec5)
         assert calls == [int(cohort.observed.sum())]
+        # A basis built by the caller is used as it is, with the same bits.
+        shared = design_matrix(spec5, cohort.observed_points()[0])
+        calls.clear()
+        assert fit_mvn(cohort, spec5, basis=shared) == fit
+        assert calls == []
+
+    @pytest.mark.parametrize("n_visits", [5, 10])
+    def test_flat_einsums_have_the_bits_of_the_four_index_ones(self, model, spec5, n_visits):
+        # The study's five visits give patterns of 1 to 5 visits; the
+        # 10-visit cohort is built by hand. The reference sums each moment
+        # by the four-index einsums "nka,nlb->klab" and "nka,nl->kla".
+        if n_visits == 5:
+            cohort = generate_cohort(model, VisitSchedule(0.5), 2000, RngStream(8).child(0))
+        else:
+            cohort = many_visit_cohort(model, n_visits, 400, seed=8, attendance_prob=0.9)
+        got, got_n = _pattern_moments(cohort, spec5, 4.2)
+        want, want_n = reference_pattern_moments(cohort, spec5, 4.2)
+        assert got_n == want_n
+        if n_visits == 5:
+            assert {g["gaps"].shape[0] for g in got} == set(range(1, 6))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for name in ("sxx", "sxy"):
+                assert g[name].flags.c_contiguous, name
+                assert g[name].shape == w[name].shape, name
+                assert g[name].tobytes() == w[name].tobytes(), name
 
 
 class TestBatchedProfile:

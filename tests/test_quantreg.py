@@ -18,6 +18,7 @@ from centilebench.quantreg import (
     _Design,
     _frisch_newton,
     _ipm_start,
+    _order_statistics,
     _pivot_vertex,
     _preprocessed_vertex,
     _sign_counts_ok,
@@ -330,7 +331,7 @@ class TestSolver:
         resid = y - X @ vertex
         i = int(np.argmax(resid))
         y[i] -= resid[i] - 2e-6
-        assert abs(y[i] - X[i] @ vertex) < _zero_tol(y)
+        assert abs(y[i] - X[i] @ vertex) < _zero_tol(_Design(X, y))
         moved, solver, *_ = solve_check_loss(X, y, tau)
         assert solver == "pivot"
         assert hexes(moved) == hexes(_full_vertex(X, y, tau))
@@ -362,14 +363,14 @@ class TestSolver:
         y = 70.0 * np.exp(0.1 * rng.standard_normal(n))
         for tau in (0.03, 0.97):
             beta, steps = frisch_newton(X, y, tau)
-            vertex = _certified_vertex(X, y, beta, tau)
+            vertex = _certified_vertex(_Design(X, y), beta, tau)
             assert vertex is not None
             for scale in (1e-6, 1e-3, 1e3, 1e6):
                 with np.errstate(over="raise", divide="raise", invalid="raise"):
                     scaled_beta, scaled_steps = frisch_newton(X, scale * y, tau)
                 assert abs(scaled_steps - steps) <= 1
                 if scale > 1.0:
-                    scaled = _certified_vertex(X, scale * y, scaled_beta, tau)
+                    scaled = _certified_vertex(_Design(X, scale * y), scaled_beta, tau)
                     assert scaled is not None
                     np.testing.assert_allclose(scaled, scale * vertex, rtol=1e-9)
                     # At 20 000 rows the preprocessing finds the same vertex.
@@ -392,7 +393,7 @@ class TestSolver:
         for tau in (0.02, 0.98):
             beta, steps = frisch_newton(X, y, tau)
             assert steps <= 90
-            assert _certified_vertex(X, y, beta, tau) is not None
+            assert _certified_vertex(_Design(X, y), beta, tau) is not None
 
 
 
@@ -408,7 +409,7 @@ def solve_certified_vertex(X, y, beta, tau):
         return None
     vertex = np.linalg.solve(X_h, y[h])
     resid = y - X @ vertex
-    if np.any(np.abs(resid[h]) > _zero_tol(y)):
+    if np.any(np.abs(resid[h]) > _zero_tol(_Design(X, y))):
         return None
     coords = np.linalg.solve(X_h.T, X.T)
     nonbasis = np.ones(y.size, dtype=bool)
@@ -435,7 +436,7 @@ def _same_certificate(X, y, beta, tau):
     """Both certificates decide alike on beta and give the same vertex; the
     decision is returned."""
     with np.errstate(all="ignore"):
-        got = _certified_vertex(X, y, beta, tau)
+        got = _certified_vertex(_Design(X, y), beta, tau)
         want = solve_certified_vertex(X, y, beta, tau)
     assert (got is None) == (want is None)
     if got is not None:
@@ -518,7 +519,7 @@ class TestCertificate:
                     * (np.abs(y) + np.abs(X) @ np.abs(vertex))
                 )
                 terms = np.abs(resid[h]) + evaluation[h]
-                unclear = quantreg._unclear_rows(X, y, vertex, resid, inv_h, terms)
+                unclear = quantreg._unclear_rows(_Design(X, y), vertex, resid, inv_h, terms)
                 assert not np.any(unclear & nonbasis)
                 coords = np.linalg.solve(X[h].T, X.T).T
                 exact = evaluation + np.abs(coords) @ terms
@@ -526,7 +527,7 @@ class TestCertificate:
                 factors = rng.choice([0.5, 1.0, 1.0 + 1e-12, 1.5, 3.0], size=n)
                 signs = rng.choice([-1.0, 1.0], size=n)
                 placed = np.where(nonbasis, exact * factors * signs, resid)
-                unclear = quantreg._unclear_rows(X, y, vertex, placed, inv_h, terms)
+                unclear = quantreg._unclear_rows(_Design(X, y), vertex, placed, inv_h, terms)
                 assert np.all(unclear[nonbasis & (np.abs(placed) <= exact)])
 
 
@@ -553,7 +554,7 @@ def _cohort_designs(n_subjects, seed):
 def _full_vertex(X, y, tau):
     """The full interior point's vertex, certified on the full data: the
     answer of every fit below the preprocessing threshold."""
-    vertex = _certified_vertex(X, y, frisch_newton(X, y, tau)[0], tau)
+    vertex = _certified_vertex(_Design(X, y), frisch_newton(X, y, tau)[0], tau)
     assert vertex is not None
     return vertex
 
@@ -673,7 +674,7 @@ class TestPreprocessing:
         certify = quantreg._certified_vertex
         calls = []
 
-        def refuse_all(X, y, beta, tau):
+        def refuse_all(design, beta, tau):
             calls.append(beta)
 
         # The preprocessing's certificates: each reduced interior point's
@@ -685,9 +686,9 @@ class TestPreprocessing:
         assert n_pfn >= 2
         calls.clear()
 
-        def refuse_preprocessing(X, y, beta, tau):
+        def refuse_preprocessing(design, beta, tau):
             calls.append(beta)
-            return None if len(calls) <= n_pfn else certify(X, y, beta, tau)
+            return None if len(calls) <= n_pfn else certify(design, beta, tau)
 
         monkeypatch.setattr(quantreg, "_certified_vertex", refuse_preprocessing)
         beta, solver, steps, pivots, fallback = solve_check_loss(X, y, tau)
@@ -714,7 +715,7 @@ class TestPreprocessing:
                 _, early_steps, early = _frisch_newton(design, tau, certify_on=design)
                 assert steps == early_steps
                 full, full_steps = frisch_newton(X, y, tau)
-                assert hexes(beta) == hexes(_certified_vertex(X, y, full, tau))
+                assert hexes(beta) == hexes(_certified_vertex(_Design(X, y), full, tau))
                 if early is None:
                     assert early_steps == full_steps
                 else:
@@ -852,6 +853,25 @@ class TestPredictBroadcast:
         assert got.shape == (3,)
         assert hexes(got) == hexes(scalar)
 
+    def test_family_of_fits(self, recovery_cohort, spec5):
+        # A tau family evaluates through one basis; its last axis runs over
+        # the fits, each with the bits of that fit's own call.
+        t, y = recovery_cohort.observed_points()
+        weeks = np.array([20.0, 24.0, 28.0, 32.0])
+        fits = fit_marginal_qr(t, y, TAUS, spec5)
+        got = predict_centile(fits, weeks)
+        assert got.shape == (weeks.size, len(TAUS))
+        assert hexes(got) == hexes(np.column_stack([predict_centile(f, weeks) for f in fits]))
+        fits = fit_conditional_qr(recovery_cohort.pair_set(max_gap=None), TAUS, spec5)
+        priors = np.array([55.0, 82.0])
+        got = predict_centile(fits, 26.0, y_prev=priors, dt=4.0)
+        assert got.shape == (priors.size, len(TAUS))
+        want = [predict_centile(f, 26.0, y_prev=priors, dt=4.0) for f in fits]
+        assert hexes(got) == hexes(np.column_stack(want))
+        other = QuantileFit(tau=0.5, spec=SplineSpec(n_basis=6), spline_coefs=(70.0,) * 6)
+        with pytest.raises(ValueError, match="one spline basis"):
+            predict_centile((fits[0], other), 26.0, y_prev=priors, dt=4.0)
+
 
 def fit_bits(fit):
     """Every field of a fit, with its floats as float.hex."""
@@ -897,7 +917,7 @@ class TestTauGrid:
         # The marginal design is regular; refusing every vertex sends it to
         # the LP too.
         monkeypatch.setattr(
-            quantreg, "_certified_vertex", lambda X, y, beta, tau, unique=False: None
+            quantreg, "_certified_vertex", lambda design, beta, tau, unique=False: None
         )
         self._assert_grid_matches_scalars(
             fit_marginal_qr, (pairs.t_cur, pairs.y_cur), spec5, "lp"
@@ -973,6 +993,43 @@ class TestTauGrid:
         calls.clear()
         fit_conditional_qr(recovery_cohort.pair_set(max_gap=None), TAUS, spec5)
         assert calls == ["design_matrix", "_check_design"]
+
+    @pytest.mark.parametrize("n_subjects", [1000, 5000])
+    def test_shared_basis_gives_the_same_fits(self, monkeypatch, n_subjects, spec5):
+        # The observed basis, built once by the caller, serves the marginal
+        # design as it is and the conditional one by its rows at the pairs'
+        # later ends; no design is built, and every fit keeps its bits.
+        (t, y), pairs = _cohort_data(n_subjects)
+        basis = design_matrix(spec5, t)
+        want = [fit_marginal_qr(t, y, TAUS, spec5), fit_conditional_qr(pairs, TAUS, spec5)]
+        monkeypatch.setattr(quantreg, "design_matrix", None)
+        got = [
+            fit_marginal_qr(t, y, TAUS, spec5, basis=basis),
+            fit_conditional_qr(pairs, TAUS, spec5, basis=basis),
+        ]
+        for got_fits, want_fits in zip(got, want):
+            assert [fit_bits(f) for f in got_fits] == [fit_bits(f) for f in want_fits]
+
+
+class TestOrderStatistics:
+    """Two levels are found by two single partitions, with the values of
+    numpy's partition at both ranks at once."""
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_match_numpy_partition(self, tied):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 100, 20_000):
+            values = rng.integers(0, 4, n).astype(float) if tied else rng.standard_normal(n)
+            before = values.copy()
+            levels = [(0.0, 1.0), (0.0, 0.0), (1.0, 1.0), (0.3, 0.3), (0.1, 0.9), (0.9, 0.1)]
+            levels += [tuple(rng.random(2)) for _ in range(20)]
+            for pair in levels:
+                ranks = [int(q * (n - 1)) for q in pair]
+                got = _order_statistics(values, pair)
+                assert hexes(got) == hexes(np.partition(values, ranks)[ranks])
+                (one,) = _order_statistics(values, pair[:1])
+                assert one == np.partition(values, ranks[0])[ranks[0]]
+            assert values.tobytes() == before.tobytes()
 
 
 class TestReporting:
