@@ -106,6 +106,14 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{name} must be a list or a tuple, got {value!r}")
+        # A list method is unhashable, and a string or a longer path unpacks
+        # into other fields.
+        for method in self.methods:
+            if not isinstance(method, str):
+                raise ValueError(f"methods entry must be a string, got {method!r}")
+        for path in self.paths:
+            if not (isinstance(path, (list, tuple)) and len(path) == 2):
+                raise ValueError(f"paths entry must be a [name, rank] pair, got {path!r}")
         for name in ("tau_grid", "eval_weeks_marginal"):
             values = tuple(_checked_real(v, f"{name} entry") for v in getattr(self, name))
             object.__setattr__(self, name, values)

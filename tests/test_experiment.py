@@ -533,8 +533,8 @@ class TestSolverDiagnostics:
         monkeypatch.setattr(
             quantreg,
             "_certified_vertex",
-            lambda design, beta, tau, unique=False: (
-                None if tau == 0.5 else certify(design, beta, tau, unique)
+            lambda design, beta, tau, unique=False, basis=None: (
+                None if tau == 0.5 else certify(design, beta, tau, unique, basis)
             ),
         )
         cfg = ExperimentConfig(**TINY, methods=("QR",))
@@ -889,12 +889,22 @@ class TestCli:
             # A string sequence used to iterate over its characters.
             ({"tau_grid": "0.5"}, [], "tau_grid must be a list or a tuple, got '0.5'"),
             ({"methods": "QR"}, [], "methods must be a list or a tuple, got 'QR'"),
+            # A list method used to end in a TypeError traceback, a longer
+            # path in an unpacking message, and a string path unpacked into
+            # a name and a rank.
+            ({"methods": [["QR"]]}, [], "methods entry must be a string, got ['QR']"),
+            (
+                {"paths": [["A", 0.03, 1]]}, [],
+                "paths entry must be a [name, rank] pair, got ['A', 0.03, 1]",
+            ),
+            ({"paths": ["AB"]}, [], "paths entry must be a [name, rank] pair, got 'AB'"),
         ],
         ids=[
             "negative-seed", "non-finite-c0", "zero-reps", "float-n-basis", "bool-degree",
             "empty-tau-grid", "no-methods", "string-attendance", "string-rho",
             "string-tau-level", "bool-attendance", "bool-path-rank", "none-sigma",
-            "none-prior-week", "string-tau-grid", "string-methods",
+            "none-prior-week", "string-tau-grid", "string-methods", "list-method",
+            "three-item-path", "string-path",
         ],
     )
     def test_invalid_config_value_exits_in_one_line(self, tmp_path, raw, args, message):

@@ -734,6 +734,39 @@ class TestPreprocessing:
         assert fit.subgradient_ok
 
 
+# Each fit's pivot count on _cohort_designs(n_subjects, seed), marginal then
+# conditional, one count per level of TAUS. A changed pivot sequence shows
+# here even where it ends on the same vertex.
+PINNED_PIVOTS = {
+    200: {
+        1: [(6, 6, 8, 3, 6), (8, 17, 20, 9, 7)],
+        2: [(7, 9, 5, 7, 5), (12, 14, 14, 11, 14)],
+        3: [(5, 11, 7, 7, 9), (13, 8, 13, 7, 6)],
+    },
+    1000: {
+        1: [(8, 7, 11, 6, 6), (14, 19, 17, 16, 15)],
+        2: [(10, 9, 10, 12, 15), (20, 17, 12, 17, 16)],
+        3: [(8, 7, 9, 13, 9), (26, 19, 19, 17, 6)],
+    },
+}
+
+
+def searchsorted_breakpoint(near, fall, need):
+    """_slope_breakpoint with its lift from np.cumsum and np.searchsorted:
+    the reference for its running sum in Python floats."""
+    n = near.size
+    m = min(n, quantreg._PIVOT_SEARCH)
+    while True:
+        order = np.argpartition(near, n - m)[n - m :] if m < n else np.arange(n)
+        order = order[np.argsort(near[order])[::-1]]
+        i = int(np.searchsorted(np.cumsum(np.abs(fall[order])), need))
+        if i < m:
+            return (i, order) if near[order[i]] > 0.0 else (None, None)
+        if m == n or not near[order[-1]] > 0.0:
+            return None, None
+        m = min(n, 4 * m)
+
+
 class TestPivots:
     """Below the preprocessing threshold the simplex pivots give the
     interior point's vertex bit for bit, or decline."""
@@ -741,9 +774,11 @@ class TestPivots:
     @pytest.mark.parametrize("n_subjects", [200, 1000])
     def test_cohort_designs_give_the_full_vertex_bit_for_bit(self, n_subjects):
         for seed in (1, 2, 3):
+            counts = []
             for X, y in _cohort_designs(n_subjects, seed):
                 assert y.size < _PFN_MIN_ROWS
                 design = _Design(X, y)
+                counts.append([])
                 for tau in TAUS:
                     want = hexes(_full_vertex(X, y, tau))
                     with np.errstate(all="ignore"):
@@ -753,6 +788,90 @@ class TestPivots:
                     beta, solver, steps, solved_pivots, fallback = solve_check_loss(X, y, tau)
                     assert (solver, steps, solved_pivots, fallback) == ("pivot", 0, pivots, False)
                     assert hexes(beta) == want
+                    counts[-1].append(pivots)
+            assert [tuple(c) for c in counts] == PINNED_PIVOTS[n_subjects][seed]
+
+    @pytest.mark.parametrize("n_subjects", [200, 1000])
+    def test_certificate_given_the_pivot_basis_decides_as_from_scratch(
+        self, monkeypatch, n_subjects
+    ):
+        # Each descent hands its final basis to the certificate. With it, or
+        # with one of its rows swapped for the nearest non-basis row, the
+        # certificate gives the vertex and sign counts it gives without it.
+        certify = quantreg._certified_vertex
+        calls = []
+
+        def recording(design, beta, tau, unique=False, basis=None):
+            calls.append((beta, tau, unique, basis.copy()))
+            return certify(design, beta, tau, unique, basis)
+
+        monkeypatch.setattr(quantreg, "_certified_vertex", recording)
+        for seed in (1, 2, 3):
+            for X, y in _cohort_designs(n_subjects, seed):
+                calls.clear()
+                for tau in TAUS:
+                    with np.errstate(all="ignore"):
+                        _pivot_vertex(_Design(X, y), tau)
+                assert len(calls) == len(TAUS)
+                p = X.shape[1]
+                for beta, tau, unique, basis in calls:
+                    assert unique
+                    fresh = _Design(X, y)
+                    want = certify(fresh, beta, tau, unique)
+                    assert want is not None
+                    # The pivots end on the p smallest residuals, so the
+                    # certificate takes the basis as given.
+                    size = np.abs(y - X @ beta)
+                    order = np.argsort(size, kind="stable")
+                    assert sorted(order[:p]) == list(basis) and size[order[p]] > size[basis].max()
+                    swapped = np.sort(np.append(basis[1:], order[p]))
+                    for given in (basis, swapped):
+                        design = _Design(X, y)
+                        got = certify(design, beta, tau, unique, given)
+                        assert hexes(got) == hexes(want)
+                        assert design.sign_counts == fresh.sign_counts
+
+    def test_edge_pricing_matches_numpy(self):
+        # The numpy pricing it replaces: first minimum, and NaN anywhere
+        # gives a NaN slope, which declines.
+        rng = np.random.default_rng(11)
+        for trial in range(2000):
+            p = int(rng.integers(1, 9))
+            v = np.round(rng.normal(0.0, 0.6, p), int(rng.integers(1, 4)))
+            if trial % 4 == 1:
+                v[rng.integers(p)] = np.nan
+            elif trial % 4 == 2:
+                v[rng.integers(p)] = rng.choice([np.inf, -np.inf])
+            tau = float(rng.choice(TAUS))
+            slopes = np.minimum(tau + v, (1.0 - tau) - v)
+            j = int(slopes.argmin())
+            got_j, got_slope = quantreg._steepest_edge(v.tolist(), tau)
+            if np.isnan(slopes[j]):
+                assert math.isnan(got_slope)
+            else:
+                assert (got_j, float(got_slope).hex()) == (j, float(slopes[j]).hex())
+
+    def test_breakpoint_search_matches_cumsum(self):
+        # Sizes below, at and above the first batch of candidates, needs
+        # that no breakpoint meets, and NaN in either input.
+        rng = np.random.default_rng(12)
+        for trial in range(1500):
+            n = int(rng.choice([3, 32, 40, 300, 3000]))
+            near = rng.standard_normal(n)
+            fall = rng.standard_normal(n)
+            need = float(rng.uniform(0.0, 0.6) * np.abs(fall[near > 0.0]).sum())
+            if trial % 5 == 1:
+                fall[rng.integers(n)] = np.nan
+            elif trial % 5 == 2:
+                near[rng.integers(n)] = np.nan
+            elif trial % 5 == 3:
+                need = 2.0 * np.abs(fall).sum() + 1.0
+            i, order = quantreg._slope_breakpoint(near, fall, need)
+            want_i, want_order = searchsorted_breakpoint(near, fall, need)
+            assert i == want_i
+            assert (order is None) == (want_order is None)
+            if order is not None:
+                assert np.array_equal(order, want_order)
 
     @given(design=_tied_designs())
     @settings(max_examples=100, deadline=None)
@@ -917,7 +1036,9 @@ class TestTauGrid:
         # The marginal design is regular; refusing every vertex sends it to
         # the LP too.
         monkeypatch.setattr(
-            quantreg, "_certified_vertex", lambda design, beta, tau, unique=False: None
+            quantreg,
+            "_certified_vertex",
+            lambda design, beta, tau, unique=False, basis=None: None,
         )
         self._assert_grid_matches_scalars(
             fit_marginal_qr, (pairs.t_cur, pairs.y_cur), spec5, "lp"
