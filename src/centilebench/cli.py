@@ -26,10 +26,10 @@ from .experiment import (
     run_drift_report,
     run_marginal_experiment,
     run_metadata,
-    run_screening_report,
 )
 from .model import LognormalAR1Model
 from .numerics import RngStream
+from .screening import run_screening_report
 from .splines import SplineSpec
 
 __all__ = ["main", "build_config"]

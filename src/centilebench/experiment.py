@@ -5,8 +5,8 @@ requested method, and aggregates centile estimates into mean/SD summaries.
 Replication r consumes the random stream at path [r], so results are
 bit-identical however the replications are scheduled across workers, and
 fits consume only the cohort, never the stream. Also emits the analytic
-side products: true percentile curves, drift-scenario conditional ranks,
-and the screening headline numbers.
+side products: true percentile curves and drift-scenario conditional
+ranks.
 """
 
 from __future__ import annotations
@@ -43,13 +43,6 @@ from .quantreg import (
     fit_marginal_qr,
     predict_centile,
 )
-from .screening import (
-    ScreeningConfig,
-    ShiftMode,
-    absolute_shift_report,
-    required_difference,
-    sensitivity_closed_form,
-)
 from .splines import SplineSpec, design_matrix
 
 __all__ = [
@@ -62,7 +55,6 @@ __all__ = [
     "run_metadata",
     "emit_true_centiles",
     "run_drift_report",
-    "run_screening_report",
     "DRIFT_SCENARIOS",
 ]
 
@@ -487,53 +479,3 @@ def run_drift_report(model: LognormalAR1Model) -> dict:
             }
         )
     return {"scenarios": scenarios}
-
-
-_SCREENING_TARGET = 0.9
-_SCREENING_WEEK = 26.0
-# Headline screening checks: quantity, mode, computed-value key, reference,
-# tolerance.
-_SCREENING_CHECKS = (
-    ("required_difference_onset", ShiftMode.ONSET_AT_SCREEN, "d", 0.2276, 0.001),
-    ("abs_diff_mmhg_onset", ShiftMode.ONSET_AT_SCREEN, "abs_diff_mmhg", 15.6, 0.1),
-    ("sd_units_onset", ShiftMode.ONSET_AT_SCREEN, "sd_units", 2.3, 0.05),
-    ("required_difference_constant", ShiftMode.CONSTANT_SHIFT, "d", 0.6696, 0.002),
-)
-
-
-def run_screening_report(model: LognormalAR1Model) -> dict:
-    """Required mean differences for 90/90 accuracy and their absolute-scale
-    translations, with pass flags against the reference values."""
-    entries = {}
-    for mode in ShiftMode:
-        d = required_difference(
-            _SCREENING_TARGET, _SCREENING_TARGET, model.sigma, model.rho, mode
-        )
-        sens = sensitivity_closed_form(
-            ScreeningConfig(
-                d=d, sigma=model.sigma, rho=model.rho,
-                specificity=_SCREENING_TARGET, mode=mode,
-            )
-        )
-        abs_diff, sd_units = absolute_shift_report(model, _SCREENING_WEEK, d)
-        entries[mode] = {
-            "mode": mode.value,
-            "d": d,
-            "sigma": model.sigma,
-            "rho": model.rho,
-            "specificity": _SCREENING_TARGET,
-            "sensitivity": sens,
-            "abs_diff_mmhg": abs_diff,
-            "sd_units": sd_units,
-        }
-    checks = [
-        {
-            "quantity": quantity,
-            "computed": entries[mode][key],
-            "reference": reference,
-            "tolerance": tolerance,
-            "pass": bool(abs(entries[mode][key] - reference) <= tolerance),
-        }
-        for quantity, mode, key, reference, tolerance in _SCREENING_CHECKS
-    ]
-    return {"entries": list(entries.values()), "checks": checks}

@@ -17,7 +17,6 @@ __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
     "RngStream",
-    "draw_normal",
     "PRNG_NAME",
 ]
 
@@ -312,13 +311,3 @@ class RngStream:
             x = (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
             out[:, j] = (x >> _U64(11)) * 2.0 ** -53
         return out
-
-
-def draw_normal(stream: RngStream, size=None):
-    """Standard normal draws: the inverse-CDF transform of the stream's uniforms.
-
-    Normal variates are a pure function of the uniform sequence, which makes
-    them directly comparable across implementations of the same stream.
-    """
-    u = np.maximum(stream.generator().random(size), _MIN_UNIFORM)
-    return std_normal_quantile(u)

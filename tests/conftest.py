@@ -1,9 +1,13 @@
+import math
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from centilebench.cohort import Cohort, VisitSchedule, generate_cohort
 from centilebench.model import LognormalAR1Model
-from centilebench.numerics import RngStream
+from centilebench.numerics import RngStream, std_normal_quantile
+from centilebench.screening import ShiftMode
 from centilebench.splines import SplineSpec
 
 # Fixed seed for the shared truth-recovery cohort; estimator recovery bounds
@@ -59,6 +63,57 @@ def many_visit_cohort(model, n_visits, n_subjects, seed, attendance_prob=0.8):
     values = np.exp(true_log_mean(times) + model.sigma * z)
     observed = rng.random((n_subjects, n_visits)) < attendance_prob
     return Cohort(times=times, values=values, observed=observed)
+
+
+def normal_draws(stream, size):
+    """Standard normals as the inverse-CDF transform of the stream's uniforms,
+    an exact zero nudged up to 2^-55 as the cohort generator does."""
+    return std_normal_quantile(np.maximum(stream.generator().random(size), 2.0**-55))
+
+
+class ScreenResult(NamedTuple):
+    sensitivity: float
+    specificity: float
+    ci_halfwidth: float
+
+
+def monte_carlo_screen(model, d, mode, visits, x, n_per_arm, stream):
+    """Empirical accuracy of a conditional-centile screen, the oracle for the
+    closed forms in ``centilebench.screening``.
+
+    Both arms follow the true AR(1) over the study's five visits, the normal
+    arm from ``stream.child(0)`` and the diseased arm from ``stream.child(1)``.
+    The diseased arm's log mean is shifted by ln(1+d) at every visit for the
+    constant shift, and from the first screened visit on for the onset. A
+    subject screens positive if the true conditional rank exceeds x at any of
+    ``visits`` (1-based, each from 2 to 5). ``ci_halfwidth`` is the larger
+    95% binomial half-width of the two proportions.
+    """
+    rho = model.rho
+    carry = math.sqrt(1.0 - rho * rho)
+    delta = math.log1p(d) / model.sigma
+    threshold = std_normal_quantile(x)
+
+    def positive_fraction(arm, diseased):
+        innov = normal_draws(stream.child(arm), (n_per_arm, 5))
+        z = np.empty_like(innov)
+        z[:, 0] = innov[:, 0]
+        for j in range(1, 5):
+            z[:, j] = rho * z[:, j - 1] + carry * innov[:, j]
+        if diseased:
+            onset = 0 if mode is ShiftMode.CONSTANT_SHIFT else min(visits) - 1
+            z[:, onset:] += delta
+        flagged = np.zeros(n_per_arm, dtype=bool)
+        for v in visits:
+            flagged |= (z[:, v - 1] - rho * z[:, v - 2]) / carry > threshold
+        return float(np.mean(flagged))
+
+    specificity = 1.0 - positive_fraction(0, diseased=False)
+    sensitivity = positive_fraction(1, diseased=True)
+    halfwidth = 1.96 * max(
+        math.sqrt(max(p * (1.0 - p), 1e-12) / n_per_arm) for p in (sensitivity, specificity)
+    )
+    return ScreenResult(sensitivity, specificity, halfwidth)
 
 
 def summary_cell(summary, method, week, tau, path=""):

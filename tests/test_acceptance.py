@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s` to watch the lines live. The
 full-scale reproduction (criterion 2) runs 500 replications of 1000
-subjects and dominates the runtime; on a small multicore machine the whole
-suite takes a few minutes.
+subjects and dominates the runtime; on a 2-CPU machine the module takes
+about 12 s, 7 s of it the criterion-2 study.
 
 Criterion 1b checks the analytic conditional percentiles two ways: against
 an mpmath oracle that shares no code with the package, and against the
@@ -29,7 +29,6 @@ from centilebench.experiment import (
     run_both_experiments,
     run_drift_report,
     run_marginal_experiment,
-    run_screening_report,
 )
 from centilebench.model import (
     LognormalAR1Model,
@@ -46,13 +45,13 @@ from centilebench.screening import (
     ScreeningConfig,
     ShiftMode,
     absolute_shift_report,
-    monte_carlo_screen,
     required_difference,
+    run_screening_report,
     sensitivity_closed_form,
 )
 from centilebench.splines import SplineSpec
 
-from conftest import summary_cell, true_log_mean
+from conftest import monte_carlo_screen, summary_cell, true_log_mean
 
 WORKERS = min(4, os.cpu_count() or 1)
 
@@ -373,16 +372,39 @@ class TestCriterion6ScreeningCrossCheck:
         (0.15, 0.0, 0.85, ShiftMode.ONSET_AT_SCREEN),
         (0.50, 0.8, 0.95, ShiftMode.CONSTANT_SHIFT),
     )
+    # Exact counts of screened-positive diseased and screened-negative normal
+    # subjects, of 50 000 per arm, for each combination. They pin the streams
+    # the oracle draws, so a change to its draws cannot pass unseen.
+    SENSITIVITY_COUNTS = (45075, 44947, 31877, 36987, 31798, 19186)
+    SPECIFICITY_COUNTS = (44912, 45183, 40113, 45005, 42545, 47423)
 
-    def test_6_monte_carlo_matches_closed_form(self):
-        errs = []
-        for i, (d, rho, x, mode) in enumerate(self.COMBOS):
-            model = LognormalAR1Model(rho=rho)
-            want = sensitivity_closed_form(
-                ScreeningConfig(d=d, sigma=model.sigma, rho=rho, specificity=x, mode=mode)
+    @pytest.fixture(scope="class")
+    def screens(self):
+        return [
+            monte_carlo_screen(
+                LognormalAR1Model(rho=rho), d, mode, [3], x, 50_000,
+                RngStream(9000 + i).child(0),
             )
-            got = monte_carlo_screen(
-                model, d, mode, [3], x, 50_000, RngStream(9000 + i).child(0)
+            for i, (d, rho, x, mode) in enumerate(self.COMBOS)
+        ]
+
+    @pytest.fixture(scope="class")
+    def repeated_screen(self):
+        return monte_carlo_screen(
+            LognormalAR1Model(), 0.0, ShiftMode.ONSET_AT_SCREEN, [2, 3, 4], 0.9, 50_000,
+            RngStream(9100).child(0),
+        )
+
+    def test_6_counts_pinned(self, screens, repeated_screen):
+        counts = [(s.sensitivity * 50_000, s.specificity * 50_000) for s in screens]
+        assert counts == list(zip(self.SENSITIVITY_COUNTS, self.SPECIFICITY_COUNTS))
+        assert repeated_screen.specificity == 0.72792
+
+    def test_6_monte_carlo_matches_closed_form(self, screens):
+        errs = []
+        for (d, rho, x, mode), got in zip(self.COMBOS, screens):
+            want = sensitivity_closed_form(
+                ScreeningConfig(d=d, sigma=0.1, rho=rho, specificity=x, mode=mode)
             )
             if abs(got.sensitivity - want) > 0.01:
                 errs.append(f"{mode.value} d={d} rho={rho}: {got.sensitivity:.4f} vs {want:.4f}")
@@ -391,11 +413,8 @@ class TestCriterion6ScreeningCrossCheck:
         report("6 Monte Carlo vs closed form (6 combos, +-0.01)", not errs, "; ".join(errs))
         assert not errs
 
-    def test_6_repeated_screening_directionality(self, model):
-        result = monte_carlo_screen(
-            model, 0.0, ShiftMode.ONSET_AT_SCREEN, [2, 3, 4], 0.9, 50_000,
-            RngStream(9100).child(0),
-        )
+    def test_6_repeated_screening_directionality(self, repeated_screen):
+        result = repeated_screen
         drop = 0.9 - result.specificity
         ok = drop > result.ci_halfwidth
         report(

@@ -23,7 +23,6 @@ from centilebench.experiment import (
     run_drift_report,
     run_marginal_experiment,
     run_metadata,
-    run_screening_report,
 )
 from centilebench.lms import (
     fit_ar1_z,
@@ -36,6 +35,7 @@ from centilebench.model import marginal_percentile
 from centilebench.mvn import fit_mvn, mvn_conditional_centile, mvn_marginal_centile
 from centilebench.numerics import RngStream
 from centilebench.quantreg import fit_conditional_qr, fit_marginal_qr, predict_centile
+from centilebench.screening import run_screening_report
 from centilebench.splines import SplineSpec
 
 from conftest import summary_cell, true_log_mean
@@ -494,6 +494,17 @@ class TestImports:
             timeout=300, check=True,
         )
         assert out.stdout.strip() == "[]"
+
+    def test_study_does_not_load_screening(self):
+        # Only the screening subcommand needs the screening module, so a study's
+        # start-up does not load it.
+        src = os.path.dirname(os.path.dirname(centilebench.__file__))
+        code = "import sys, centilebench.experiment\nprint('centilebench.screening' in sys.modules)\n"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestFailurePolicy:

@@ -6,12 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centilebench.numerics import (
-    RngStream,
-    draw_normal,
-    std_normal_cdf,
-    std_normal_quantile,
-)
+from centilebench.numerics import RngStream, std_normal_cdf, std_normal_quantile
+
+from conftest import normal_draws
 
 mpmath.mp.dps = 40
 
@@ -96,7 +93,7 @@ class TestRngStream:
     def test_replay_is_identical(self):
         stream = RngStream(12345, (3, 7))
         assert np.array_equal(stream.generator().random(50), stream.generator().random(50))
-        assert np.array_equal(draw_normal(stream, 50), draw_normal(stream, 50))
+        assert np.array_equal(normal_draws(stream, 50), normal_draws(stream, 50))
 
     def test_child_extends_path(self):
         stream = RngStream(1).child(2).child(5, 9)
@@ -138,7 +135,7 @@ class TestRngStream:
         assert abs(u.mean() - 0.5) < 0.002
 
     def test_normal_variance(self):
-        z = draw_normal(RngStream(2024, (1,)), 1_000_000)
+        z = normal_draws(RngStream(2024, (1,)), 1_000_000)
         assert abs(z.var() - 1.0) < 0.01
 
     def test_cross_stream_independence(self):
@@ -151,7 +148,7 @@ class TestRngStream:
     def test_normals_are_inverse_cdf_of_uniforms(self):
         stream = RngStream(5, (4,))
         u = stream.generator().random(100)
-        z = draw_normal(stream, 100)
+        z = normal_draws(stream, 100)
         assert np.allclose(z, std_normal_quantile(np.maximum(u, 2.0**-55)), atol=0)
 
 
