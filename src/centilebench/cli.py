@@ -17,7 +17,6 @@ import sys
 
 from . import __version__
 from .cohort import VisitSchedule, generate_cohort
-from .errors import EmptyTableError
 from .experiment import (
     ExperimentConfig,
     SummaryRow,
@@ -63,8 +62,6 @@ def build_config(
     for key, cls in _SECTIONS.items():
         if key in values:
             values[key] = cls(**_checked(cls, values[key], f"config {key}"))
-    if isinstance(values.get("paths"), dict):
-        values["paths"] = tuple(values["paths"].items())
     flags = {"master_seed": seed, "n_reps": reps, "n_subjects": subjects, "workers": workers}
     values.update((key, flag) for key, flag in flags.items() if flag is not None)
     return ExperimentConfig(**values)
@@ -121,11 +118,7 @@ def _simulate(cfg: ExperimentConfig, args):
 
 def _table(runner):
     def run(cfg: ExperimentConfig, args):
-        try:
-            summary = runner(cfg)
-        except EmptyTableError as exc:
-            raise SystemExit(f"invalid config: {exc}") from None
-        payload = summary.to_payload()
+        payload = runner(cfg).to_payload()
         return payload, payload["rows"], [f.name for f in dataclasses.fields(SummaryRow)]
 
     return run

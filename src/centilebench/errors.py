@@ -1,4 +1,5 @@
-"""Shared exception types for model fitting."""
+"""Shared exception types: a fit that fails, and a replication study
+whose fits fail too often."""
 
 
 class FitError(RuntimeError):
@@ -7,7 +8,3 @@ class FitError(RuntimeError):
 
 class ExperimentError(RuntimeError):
     """A replication experiment exceeded its failed-fit budget."""
-
-
-class EmptyTableError(ValueError):
-    """A valid design would write a requested table without rows."""

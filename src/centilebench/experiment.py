@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .cohort import VisitSchedule, generate_cohort
-from .errors import EmptyTableError, ExperimentError, FitError
+from .errors import ExperimentError, FitError
 from .lms import (
     fit_ar1_z,
     fit_lms,
@@ -36,7 +36,7 @@ from .model import (
     marginal_percentile,
 )
 from .mvn import fit_mvn, mvn_conditional_centile, mvn_marginal_centile
-from .numerics import PRNG_NAME, RngStream, _checked_index, _checked_real
+from .numerics import PRNG_NAME, RngStream, _checked_index
 from .quantreg import (
     count_quantile_crossings,
     fit_conditional_qr,
@@ -72,16 +72,21 @@ _FIT_FAILURES = (FitError, ValueError, np.linalg.LinAlgError)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Design of one replication study; defaults reproduce the headline study."""
+    """Design of one replication study; defaults reproduce the headline study.
+
+    The evaluation cells are those of the paper's Tables 1 and 2 and are
+    fixed: the tau levels, the marginal weeks, and the conditional week
+    given the prior week along each named path (name, marginal rank).
+    """
 
     n_reps: int = 500
     n_subjects: int = 1000
     master_seed: int = 20260809
-    tau_grid: tuple[float, ...] = (0.03, 0.10, 0.50, 0.90, 0.97)
-    eval_weeks_marginal: tuple[float, ...] = (20.0, 24.0, 28.0, 32.0)
-    eval_week_conditional: float = 26.0
-    prior_week: float = 22.0
-    paths: tuple[tuple[str, float], ...] = (("A", 0.03), ("B", 0.97))
+    tau_grid: ClassVar[tuple[float, ...]] = (0.03, 0.10, 0.50, 0.90, 0.97)
+    eval_weeks_marginal: ClassVar[tuple[float, ...]] = (20.0, 24.0, 28.0, 32.0)
+    eval_week_conditional: ClassVar[float] = 26.0
+    prior_week: ClassVar[float] = 22.0
+    paths: ClassVar[tuple[tuple[str, float], ...]] = (("A", 0.03), ("B", 0.97))
     methods: tuple[str, ...] = _METHODS
     # QR conditions on every consecutive pair of observed visits, whatever
     # the gap; LMS and MVN use adjacent intervals only.
@@ -92,27 +97,13 @@ class ExperimentConfig:
     spline: SplineSpec = SplineSpec()
 
     def __post_init__(self):
-        # A string would iterate over its characters, and a string or bool
-        # number would compare or echo as something other than a number.
-        for name in ("tau_grid", "eval_weeks_marginal", "paths", "methods"):
-            value = getattr(self, name)
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"{name} must be a list or a tuple, got {value!r}")
-        # A list method is unhashable, and a string or a longer path unpacks
-        # into other fields.
+        # A string would iterate over its characters, and a list method is
+        # unhashable.
+        if not isinstance(self.methods, (list, tuple)):
+            raise ValueError(f"methods must be a list or a tuple, got {self.methods!r}")
         for method in self.methods:
             if not isinstance(method, str):
                 raise ValueError(f"methods entry must be a string, got {method!r}")
-        for path in self.paths:
-            if not (isinstance(path, (list, tuple)) and len(path) == 2):
-                raise ValueError(f"paths entry must be a [name, rank] pair, got {path!r}")
-        for name in ("tau_grid", "eval_weeks_marginal"):
-            values = tuple(_checked_real(v, f"{name} entry") for v in getattr(self, name))
-            object.__setattr__(self, name, values)
-        for name in ("eval_week_conditional", "prior_week"):
-            object.__setattr__(self, name, _checked_real(getattr(self, name), name))
-        paths = tuple((str(n), _checked_real(r, f"path {n!r} rank")) for n, r in self.paths)
-        object.__setattr__(self, "paths", paths)
         object.__setattr__(self, "methods", tuple(self.methods))
         # A fractional count or seed would be truncated, or fail mid-run.
         for name in ("n_reps", "n_subjects", "workers", "master_seed"):
@@ -124,47 +115,16 @@ class ExperimentConfig:
             raise ValueError(
                 f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}"
             )
-        # An empty grid would fail every fit, and no methods write empty tables.
-        if not (self.tau_grid and self.methods):
-            raise ValueError("tau_grid and methods must be nonempty")
-        if any(not 0.0 < t < 1.0 for t in self.tau_grid):
-            raise ValueError("tau grid levels must lie strictly in (0, 1)")
-        if any(not 0.0 < r < 1.0 for _, r in self.paths):
-            raise ValueError("path ranks must lie strictly in (0, 1)")
-        # Each value names one summary row, so a repeat would merge two rows.
-        names = [n for n, _ in self.paths]
-        for what, values in (
-            ("tau levels", self.tau_grid),
-            ("marginal weeks", self.eval_weeks_marginal),
-            ("path names", names),
-            ("methods", self.methods),
-        ):
-            if len(set(values)) != len(values):
-                raise ValueError(f"duplicate {what} in {values!r}")
-        if "" in names:
-            raise ValueError("path names must be nonempty: the empty path marks marginal rows")
+        # No methods would write empty tables, and a repeat would merge rows.
+        if not self.methods:
+            raise ValueError("methods must be nonempty")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"duplicate methods in {self.methods!r}")
         unknown = set(self.methods) - set(_METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; choose from {_METHODS}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        # QR predicts its conditional cells at the gap between the two weeks.
-        if not self.prior_week < self.eval_week_conditional:
-            raise ValueError(
-                f"prior_week {self.prior_week!r} must precede eval_week_conditional "
-                f"{self.eval_week_conditional!r}"
-            )
-        # The LMS and MVN conditional centiles chain one interval's correlation.
-        if {"LMS", "MVN"} & set(self.methods):
-            VisitSchedule.check_adjacent(self.prior_week, self.eval_week_conditional)
-        # Every cell must evaluate, so a bad week fails here and not as a
-        # failed fit in every replication.
-        lo, hi = GA_WINDOW
-        weeks = (*self.eval_weeks_marginal, self.prior_week, self.eval_week_conditional)
-        if not all(lo <= w <= hi for w in weeks):
-            raise ValueError(
-                f"evaluation weeks {weeks!r} must lie in the study window [{lo}, {hi}]"
-            )
 
     def prior_values(self) -> dict[str, float]:
         """Prior-week measurement for each named path (exact percentile value)."""
@@ -176,13 +136,18 @@ class ExperimentConfig:
     def describe(self) -> dict:
         """JSON-able echo of the design: every field, nested sections too,
         with tuples as lists. ``workers`` is left out, since it does not
-        affect results, and the ``qr_pair_mode`` constant is added; paths
-        echo as a name -> rank map, the schedule section also holds its fixed
-        windows, and the spline section its full knot vector."""
+        affect results, and the fixed evaluation cells and ``qr_pair_mode``
+        are added; paths echo as a name -> rank map, the schedule section
+        also holds its fixed windows, and the spline section its full knot
+        vector."""
         echo = _as_lists(asdict(self))
         del echo["workers"]
+        for name in (
+            "tau_grid", "eval_weeks_marginal", "eval_week_conditional", "prior_week",
+            "qr_pair_mode",
+        ):
+            echo[name] = _as_lists(getattr(self, name))
         echo["paths"] = dict(self.paths)
-        echo["qr_pair_mode"] = self.qr_pair_mode
         echo["schedule"]["windows"] = _as_lists(self.schedule.windows)
         echo["spline"]["knots"] = list(self.spline.knots)
         return echo
@@ -346,17 +311,12 @@ def _replication(cfg: ExperimentConfig, marginal: bool, conditional: bool, rep: 
 
 
 def _run(cfg: ExperimentConfig, marginal: bool, conditional: bool, keep_replicates=False):
-    # A table without rows would still fit every cohort; the config stays
-    # valid for the other table.
-    for wanted, values, what in (
-        (marginal, cfg.eval_weeks_marginal, "eval_weeks_marginal"),
-        (conditional, cfg.paths, "paths"),
-    ):
-        if wanted and not values:
-            raise EmptyTableError(f"{what} is empty, so its table would have no rows")
     replicate = partial(_replication, cfg, marginal, conditional)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # The pool forks every worker at the first submit, so it gets no more
+    # workers than there are replications.
+    workers = min(cfg.workers, cfg.n_reps)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(replicate, range(cfg.n_reps), chunksize=1))
     else:
         results = [replicate(rep) for rep in range(cfg.n_reps)]

@@ -52,8 +52,10 @@ class ScreeningConfig:
     mode: ShiftMode
 
     def __post_init__(self):
-        if not self.d >= 0.0:
-            raise ValueError(f"fractional mean difference d must be >= 0, got {self.d!r}")
+        if not 0.0 <= self.d < math.inf:
+            raise ValueError(
+                f"fractional mean difference d must be >= 0 and finite, got {self.d!r}"
+            )
         if not 0.0 < self.specificity < 1.0:
             raise ValueError("specificity must lie strictly in (0, 1)")
 
@@ -65,7 +67,9 @@ def _scale_factor(sigma: float, rho: float, mode: ShiftMode) -> float:
         raise ValueError("rho must lie strictly in (-1, 1)")
     if mode is ShiftMode.ONSET_AT_SCREEN:
         return sigma * math.sqrt(1.0 - rho * rho)
-    return sigma * math.sqrt((1.0 + rho) / (1.0 - rho))
+    if mode is ShiftMode.CONSTANT_SHIFT:
+        return sigma * math.sqrt((1.0 + rho) / (1.0 - rho))
+    raise ValueError(f"mode must be a ShiftMode, got {mode!r}")
 
 
 def sensitivity_closed_form(cfg: ScreeningConfig) -> float:
@@ -97,8 +101,8 @@ def absolute_shift_report(
     Returns (difference in mmHg, difference in cross-sectional SD units),
     using the lognormal mean exp(mu + sigma^2/2) and its SD.
     """
-    if not d >= 0.0:
-        raise ValueError(f"d must be >= 0, got {d!r}")
+    if not 0.0 <= d < math.inf:
+        raise ValueError(f"d must be >= 0 and finite, got {d!r}")
     mean_t = math.exp(log_mean(model, t) + model.sigma ** 2 / 2.0)
     sd_t = mean_t * math.sqrt(math.expm1(model.sigma ** 2))
     abs_diff = d * mean_t

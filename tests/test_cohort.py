@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import kstest
 
 from centilebench.cohort import Cohort, VisitSchedule, generate_cohort
-from centilebench.experiment import ExperimentConfig
 from centilebench.lms import LMSFit, lms_conditional_centile
 from centilebench.model import (
     GA_WINDOW,
@@ -131,15 +130,13 @@ def _study_times():
 
 
 def _fitted_layers(t_prev, t_cur):
-    """Calls of the fitted conditional centiles and of the config check on
-    one pair of times."""
+    """Calls of the fitted conditional centiles on one pair of times."""
     flat = (math.log(70.0),) * 5
     lms = LMSFit(SplineSpec(), (0.0,) * 5, flat, (math.log(0.1),) * 5)
     mvn = MVNFit(SplineSpec(), flat, sigma_hat=0.1, rho_hat=0.6)
     return {
         "lms": lambda: lms_conditional_centile(lms, 0.6, t_prev, 64.0, t_cur, 0.5),
         "mvn": lambda: mvn_conditional_centile(mvn, t_prev, 64.0, t_cur, 0.5),
-        "config": lambda: ExperimentConfig(prior_week=t_prev, eval_week_conditional=t_cur),
     }
 
 

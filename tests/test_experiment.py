@@ -13,7 +13,7 @@ import centilebench
 from centilebench import experiment, lms, mvn, quantreg, splines
 from centilebench.cli import build_config, main
 from centilebench.cohort import VisitSchedule, generate_cohort
-from centilebench.errors import EmptyTableError, ExperimentError, FitError
+from centilebench.errors import ExperimentError, FitError
 from centilebench.experiment import (
     DRIFT_SCENARIOS,
     ExperimentConfig,
@@ -31,7 +31,7 @@ from centilebench.lms import (
     lms_conditional_centile,
     zscore_pairs,
 )
-from centilebench.model import marginal_percentile
+from centilebench.model import GA_WINDOW, marginal_percentile
 from centilebench.mvn import fit_mvn, mvn_conditional_centile, mvn_marginal_centile
 from centilebench.numerics import RngStream
 from centilebench.quantreg import fit_conditional_qr, fit_marginal_qr, predict_centile
@@ -41,6 +41,8 @@ from centilebench.splines import SplineSpec
 from conftest import summary_cell, true_log_mean
 
 TINY = dict(n_reps=4, n_subjects=150, master_seed=314)
+# The evaluation cells of Tables 1 and 2, fixed on the class.
+FIXED_CELLS = ("tau_grid", "eval_weeks_marginal", "eval_week_conditional", "prior_week", "paths")
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +71,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(methods=("QR", "GAM"))
-        with pytest.raises(ValueError):
-            ExperimentConfig(tau_grid=(0.5, 1.0))
 
     def test_qr_pairs_are_successive(self):
         # QR's conditional fits take every consecutive pair of observed
@@ -79,91 +79,14 @@ class TestConfig:
         with pytest.raises(TypeError):
             ExperimentConfig(qr_pair_mode="adjacent")
 
-    def test_conditional_weeks_must_be_adjacent_intervals(self):
-        # Weeks 18 and 26 are two intervals apart: the LMS and MVN
-        # conditional centiles would fail in every replication.
-        for methods in (("LMS",), ("MVN",), ("QR", "LMS", "MVN")):
-            with pytest.raises(ValueError, match="adjacent intervals"):
-                ExperimentConfig(prior_week=18.0, methods=methods)
-        ExperimentConfig(prior_week=18.0, methods=("QR",))
-        ExperimentConfig(prior_week=22.0, eval_week_conditional=26.0)
-        ExperimentConfig(prior_week=22.0, eval_week_conditional=24.0)
-        with pytest.raises(ValueError, match="study window"):
-            ExperimentConfig(prior_week=12.0)
-
-    @pytest.mark.parametrize("methods", [("QR",), ("LMS",), ("MVN",), ("QR", "LMS", "MVN")])
-    @pytest.mark.parametrize("eval_week", [22.0, 26.0])
-    def test_prior_week_precedes_conditional_week(self, methods, eval_week):
-        # QR would otherwise predict its conditional cells at a gap <= 0.
-        with pytest.raises(ValueError, match="must precede"):
-            ExperimentConfig(methods=methods, prior_week=26.0, eval_week_conditional=eval_week)
-
-    @pytest.mark.parametrize(
-        "design",
-        [
-            dict(eval_weeks_marginal=(20.0, 40.0)),
-            dict(eval_weeks_marginal=(14.0, 24.0)),
-            dict(eval_weeks_marginal=(float("nan"),)),
-            dict(methods=("QR",), prior_week=12.0),
-            dict(methods=("QR",), eval_week_conditional=36.5),
-            dict(eval_weeks_marginal=(24.0, math.inf)),
-        ],
-    )
-    def test_eval_weeks_outside_basis_or_model_rejected(self, design):
-        # Weeks must lie in the study window, which the spline basis spans.
-        # A bad week used to fit every cohort and then fail every replication.
-        with pytest.raises(ValueError, match="evaluation weeks"):
-            ExperimentConfig(**design)
-
-    @pytest.mark.parametrize("field", ["tau_grid", "methods"])
-    def test_empty_tau_grid_or_methods_rejected(self, field):
-        # An empty grid used to fail every fit; no methods wrote empty tables.
-        with pytest.raises(ValueError, match="tau_grid and methods must be nonempty"):
-            ExperimentConfig(**{field: ()})
-
-    @pytest.mark.parametrize(
-        "field,other", [("eval_weeks_marginal", "conditional"), ("paths", "marginal")]
-    )
-    def test_table_without_rows_refused_before_any_fit(self, monkeypatch, field, other):
-        # No marginal weeks leave Table 1 without rows, and no paths Table 2;
-        # the design still writes the other table.
-        cfg = ExperimentConfig(**dict(TINY, n_reps=1), **{field: ()})
-        real = experiment.generate_cohort
-        cohorts = []
-        monkeypatch.setattr(
-            experiment, "generate_cohort", lambda *args: cohorts.append(1) or real(*args)
-        )
-        with pytest.raises(EmptyTableError, match=f"^{field} is empty"):
-            run_both_experiments(cfg)
-        assert not cohorts
-        runner = {"marginal": run_marginal_experiment, "conditional": run_conditional_experiment}
-        assert runner[other](cfg).rows
-        assert cohorts == [1]
-
-    def test_duplicate_tau_levels_rejected(self):
-        with pytest.raises(ValueError, match="duplicate tau levels"):
-            ExperimentConfig(tau_grid=(0.5, 0.5))
-
-    def test_duplicate_marginal_weeks_rejected(self):
-        with pytest.raises(ValueError, match="duplicate marginal weeks"):
-            ExperimentConfig(eval_weeks_marginal=(20.0, 24.0, 20))
-
-    def test_duplicate_path_names_rejected(self):
-        with pytest.raises(ValueError, match="duplicate path names"):
-            ExperimentConfig(paths=(("A", 0.03), ("A", 0.97)))
-
-    def test_empty_path_name_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            ExperimentConfig(paths=(("", 0.5),))
+    def test_empty_methods_rejected(self):
+        # No methods used to write empty tables.
+        with pytest.raises(ValueError, match="^methods must be nonempty"):
+            ExperimentConfig(methods=())
 
     def test_duplicate_methods_rejected(self):
         with pytest.raises(ValueError, match="duplicate methods"):
             ExperimentConfig(methods=("QR", "MVN", "QR"))
-
-    @pytest.mark.parametrize("rank", [0.0, 1.0, -0.2, 1.5, float("nan")])
-    def test_path_ranks_outside_unit_interval_rejected(self, rank):
-        with pytest.raises(ValueError, match="path ranks"):
-            ExperimentConfig(paths=(("A", 0.03), ("B", rank)))
 
     def test_describe_is_jsonable_and_stable(self):
         cfg = ExperimentConfig(**TINY)
@@ -172,19 +95,19 @@ class TestConfig:
         assert "workers" not in cfg.describe()
 
     def test_describe_echoes_every_design_field(self):
-        cfg = ExperimentConfig(
-            **TINY, workers=2, paths=(("A", 0.2),), spline=SplineSpec(n_basis=6)
-        )
+        cfg = ExperimentConfig(**TINY, workers=2, spline=SplineSpec(n_basis=6))
         echo = cfg.describe()
 
         def as_json(value):
             return json.loads(json.dumps(value))
 
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert set(echo) == fields - {"workers"} | {"qr_pair_mode"}
+        assert set(echo) == (fields - {"workers"}) | set(FIXED_CELLS) | {"qr_pair_mode"}
         assert echo["qr_pair_mode"] == "successive"
-        assert echo["paths"] == {"A": 0.2}
-        for name in fields - {"workers", "paths", "model", "schedule", "spline"}:
+        assert echo["paths"] == {"A": 0.03, "B": 0.97}
+        for name in (fields - {"workers", "model", "schedule", "spline"}) | (
+            set(FIXED_CELLS) - {"paths"}
+        ):
             assert echo[name] == as_json(getattr(cfg, name)), name
         assert echo["model"] == {
             f.name: as_json(getattr(cfg.model, f.name)) for f in dataclasses.fields(cfg.model)
@@ -221,6 +144,51 @@ class TestConfig:
                 ExperimentConfig(master_seed=bad)
         for good in (0, 2**64 - 1):
             assert ExperimentConfig(master_seed=good).master_seed == good
+
+
+class TestFixedCells:
+    def test_only_the_design_settings_are_fields(self):
+        assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+            "n_reps", "n_subjects", "master_seed", "methods", "workers",
+            "model", "schedule", "spline",
+        ]
+
+    def test_cells_hold_the_guarded_properties(self):
+        cfg = ExperimentConfig
+        # Each value names summary rows, so a repeat would merge two rows.
+        assert all(0.0 < tau < 1.0 for tau in cfg.tau_grid)
+        assert len(set(cfg.tau_grid)) == len(cfg.tau_grid)
+        lo, hi = GA_WINDOW
+        weeks = cfg.eval_weeks_marginal
+        assert len(set(weeks)) == len(weeks)
+        assert all(lo <= week <= hi for week in weeks)
+        # QR predicts its conditional cells at the gap between the two weeks,
+        # and the LMS and MVN conditional centiles chain one interval's
+        # correlation.
+        assert lo <= cfg.prior_week < cfg.eval_week_conditional <= hi
+        VisitSchedule.check_adjacent(cfg.prior_week, cfg.eval_week_conditional)
+        # The empty path marks marginal rows.
+        names = [name for name, _ in cfg.paths]
+        assert "" not in names and len(set(names)) == len(names)
+        assert all(0.0 < rank < 1.0 for _, rank in cfg.paths)
+        # Floats, so the rows and the config echo print 26.0, not 26.
+        numbers = (
+            *cfg.tau_grid, *weeks, cfg.prior_week, cfg.eval_week_conditional,
+            *(rank for _, rank in cfg.paths),
+        )
+        assert all(type(value) is float for value in numbers)
+
+    @pytest.mark.parametrize("key", FIXED_CELLS)
+    def test_cell_is_not_a_config_key(self, tmp_path, key):
+        # Even the study's own value, which the metadata echoes, is refused.
+        value = getattr(ExperimentConfig, key)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--config", str(cfg_file), "--reps", "1"])
+        assert str(exc.value) == f"unknown config keys: ['{key}']"
+        with pytest.raises(TypeError):
+            ExperimentConfig(**{key: value})
 
 
 class TestRunStructure:
@@ -317,7 +285,7 @@ class TestCellGrid:
         [
             dict(master_seed=11),
             dict(master_seed=12),
-            dict(master_seed=13, eval_week_conditional=24.0),
+            dict(master_seed=13),
         ],
     )
     def test_cells_equal_scalar_calls(self, design):
@@ -447,6 +415,32 @@ class TestDeterminism:
         par = run_marginal_experiment(ExperimentConfig(**TINY, workers=2))
         assert seq.rows == par.rows
         assert seq.to_payload() == par.to_payload()
+
+    @pytest.mark.parametrize("workers,n_reps,pools", [(64, 2, [2]), (2, 1, []), (3, 3, [3])])
+    def test_no_more_workers_than_replications(self, monkeypatch, workers, n_reps, pools):
+        # The pool forks all its workers at the first submit, so 64 workers
+        # for 2 replications forked 62 idle processes.
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        design = dict(TINY, n_reps=n_reps, methods=("MVN",))
+        pooled = run_marginal_experiment(ExperimentConfig(**design, workers=workers))
+        assert started == pools
+        serial = run_marginal_experiment(ExperimentConfig(**design))
+        assert pooled.to_payload() == serial.to_payload()
 
     def test_method_subset_does_not_disturb_others(self):
         full = run_marginal_experiment(ExperimentConfig(**TINY))
@@ -826,7 +820,6 @@ class TestCli:
                     "schedule": {"attendance_prob": 0.9},
                     "spline": {"n_basis": 6},
                     "methods": ["MVN"],
-                    "paths": {"A": 0.1},
                 }
             )
         )
@@ -835,7 +828,6 @@ class TestCli:
         assert cfg.schedule.attendance_prob == 0.9
         assert cfg.spline.n_basis == 6
         assert cfg.methods == ("MVN",)
-        assert cfg.paths == (("A", 0.1),)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["c0", "c2", "c3", "sigma"])
@@ -880,8 +872,7 @@ class TestCli:
             ({"n_reps": 0}, [], "n_reps and n_subjects must be positive"),
             ({"spline": {"n_basis": 6.0}}, [], "spline n_basis must be an integer, got 6.0"),
             ({"spline": {"degree": True, "n_basis": 2}}, [], "spline degree must be an integer"),
-            ({"tau_grid": []}, [], "tau_grid and methods must be nonempty"),
-            ({"methods": []}, [], "tau_grid and methods must be nonempty"),
+            ({"methods": []}, [], "methods must be nonempty"),
             # A number setting takes an int or a float: a string used to end
             # in a TypeError traceback, and true ran as 1.0 but echoed true.
             (
@@ -889,33 +880,20 @@ class TestCli:
                 "attendance_prob must be a number, got '0.9'",
             ),
             ({"model": {"rho": "0.5"}}, [], "rho must be a number, got '0.5'"),
-            ({"tau_grid": [0.1, "0.5"]}, [], "tau_grid entry must be a number, got '0.5'"),
             (
                 {"schedule": {"attendance_prob": True}}, [],
                 "attendance_prob must be a number, got True",
             ),
-            ({"paths": {"A": True}}, [], "path 'A' rank must be a number, got True"),
             ({"model": {"sigma": None}}, [], "sigma must be a number, got None"),
-            ({"prior_week": None}, [], "prior_week must be a number, got None"),
             # A string sequence used to iterate over its characters.
-            ({"tau_grid": "0.5"}, [], "tau_grid must be a list or a tuple, got '0.5'"),
             ({"methods": "QR"}, [], "methods must be a list or a tuple, got 'QR'"),
-            # A list method used to end in a TypeError traceback, a longer
-            # path in an unpacking message, and a string path unpacked into
-            # a name and a rank.
+            # A list method used to end in a TypeError traceback.
             ({"methods": [["QR"]]}, [], "methods entry must be a string, got ['QR']"),
-            (
-                {"paths": [["A", 0.03, 1]]}, [],
-                "paths entry must be a [name, rank] pair, got ['A', 0.03, 1]",
-            ),
-            ({"paths": ["AB"]}, [], "paths entry must be a [name, rank] pair, got 'AB'"),
         ],
         ids=[
             "negative-seed", "non-finite-c0", "zero-reps", "float-n-basis", "bool-degree",
-            "empty-tau-grid", "no-methods", "string-attendance", "string-rho",
-            "string-tau-level", "bool-attendance", "bool-path-rank", "none-sigma",
-            "none-prior-week", "string-tau-grid", "string-methods", "list-method",
-            "three-item-path", "string-path",
+            "no-methods", "string-attendance", "string-rho", "bool-attendance", "none-sigma",
+            "string-methods", "list-method",
         ],
     )
     def test_invalid_config_value_exits_in_one_line(self, tmp_path, raw, args, message):
@@ -923,28 +901,6 @@ class TestCli:
         cfg_file.write_text(json.dumps(raw))
         with pytest.raises(SystemExit) as exc:
             main(["table1", "--config", str(cfg_file), *args])
-        assert str(exc.value).startswith(f"invalid config: {message}")
-        assert "\n" not in str(exc.value)
-
-    @pytest.mark.parametrize(
-        "table,raw,message",
-        [
-            ("table1", {"eval_weeks_marginal": []}, "eval_weeks_marginal is empty"),
-            ("table2", {"paths": {}}, "paths is empty"),
-        ],
-    )
-    def test_table_without_rows_exits_in_one_line(
-        self, tmp_path, monkeypatch, table, raw, message
-    ):
-        # Every cohort used to be fitted for a header-only table, with exit 0.
-        def no_cohort(*args):
-            raise AssertionError("a cohort was generated")
-
-        monkeypatch.setattr(experiment, "generate_cohort", no_cohort)
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps(raw))
-        with pytest.raises(SystemExit) as exc:
-            main([table, "--config", str(cfg_file), "--reps", "2"])
         assert str(exc.value).startswith(f"invalid config: {message}")
         assert "\n" not in str(exc.value)
 
@@ -963,21 +919,6 @@ class TestCli:
             build_config(str(cfg_file))
         with pytest.raises(SystemExit, match=message):
             main(["drift", "--config", str(cfg_file)])
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_integer_weeks_in_config_file_keep_the_bytes(self, tmp_path, fmt):
-        # Whole-number weeks are read as floats, so the rows and the config
-        # echo print 26.0 and 22.0 as the defaults do.
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"eval_week_conditional": 26, "prior_week": 22}))
-        args = ["table2", "--reps", "2", "--subjects", "150", "--seed", "5", "--format", fmt]
-        outputs = []
-        for extra in ([], ["--config", str(cfg_file)]):
-            out = tmp_path / f"table2-{len(extra)}.{fmt}"
-            assert main([*args, *extra, "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-        assert b"26.0" in outputs[0]
 
     @pytest.mark.parametrize(
         "section,key",

@@ -89,6 +89,19 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="d must be >= 0"):
             ScreeningConfig(d=math.nan, sigma=0.1, rho=0.6, specificity=0.9, mode=ONSET)
 
+    def test_infinite_difference_rejected(self):
+        # It used to construct and fail later with a message naming only z.
+        with pytest.raises(ValueError, match="difference d must be >= 0 and finite, got inf"):
+            ScreeningConfig(d=math.inf, sigma=0.1, rho=0.6, specificity=0.9, mode=ONSET)
+
+    def test_mode_value_rejected(self):
+        # The mode's string value used to be read as the constant shift:
+        # sensitivity 0.399 where the onset scenario gives 0.90.
+        sens = sensitivity_closed_form(cfg(0.2276, ONSET))
+        assert sens == pytest.approx(0.90, abs=1e-3)
+        with pytest.raises(ValueError, match="mode must be a ShiftMode, got 'OnsetAtScreen'"):
+            sensitivity_closed_form(cfg(0.2276, ONSET.value))
+
     @pytest.mark.parametrize("sigma, rho, mode, message", BAD_SCALE)
     def test_rejects_bad_scale(self, sigma, rho, mode, message):
         with pytest.raises(ValueError, match=message):
@@ -124,6 +137,12 @@ class TestRequiredDifference:
         with pytest.raises(ValueError):
             required_difference(1.0, 0.9, 0.1, 0.6, ONSET)
 
+    @pytest.mark.parametrize("mode", [ONSET.value, CONSTANT.value, None])
+    def test_mode_value_rejected(self, mode):
+        # "OnsetAtScreen" used to return the constant-shift 0.6697, not 0.2276.
+        with pytest.raises(ValueError, match=f"mode must be a ShiftMode, got {mode!r}"):
+            required_difference(0.9, 0.9, 0.1, 0.6, mode)
+
     @pytest.mark.parametrize("sigma, rho, mode, message", BAD_SCALE)
     def test_rejects_bad_scale(self, sigma, rho, mode, message):
         with pytest.raises(ValueError, match=message):
@@ -155,6 +174,11 @@ class TestAbsoluteShift:
     def test_nan_difference_rejected(self, model):
         with pytest.raises(ValueError, match="d must be >= 0"):
             absolute_shift_report(model, 26.0, math.nan)
+
+    def test_infinite_difference_rejected(self, model):
+        # It used to return (inf, inf).
+        with pytest.raises(ValueError, match="d must be >= 0 and finite, got inf"):
+            absolute_shift_report(model, 26.0, math.inf)
 
 
 class TestMonteCarlo:
