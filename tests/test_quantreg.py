@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -552,9 +553,11 @@ def _cohort_designs(n_subjects, seed):
 
 
 def _full_vertex(X, y, tau):
-    """The full interior point's vertex, certified on the full data: the
-    answer of every fit below the preprocessing threshold."""
-    vertex = _certified_vertex(_Design(X, y), frisch_newton(X, y, tau)[0], tau)
+    """The vertex of cold simplex pivots on the full design, certified as
+    the only minimizer: the answer of every fit below the preprocessing
+    threshold, and an independent path to the preprocessed fits' vertex."""
+    with np.errstate(all="ignore"):
+        vertex = _pivot_vertex(_Design(X, y), tau)[0]
     assert vertex is not None
     return vertex
 
@@ -592,7 +595,23 @@ def _record_problems(monkeypatch):
     return subsamples, problems
 
 
+# SHA-256 over the vertices of _cohort_designs(5000, seed) at seeds 1-3,
+# marginal then conditional, one line per level of TAUS holding the
+# coefficients as float.hex. A solver change that moves one bit of one
+# preprocessed fit shows here.
+PINNED_VERTICES_5000 = "2a1f9dd52f1677099e427ef6fe7d3aed0eb621030f50ba3e42cf842d69214e53"
+
+
 class TestPreprocessing:
+    def test_large_cohort_vertices_pinned(self):
+        digest = hashlib.sha256()
+        for seed in (1, 2, 3):
+            for X, y in _cohort_designs(5000, seed):
+                for tau in TAUS:
+                    beta = solve_check_loss(X, y, tau)[0]
+                    digest.update((" ".join(hexes(beta)) + "\n").encode())
+        assert digest.hexdigest() == PINNED_VERTICES_5000
+
     def test_large_cohorts_give_the_full_vertex_bit_for_bit(self):
         solvers = []
         for seed in (1, 2, 3):
@@ -899,7 +918,8 @@ class TestPivots:
             vertex, pivots = _pivot_vertex(_Design(X, y), 0.5)
         beta, solver, steps, solved_pivots, _ = solve_check_loss(X, y, 0.5)
         assert solved_pivots == pivots
-        assert hexes(beta) == hexes(_full_vertex(X, y, 0.5))
+        want = _certified_vertex(_Design(X, y), frisch_newton(X, y, 0.5)[0], 0.5)
+        assert hexes(beta) == hexes(want)
         if n % 2 == 0:
             assert vertex is None
             assert solver == "ipm" and steps > 0
