@@ -61,7 +61,7 @@ __all__ = [
 _METHODS = ("QR", "LMS", "MVN")
 # Fit counters each replication records and a study sums into its diagnostics.
 _COUNTERS = (
-    "qr_subgradient_violations", "qr_lp_fallbacks", "qr_ipm_steps", "qr_pivots",
+    "qr_subgradient_violations", "qr_lp_fallbacks", "qr_pivots",
     "qr_pfn_fallbacks", "lms_newton_steps", "mvn_brent_evals",
 )
 
@@ -252,7 +252,6 @@ def _replication(cfg: ExperimentConfig, marginal: bool, conditional: bool, rep: 
         for fit in fits:
             diag["qr_subgradient_violations"] += not fit.subgradient_ok
             diag["qr_lp_fallbacks"] += fit.solver == "lp"
-            diag["qr_ipm_steps"] += fit.ipm_steps
             diag["qr_pivots"] += fit.pivots
             diag["qr_pfn_fallbacks"] += fit.pfn_fallback
         return fits

@@ -13,60 +13,48 @@ program, in its bounded dual form
 
     max  y'd   s.t.  X'd = 0,   tau - 1 <= d_i <= tau
 
-whose equality multipliers are, up to sign, the coefficients. Designs of
-fewer than _PFN_MIN_ROWS rows are first solved by exact simplex pivots
-(Barrodale & Roberts 1974; Koenker & d'Orey 1987): from the vertex through
-p rows near a shifted least-squares fit, each pivot follows the steepest
-descending edge to the row where the check loss stops falling. A
-1000-subject fit takes about 9 O(n) pivots on the marginal design and 17
-on the conditional one (13.4 on average over the 500 x 1000 study's 5000
-fits). A vertex whose every edge ascends strictly is the only
-minimizer; it must pass the certificate below, and since the interior
-point's certified vertex then has the same basis and is solved from it the
-same way, the bits are those the interior point would give. Any other
-ending (a flat edge, as at the median of an even count, a singular basis,
-the pivot cap) leaves the design to the three stages that follow, which
-also serve every larger design. A Frisch-Newton interior point (Portnoy &
-Koenker 1997) follows the central path; each step factors one p x p
-normal matrix and inverts the triangular factor once for its predictor
-and corrector solves. The iterate is polished to the vertex through the p observations
-with the smallest residuals, which is accepted only with an exact
-optimality certificate: every other residual is nonzero beyond its
-rounding error, so its sign is known, the basis multipliers lie in
-[tau - 1, tau], and the residual sign counts pass the subgradient audit.
-The rounding bound is taken in two stages: a cheap bound from one n x p
-product clears nearly every residual, and only the rows it leaves get the
-exact bound, so the certificate decides as the exact bound on every row
-would. The certificate is tried once when the duality gap first falls
-below _IPM_CERTIFY_GAP_REL of the objective, and a certified vertex ends
-the iteration there; otherwise the iteration runs on to the _IPM_GAP_REL
-stop and its answer is certified. Since the certificate, not the
-iterate's bits, decides the vertex, stopping early returns the vertex the
-full run would. Every other case (singular normal matrix, non-finite
-iterate, uncertified vertex) is solved by the HiGHS simplex on the same
-LP, re-solved on the primal if its answer fails the audit. Either way the
-solution is vertex-exact, and each fit records which path produced it.
-The setup that does not depend on tau (the contiguous X', the
-least-squares fit that each start shifts, the preprocessing's subsample,
-its least-squares fit and the band, and the |X| and max|y| of the
-certificate's bounds) is built once per design and shared by the grid.
+whose equality multipliers are, up to sign, the coefficients. It is solved
+by exact simplex pivots (Barrodale & Roberts 1974; Koenker & d'Orey 1987):
+from the vertex through p rows near a shifted least-squares fit, each pivot
+follows the steepest descending edge to the row where the check loss stops
+falling. A 1000-subject fit takes about 9 O(n) pivots on the marginal design
+and 17 on the conditional one (13.4 on average over the 500 x 1000 study's
+5000 fits). A vertex whose every edge ascends strictly is the only
+minimizer. It is accepted only with an exact optimality certificate: every
+other residual is nonzero beyond its rounding error, so its sign is known,
+the basis multipliers lie in [tau - 1, tau], and the residual sign counts
+pass the subgradient audit. The rounding bound is taken in two stages: a
+cheap bound from one n x p product clears nearly every residual, and only
+the rows it leaves get the exact bound, so the certificate decides as the
+exact bound on every row would. Any other ending (a flat edge, as at the
+median of an even count, a singular basis, the pivot cap, a refused
+certificate) leaves the fit to the HiGHS simplex on the same LP, re-solved
+on the primal if its answer fails the audit; a primal answer that fails it
+too raises FitError. Either way the solution is vertex-exact, and each fit
+records which path produced it. The setup that does not depend on tau (the
+contiguous X', the least-squares fit that each start shifts, the
+preprocessing's subsample, its least-squares fit and the band, and the |X|
+and max|y| of the certificate's bounds) is built once per design and shared
+by the grid.
 
 Designs of at least _PFN_MIN_ROWS rows first try the preprocessing step of
 Portnoy & Koenker (1997), as in Koenker's ``rq.fit.pfn``. The least-squares
-fit of a stride subsample of about ((p+1) n)^(2/3) rows, shifted to its
-tau order statistic as every start is, places a band around the fit; no
-interior point runs on the subsample. The rows inside the band are kept,
-and the rows below and above it are each replaced by one "glob" row
-holding their sums of x and y. The reduced problem's interior point
-starts from that same shifted fit. When every globbed row lies on its
-glob's side of the reduced problem's fit, the reduced optimum is the full
-one. Its vertex must pass the same certificate on the full data, so it is
-the vertex the full interior point would give; the reduced interior point
-also tries that certificate early, as above. When no vertex passes, the
-full interior point runs. Below the threshold the subsample and the band
-cost more than the smaller interior point saves, and the pivots run
-instead; above it the preprocessed interior point is the cheaper (cold
-pivots on a 20 000-row design cost about 1.7 times as much).
+fit of a stride subsample of about ((p+1) n)^(2/3) rows, shifted to its tau
+order statistic as every start is, places a band around the fit. The rows
+inside the band are kept, and the rows below and above it are each replaced
+by one "glob" row holding their sums of x and y. The pivots solve that
+reduced problem from the same shifted fit, and its vertex must pass the
+certificate on the full data, so it is the vertex that pivots on the full
+design would give. (On the reduced design the globs' large |y| would widen
+the certificate's zero band, and most fits would be refused.) When the
+certificate refuses it, the globbed rows on the wrong side of it leave their
+globs and the reduced problem is solved again. When no vertex passes, the
+pivots run on the full design, then the LP. Below the threshold the
+subsample and the band cost more than the smaller problem saves. Above it
+the reduced problems are the cheaper: on the QR grids of 10 000 and 20 000
+subjects, cold pivots on the full design took 1.14 and 1.34 times as long
+as the preprocessing did with an interior point, which the reduced
+problems' pivots beat in turn.
 """
 
 from __future__ import annotations
@@ -93,16 +81,6 @@ __all__ = [
 # when auditing subgradient optimality.
 _ZERO_REL_TOL = 1e-7
 
-# Frisch-Newton settings: damping of the step to the boundary, iteration cap,
-# duality gap at which to stop relative to the objective, and the lift of the
-# start residual parts relative to the mean absolute start residual.
-_IPM_STEP = 0.99995
-_IPM_MAX_ITER = 100
-_IPM_GAP_REL = 1e-9
-_IPM_START_LIFT = 0.1
-# The duality gap, relative to the objective, at which the interior point
-# first tries the exact certificate; when it refuses, the iteration goes on.
-_IPM_CERTIFY_GAP_REL = 1e-5
 # A vertex basis this ill-conditioned is left to the LP; basis multipliers may
 # overshoot [tau - 1, tau] by this much from rounding alone.
 _VERTEX_MAX_COND = 1e10
@@ -114,19 +92,19 @@ _RESID_EVAL_ULPS = 4
 # clears a residual, far beyond the bound's own rounding of a few ulps.
 _CLEAR_MARGIN = 1.0 + 1e-9
 # Portnoy-Koenker preprocessing runs on designs with at least this many rows;
-# below it the subsample fit and the band cost more than the smaller interior
-# point saves. The kept share of the subsample size, the most wrongly globbed
+# below it the subsample fit and the band cost more than the smaller problem
+# saves. The kept share of the subsample size, the most wrongly globbed
 # rows (as a share of the kept count) before the subsample is doubled, and
 # the fix-up rounds are rq.fit.pfn's defaults.
 _PFN_MIN_ROWS = 8000
 _PFN_KEEP = 0.8
 _PFN_MAX_WRONG = 0.1
 _PFN_FIXUPS = 3
-# Below _PFN_MIN_ROWS the simplex pivots (_pivot_vertex) run first: at most
-# this many (1000-subject designs take at most 33), from a start basis whose
-# every row keeps this share of its norm once the rows before it are
-# projected out, sorting this many of the smallest breakpoints per pivot
-# before sorting more.
+# The simplex pivots (_pivot_vertex) take at most this many on one problem
+# (1000-subject designs take at most 33, the reduced problems of 5000-subject
+# ones at most 35), from a start basis whose every row keeps this share of
+# its norm once the rows before it are projected out, sorting this many of
+# the smallest breakpoints per pivot before sorting more.
 _PIVOT_MAX = 100
 _START_INDEPENDENCE = 1e-6
 _PIVOT_SEARCH = 32
@@ -142,12 +120,11 @@ class QuantileFit:
     ``n_pos`` count strictly negative/positive residuals at the solution;
     subgradient optimality requires n_neg <= tau*n and n_pos <= (1-tau)*n.
     ``solver`` names the path that produced the coefficients: "pivot" for
-    the simplex pivots below the preprocessing threshold, "pfn" for the
-    preprocessed interior point and "ipm" for the full one, each with a
-    vertex certified on the full data, "lp" for the HiGHS fallback.
-    ``ipm_steps`` counts the interior-point steps, 0 on the "pivot" and "lp"
-    paths, and ``pivots`` the simplex pivots, also those of a pivot run that
-    declined and left the fit to the interior point.
+    the simplex pivots on the full design, "pfn" for the pivots on the
+    preprocessed problem, each with a vertex certified on the full data,
+    "lp" for the HiGHS fallback. ``pivots`` counts the simplex pivots of
+    every run, also those of a run that declined and left the fit to the
+    next path.
     """
 
     tau: float
@@ -159,8 +136,7 @@ class QuantileFit:
     n_obs: int = 0
     n_neg: int = 0
     n_pos: int = 0
-    solver: str = "ipm"
-    ipm_steps: int = 0
+    solver: str = "pivot"
     pivots: int = 0
 
     @property
@@ -191,20 +167,21 @@ def _check_design(X: np.ndarray, what: str) -> None:
 
 class _Design:
     """A check-loss design (X, y) with the tau-independent setup of its
-    interior points and certificates, built on first use and shared by
-    every tau of a grid.
+    pivots and certificates, built on first use and shared by every tau of
+    a grid.
 
-    ``XT`` is a contiguous p x n copy of X, which makes every product of the
-    interior point a fast BLAS call. ``abs_X`` = |X| and ``max_abs_y`` =
+    ``XT`` is a contiguous p x n copy of X, which makes the pivots' products
+    over every row fast BLAS calls. ``abs_X`` = |X| and ``max_abs_y`` =
     max|y| are the parts of the certificate's bounds (_unclear_rows,
     _zero_tol) that do not depend on the vertex, formed once however many
     certificates the grid runs. ``least_squares`` is the fit that each
-    tau's start shifts (_ipm_start), or None when X'X is not positive
+    tau's start shifts (_shifted_start), or None when X'X is not positive
     definite, so that a singular design is factored once for the whole
     grid. ``subsample(m)`` is the preprocessing's stride subsample, as a
     design whose shifted least-squares fit places the band, and the band
-    itself (_preprocessed_vertex). ``start``, when given, is the interior
-    point's start coefficients in place of the shifted least-squares fit.
+    itself (_preprocessed_vertex). ``start``, when given, is the start
+    coefficients in place of the shifted least-squares fit: a reduced
+    problem starts from its subsample's.
     ``sign_counts`` holds the sign counts (_sign_counts) that certificates
     took, by the vertex's bits, so that no fit counts them again.
     """
@@ -263,158 +240,6 @@ class _Design:
         return self._subsamples[m]
 
 
-def _frisch_newton(design: _Design, tau: float, certify_on: _Design | None = None):
-    """Interior-point estimate of the check-loss minimizer, its step count,
-    and the vertex certified on the way, if any.
-
-    The Frisch-Newton method of Portnoy & Koenker (1997), as in Koenker's
-    ``rqfnb``: primal-dual path following with Mehrotra predictor-corrector
-    steps on the bounded dual
-
-        max  y'a   s.t.  X'a = (1 - tau) X'1,   0 <= a <= 1
-
-    (a = d + 1 - tau in the module docstring's form, and s = 1 - a its
-    slack). The coefficients are the dual variables of the equality
-    constraint, and w - z = y - X beta splits the residuals into their
-    positive and negative parts. Each step factors one p x p normal matrix
-    and inverts its triangular factor once; the predictor and the corrector
-    both solve with that inverse. The start is the design's ``start``, or
-    else the least-squares fit shifted to the tau-quantile of its residuals
-    (_ipm_start), so the first duality gap is close to the check loss of
-    that fit.
-
-    When ``certify_on`` is given, the iterate is polished and certified on
-    that design (_certified_vertex) once, when the duality gap first falls
-    below _IPM_CERTIFY_GAP_REL of the objective; a certified vertex ends the
-    iteration and is returned. The certificate is exact, so the vertex is
-    the one the full gap stop would polish to. Otherwise iteration stops
-    once the gap falls below _IPM_GAP_REL of the objective, or
-    after _IPM_MAX_ITER steps, and the returned vertex is None: the caller
-    certifies the answer, so stopping at the cap costs only a fallback.
-    Raises LinAlgError when a normal matrix is not positive definite.
-    """
-    XT, n = design.XT, design.y.size
-    beta, resid = _ipm_start(design, tau)
-    # Lift both parts of every start residual off zero. A residual within
-    # rounding of zero would otherwise get a Newton weight near 1/rounding
-    # (rqfnb lifts only those); lifting all of them starts every variable
-    # interior and better centred, which saves about a fifth of the steps.
-    lift = _IPM_START_LIFT * float(np.mean(np.abs(resid)))
-    w = np.maximum(resid, 0.0)
-    w += lift
-    z = np.maximum(-resid, 0.0)
-    z += lift
-    a = np.full(n, 1.0 - tau)
-    s = np.full(n, tau)
-    rhs_a = (1.0 - tau) * XT.sum(axis=1)
-    certify = certify_on is not None
-    gap = a @ z + s @ w
-
-    # Since ds = -da, ds is never formed: with u = da / a and v = da / s the
-    # predictor's rates are ds / s = -v, dz / z = -(1 + u) and dw / w = v - 1,
-    # so both of its step lengths come from the extremes of u and v, and
-    # dz'a + dw's = da'r - gap.
-    for it in range(1, _IPM_MAX_ITER + 1):
-        # Affine-scaling (predictor) step.
-        inv_a = 1.0 / a
-        inv_s = 1.0 / s
-        # q = 1 / (z / a + w / s)
-        q = z * inv_a
-        q += w * inv_s
-        np.divide(1.0, q, out=q)
-        r = w - z
-        linv = np.linalg.inv(np.linalg.cholesky((XT * q) @ XT.T))
-        # rhs = X'(a + q r) - rhs_a
-        rhs = q * r
-        rhs += a
-        rhs = XT @ rhs - rhs_a
-        dbeta = linv.T @ (linv @ rhs)
-        # da = q (r - X dbeta)
-        da = dbeta @ XT
-        np.subtract(r, da, out=da)
-        da *= q
-        u = da * inv_a
-        v = da * inv_s
-        step_p = _damped(max(-u.min(), v.max()))
-        step_d = _damped(max(1.0 + u.max(), 1.0 - v.min()))
-        # dz = -z (1 + u);  dw = w (v - 1)
-        dz = u + 1.0
-        dz *= z
-        np.negative(dz, out=dz)
-        dw = v - 1.0
-        dw *= w
-        if min(step_p, step_d) < 1.0:
-            # Mehrotra corrector: recentre towards the predicted gap.
-            da_r = da @ r
-            g = (
-                gap
-                - step_p * da_r
-                + step_d * (da_r - gap)
-                + step_p * step_d * (dz @ da - dw @ da)
-            )
-            mu = gap * (g / gap) ** 3 / (2.0 * n)
-            # dr = q (mu (1 / s - 1 / a) + u dz + v dw)
-            udz = u * dz
-            vdw = v * dw
-            dr = inv_s - inv_a
-            dr *= mu
-            dr += udz
-            dr += vdw
-            dr *= q
-            dbeta = linv.T @ (linv @ (rhs - XT @ dr))
-            # da = q (r - X dbeta) - dr
-            da = dbeta @ XT
-            np.subtract(r, da, out=da)
-            da *= q
-            da -= dr
-            # dz = mu / a - z - z da / a - u dz_pred
-            np.multiply(da, inv_a, out=u)
-            u_min = u.min()
-            u *= z
-            dz = inv_a * mu
-            dz -= z
-            dz -= u
-            dz -= udz
-            # dw = mu / s - w + w da / s + v dw_pred
-            np.multiply(da, inv_s, out=v)
-            v_max = v.max()
-            v *= w
-            dw = inv_s * mu
-            dw -= w
-            dw += v
-            dw += vdw
-            step_p = _damped(max(-u_min, v_max))
-            np.divide(dz, z, out=u)
-            np.divide(dw, w, out=v)
-            step_d = _damped(-min(u.min(), v.min()))
-        da *= step_p
-        a += da
-        s -= da
-        beta += step_d * dbeta
-        z += step_d * dz
-        w += step_d * dw
-        # The objective is the check loss of the residual split w - z.
-        gap = a @ z + s @ w
-        if not np.isfinite(gap):
-            break
-        objective = tau * w.sum() + (1.0 - tau) * z.sum()
-        if gap <= _IPM_GAP_REL * objective:
-            break
-        if certify and gap <= _IPM_CERTIFY_GAP_REL * objective:
-            certify = False
-            if np.all(np.isfinite(beta)):
-                vertex = _certified_vertex(certify_on, beta, tau)
-                if vertex is not None:
-                    return beta, it, vertex
-    return beta, it, None
-
-
-def _damped(rate: float) -> float:
-    """The damped step length for variables that reach zero at step 1 / rate
-    at the soonest: the longest step that keeps every variable positive."""
-    return min(1.0, _IPM_STEP / rate) if rate > 0.0 else 1.0
-
-
 def _order_statistics(values: np.ndarray, levels) -> np.ndarray:
     """The order statistics of values at the lower ends of numpy's linear
     quantiles at levels: partitions instead of np.quantile's sort and
@@ -430,7 +255,7 @@ def _order_statistics(values: np.ndarray, levels) -> np.ndarray:
     return part[ranks]
 
 
-def _ipm_start(design: _Design, tau: float) -> tuple[np.ndarray, np.ndarray]:
+def _shifted_start(design: _Design, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Start coefficients and residuals: the design's ``start``, or else the
     least-squares fit shifted by an order statistic of its residuals at
     tau, so that a tau share of them is negative whenever the design spans
@@ -558,37 +383,41 @@ def _unclear_rows(design: _Design, vertex, resid, inv_h, basis_terms) -> np.ndar
 
 def _preprocessed_vertex(design: _Design, tau: float):
     """Certified vertex of the Portnoy-Koenker preprocessed problem, or None,
-    and the interior-point steps spent on it.
+    and the simplex pivots spent on it.
 
     The preprocessing of Portnoy & Koenker (1997), as in Koenker's
     ``rq.fit.pfn``, with a stride subsample so that fits stay deterministic:
 
     1. Take m = ((p+1) n)^(2/3) rows at an even stride, and shift their
-       least-squares fit to their tau order statistic (_ipm_start).
+       least-squares fit to their tau order statistic (_shifted_start).
     2. Scale each residual by its band ||L^-1 x_i||, L the Cholesky factor
        of the subsample's X'X, and keep the _PFN_KEEP * m rows whose scaled
        residuals lie nearest the tau-quantile of them all.
     3. Replace the rows below that range by one pseudo-row (their sums of x
        and y), and the rows above it by another: the natural globs.
-    4. Fit the reduced problem, starting from that shifted fit. If no
-       globbed row has a residual of the wrong sign, its optimum is the full
-       problem's. Otherwise move the wrong rows out of their globs and fit
-       again, at most _PFN_FIXUPS times, or double m when more than
-       _PFN_MAX_WRONG of the kept count are wrong.
+    4. Solve the reduced problem by the pivots, starting from that shifted
+       fit. If no globbed row has a residual of the wrong sign, its optimum
+       is the full problem's. Otherwise move the wrong rows out of their
+       globs and solve again, at most _PFN_FIXUPS times, or double m when
+       more than _PFN_MAX_WRONG of the kept count are wrong.
 
     The subsample, its least-squares fit and its band do not depend on
     tau, so a grid shares them (_Design.subsample). The answer is accepted
     only through _certified_vertex on the full data, which each reduced
-    interior point also tries once on its way (_frisch_newton).
-    Raises LinAlgError when a normal matrix is not positive definite.
+    problem's pivots call on their final vertex (_pivot_vertex). A reduced
+    problem whose pivots decline, a refused optimum with no wrongly globbed
+    row, and a singular subsample end the preprocessing with None.
     """
     X, y, Xy = design.X, design.y, design.Xy
     n, p = X.shape
     m = round(((p + 1) * n) ** (2.0 / 3.0))
-    steps = 0
+    pivots = 0
     while m < n:
-        sub, band = design.subsample(m)
-        start = _ipm_start(sub, tau)[0]
+        try:
+            sub, band = design.subsample(m)
+            start = _shifted_start(sub, tau)[0]
+        except np.linalg.LinAlgError:
+            return None, pivots
         scaled = (y - X @ start) / band
         kept = _PFN_KEEP * m
         lo, hi = _order_statistics(
@@ -600,33 +429,31 @@ def _preprocessed_vertex(design: _Design, tau: float):
         for fixups in range(_PFN_FIXUPS + 1):
             mid = ~(below | above)
             reduced = np.vstack([Xy[mid]] + [glob @ Xy for glob in (below, above) if glob.any()])
-            beta, k, vertex = _frisch_newton(
+            vertex, k, beta = _pivot_vertex(
                 _Design(reduced[:, :p], reduced[:, p], start=start), tau, certify_on=design
             )
-            steps += k
-            if vertex is not None:
-                return vertex, steps
+            pivots += k
+            if vertex is not None or beta is None:
+                return vertex, pivots
             resid = y - X @ beta
             wrong = (below & (resid > 0.0)) | (above & (resid < 0.0))
             n_wrong = np.count_nonzero(wrong)
             if n_wrong == 0:
-                if not np.all(np.isfinite(beta)):
-                    return None, steps
-                return _certified_vertex(design, beta, tau), steps
+                return None, pivots
             if n_wrong > _PFN_MAX_WRONG * kept:
                 break
             if fixups == _PFN_FIXUPS:
-                return None, steps
+                return None, pivots
             below &= ~wrong
             above &= ~wrong
         m *= 2
-    return None, steps
+    return None, pivots
 
 
-def _pivot_vertex(design: _Design, tau: float):
+def _pivot_vertex(design: _Design, tau: float, certify_on: _Design | None = None):
     """The check-loss minimizer by exact simplex pivots from vertex to
-    vertex, if it is the only minimizer and certified, else None; and the
-    pivot count.
+    vertex, if certified, else None; the pivot count; and the descent's
+    final vertex, certified or not, or None when the descent declined.
 
     An edge descent in the manner of Barrodale & Roberts (1974), as in
     Koenker & d'Orey (1987). A vertex is the fit through p rows, the basis
@@ -642,25 +469,26 @@ def _pivot_vertex(design: _Design, tau: float):
     priced in Python floats (_steepest_edge).
 
     The start is the basis of p independent rows with the smallest
-    residuals at _ipm_start's shifted least-squares fit. The descent stops
-    when every edge ascends by more than _DUAL_SLACK; then the optimum is
-    unique. The vertex is solved on the sorted basis and certified with
-    that strictness (_certified_vertex), which takes the basis so as not to
-    find and solve it again; the vertex has the bits the interior point's
-    certificate would give. Every other ending (a singular basis
-    or normal matrix, a non-finite value, an edge too flat to call, no
-    breakpoint, _PIVOT_MAX pivots) returns None.
+    residuals at _shifted_start's fit. The descent stops when every edge
+    ascends by more than _DUAL_SLACK; then the optimum is unique. The vertex
+    is solved on the sorted basis. It is certified on the design with that
+    strictness (_certified_vertex), which takes the basis so as not to find
+    and solve it again; or, for a reduced problem, on ``certify_on``, the
+    full design, through that design's own p smallest residuals. Every
+    other ending (a singular basis or least-squares fit, a non-finite
+    value, an edge too flat to call, no breakpoint, _PIVOT_MAX pivots)
+    declines, with None for both vertices.
     """
     X, y, XT = design.X, design.y, design.XT
     pivots = 0
     try:
-        _, resid = _ipm_start(design, tau)
+        _, resid = _shifted_start(design, tau)
         h = _independent_rows(X, resid)
         if h is None:
-            return None, pivots
+            return None, pivots, None
         inv_h = np.linalg.inv(X[h])
     except np.linalg.LinAlgError:
-        return None, pivots
+        return None, pivots, None
     resid = y - (inv_h @ y[h]) @ XT
     psi = np.where(resid < 0.0, tau - 1.0, tau)
     psi[h] = 0.0
@@ -673,7 +501,7 @@ def _pivot_vertex(design: _Design, tau: float):
             break
         # A flat edge leaves the optimum not unique; NaN lands here too.
         if not slope < -_DUAL_SLACK or pivots == _PIVOT_MAX:
-            return None, pivots
+            return None, pivots, None
         pivots += 1
         # Moving residual h[j] up (sign 1) or down, residual i falls at
         # fall[i] per unit of step, and reaches zero at step 1 / near[i].
@@ -683,7 +511,7 @@ def _pivot_vertex(design: _Design, tau: float):
         near[h] = -np.inf
         i, order = _slope_breakpoint(near, fall, -slope)
         if i is None:
-            return None, pivots
+            return None, pivots, None
         k = order[i]
         resid_k, fall_k = float(resid[k]), float(fall[k])
         # Rows crossed on the way change sign; k enters, and h[j] leaves
@@ -704,10 +532,12 @@ def _pivot_vertex(design: _Design, tau: float):
     try:
         beta = np.linalg.solve(X[h], y[h])
     except np.linalg.LinAlgError:
-        return None, pivots
+        return None, pivots, None
     if not np.isfinite(beta).all():
-        return None, pivots
-    return _certified_vertex(design, beta, tau, unique=True, basis=h), pivots
+        return None, pivots, None
+    if certify_on is None:
+        return _certified_vertex(design, beta, tau, unique=True, basis=h), pivots, beta
+    return _certified_vertex(certify_on, beta, tau), pivots, beta
 
 
 def _steepest_edge(v: list, tau: float) -> tuple[int, float]:
@@ -776,48 +606,36 @@ def _slope_breakpoint(near: np.ndarray, fall: np.ndarray, need: float):
         m = min(n, 4 * m)
 
 
-def _solve_check_loss(design: _Design, tau: float) -> tuple[np.ndarray, str, int, int]:
-    """Exact check-loss minimizer, the path that produced it, its
-    interior-point step count and its pivot count.
+def _solve_check_loss(design: _Design, tau: float) -> tuple[np.ndarray, str, int]:
+    """Exact check-loss minimizer, the path that produced it and its pivot
+    count.
 
-    "pivot": designs of fewer than _PFN_MIN_ROWS rows first try the simplex
-    pivots (_pivot_vertex), whose vertex is certified as the only minimizer.
-    "pfn": larger designs first try the Portnoy-Koenker preprocessed problem
-    (_preprocessed_vertex), whose vertex is certified on the full data.
-    "ipm": the interior point on the full data, polished to a certified
-    vertex, early or at the full gap stop; it runs whenever the first path
-    gives no vertex. "lp": the HiGHS dual LP, with the primal LP as its own
-    fallback; it runs whenever the interior point fails (singular normal
-    matrix, non-finite iterate) or its vertex is not certified optimal. The
-    step count covers every interior point that ran, and is 0 on the LP
-    path; the pivot count covers the pivots taken, declined or not.
+    "pfn": designs of at least _PFN_MIN_ROWS rows first try the
+    Portnoy-Koenker preprocessed problem (_preprocessed_vertex), whose
+    vertex is certified on the full data. "pivot": the simplex pivots on
+    the full design (_pivot_vertex), whose vertex is certified as the only
+    minimizer; they run first below the threshold, and above it whenever
+    the preprocessing gives no vertex. "lp": the HiGHS LP
+    (_solve_check_loss_lp), whenever the pivots give no certified vertex.
+    The pivot count covers every pivot taken, declined or not.
     """
-    steps = pivots = 0
+    pivots = 0
     with np.errstate(all="ignore"):
         if design.y.size >= _PFN_MIN_ROWS:
-            try:
-                vertex, steps = _preprocessed_vertex(design, tau)
-            except np.linalg.LinAlgError:
-                vertex = None
+            vertex, pivots = _preprocessed_vertex(design, tau)
             if vertex is not None:
-                return vertex, "pfn", steps, pivots
-        else:
-            vertex, pivots = _pivot_vertex(design, tau)
-            if vertex is not None:
-                return vertex, "pivot", steps, pivots
-        try:
-            beta, full_steps, vertex = _frisch_newton(design, tau, certify_on=design)
-            if vertex is None and np.all(np.isfinite(beta)):
-                vertex = _certified_vertex(design, beta, tau)
-            if vertex is not None:
-                return vertex, "ipm", steps + full_steps, pivots
-        except np.linalg.LinAlgError:
-            pass
-    return _solve_check_loss_lp(design.X, design.y, tau), "lp", 0, pivots
+                return vertex, "pfn", pivots
+        vertex, full_pivots, _ = _pivot_vertex(design, tau)
+    pivots += full_pivots
+    if vertex is not None:
+        return vertex, "pivot", pivots
+    return _solve_check_loss_lp(design.X, design.y, tau), "lp", pivots
 
 
 def _solve_check_loss_lp(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
     """Exact check-loss minimizer via the dual LP, with primal fallback.
+    Either answer must pass the subgradient audit (_sign_counts_ok); when
+    the primal's fails it too, FitError is raised.
 
     scipy.optimize and scipy.sparse are imported here, on the rare path
     that needs them, so a study that never falls back does not load them.
@@ -853,7 +671,10 @@ def _solve_check_loss_lp(X: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray
             f"check-loss LP failed at tau={tau}: status {res.status} "
             f"({res.message}) after {res.nit} iterations"
         )
-    return np.asarray(res.x[:p], dtype=float)
+    beta = np.asarray(res.x[:p], dtype=float)
+    if not _sign_counts_ok(X, y, beta, tau):
+        raise FitError(f"check-loss LP at tau={tau}: the primal answer fails the subgradient audit")
+    return beta
 
 
 def _zero_tol(design: _Design) -> float:
@@ -893,7 +714,7 @@ def _fit_levels(X, y, levels, spec: SplineSpec, conditional: bool) -> tuple:
     design = _Design(X, y)
     fits = []
     for tau in levels:
-        beta, solver, ipm_steps, pivots = _solve_check_loss(design, tau)
+        beta, solver, pivots = _solve_check_loss(design, tau)
         # A certified vertex's counts were taken by its certificate.
         counts = design.sign_counts.get(beta.tobytes())
         n_neg, n_pos = counts or _sign_counts(design, y - X @ beta)
@@ -908,7 +729,6 @@ def _fit_levels(X, y, levels, spec: SplineSpec, conditional: bool) -> tuple:
             n_neg=n_neg,
             n_pos=n_pos,
             solver=solver,
-            ipm_steps=ipm_steps,
             pivots=pivots,
         ))
     return tuple(fits)

@@ -313,7 +313,6 @@ class TestCellGrid:
         # fits is counted, not even those it had finished before failing.
         lost = fits[n_tau : 2 * n_tau]
         expected_diag = dict(clean[0].diagnostics, n_failed_replications=1)
-        expected_diag["qr_ipm_steps"] -= sum(f.ipm_steps for f in lost)
         expected_diag["qr_pivots"] -= sum(f.pivots for f in lost)
         expected_diag["qr_lp_fallbacks"] -= sum(f.solver == "lp" for f in lost)
         expected_diag["qr_pfn_fallbacks"] -= sum(f.pfn_fallback for f in lost)
@@ -549,37 +548,9 @@ class TestSolverDiagnostics:
         assert marg.diagnostics["qr_lp_fallbacks"] == solvers.count("lp")
         assert cond.diagnostics["qr_lp_fallbacks"] == solvers.count("lp")
         assert marg.diagnostics["qr_subgradient_violations"] == 0
-
-
-class TestIpmSteps:
-    def test_total_positive_and_worker_independent(self, monkeypatch):
-        # Declined pivots leave every fit to the interior point; the pool's
-        # workers are forked, so they decline too.
-        monkeypatch.setattr(quantreg, "_pivot_vertex", lambda design, tau: (None, 0))
-        cfg = dict(TINY, n_reps=3, methods=("QR",))
-        serial, _ = run_both_experiments(ExperimentConfig(**cfg, workers=1))
-        pooled, _ = run_both_experiments(ExperimentConfig(**cfg, workers=2))
-        steps = serial.diagnostics["qr_ipm_steps"]
-        assert isinstance(steps, int) and steps > 0
-        assert pooled.diagnostics["qr_ipm_steps"] == steps
-
-    def test_total_sums_fits(self, monkeypatch):
-        fits = []
-
-        def recording(fit_fn):
-            def wrapped(*args, **kwargs):
-                grid = fit_fn(*args, **kwargs)
-                fits.extend(grid)
-                return grid
-
-            return wrapped
-
-        for name in ("fit_marginal_qr", "fit_conditional_qr"):
-            monkeypatch.setattr(experiment, name, recording(getattr(experiment, name)))
-        marg, cond = run_both_experiments(ExperimentConfig(**TINY, methods=("QR",)))
-        assert all(fit.ipm_steps > 0 for fit in fits if fit.solver == "ipm")
-        assert marg.diagnostics["qr_ipm_steps"] == sum(fit.ipm_steps for fit in fits)
-        assert cond.diagnostics["qr_ipm_steps"] == marg.diagnostics["qr_ipm_steps"]
+        # The pool's workers are forked, so they refuse too.
+        pooled, _ = run_both_experiments(dataclasses.replace(cfg, workers=2))
+        assert pooled.diagnostics == marg.diagnostics
 
 
 class TestPivotCounter:
@@ -615,7 +586,7 @@ class TestCounters:
     def test_totals_worker_independent(self):
         serial, _ = run_both_experiments(ExperimentConfig(**PFN_DESIGN, workers=1))
         pooled, _ = run_both_experiments(ExperimentConfig(**PFN_DESIGN, workers=2))
-        for key in ("qr_ipm_steps", "qr_pfn_fallbacks", "mvn_brent_evals"):
+        for key in ("qr_pivots", "qr_pfn_fallbacks", "mvn_brent_evals"):
             assert isinstance(serial.diagnostics[key], int)
             assert pooled.diagnostics[key] == serial.diagnostics[key]
         assert serial.diagnostics["mvn_brent_evals"] > 0
@@ -637,7 +608,7 @@ class TestCounters:
             )
         monkeypatch.setattr(experiment, "fit_mvn", recording(experiment.fit_mvn, mvn_fits))
         # The preprocessing gives up at the median, so those fits of the
-        # marginal design fall back to the full interior point.
+        # marginal design fall back to the pivots on the full design.
         preprocess = quantreg._preprocessed_vertex
         monkeypatch.setattr(
             quantreg,
@@ -646,12 +617,11 @@ class TestCounters:
         )
         marg, cond = run_both_experiments(ExperimentConfig(**PFN_DESIGN))
         fallbacks = [fit for fit in qr_fits if fit.pfn_fallback]
-        assert [(f.tau, f.conditional, f.solver) for f in fallbacks] == [(0.5, False, "ipm")] * 2
+        assert [(f.tau, f.conditional, f.solver) for f in fallbacks] == [(0.5, False, "pivot")] * 2
         assert {f.solver for f in qr_fits if not f.pfn_fallback} == {"pfn", "pivot"}
         assert marg.diagnostics["qr_pfn_fallbacks"] == 2
         assert marg.diagnostics["qr_pivots"] == sum(f.pivots for f in qr_fits) > 0
         assert marg.diagnostics["mvn_brent_evals"] == sum(f.brent_evals for f in mvn_fits)
-        assert marg.diagnostics["qr_ipm_steps"] == sum(f.ipm_steps for f in qr_fits)
         assert cond.diagnostics == marg.diagnostics
 
 

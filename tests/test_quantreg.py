@@ -1,7 +1,9 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
+import scipy.optimize
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from scipy.optimize import linprog
 
 from centilebench import quantreg
 from centilebench.cohort import VisitSchedule, generate_cohort
+from centilebench.errors import FitError
 from centilebench.model import LognormalAR1Model
 from centilebench.numerics import RngStream
 from centilebench.quantreg import (
@@ -17,11 +20,10 @@ from centilebench.quantreg import (
     QuantileFit,
     _certified_vertex,
     _Design,
-    _frisch_newton,
-    _ipm_start,
     _order_statistics,
     _pivot_vertex,
     _preprocessed_vertex,
+    _shifted_start,
     _sign_counts_ok,
     _solve_check_loss,
     _solve_check_loss_lp,
@@ -45,11 +47,11 @@ def n_params(fit):
 
 
 def solve_check_loss(X, y, tau):
-    """The solver's vertex, path, step and pivot counts, and whether the
+    """The solver's vertex, path and pivot count, and whether the
     preprocessing fell back, as a fit of this design reports it."""
-    beta, solver, steps, pivots = _solve_check_loss(_Design(X, y), tau)
+    beta, solver, pivots = _solve_check_loss(_Design(X, y), tau)
     fit = QuantileFit(tau=tau, spec=SplineSpec(), spline_coefs=(), n_obs=y.size, solver=solver)
-    return beta, solver, steps, pivots, fit.pfn_fallback
+    return beta, solver, pivots, fit.pfn_fallback
 
 
 def check_loss(residual, tau):
@@ -57,13 +59,6 @@ def check_loss(residual, tau):
     r * (tau - 1{r < 0})."""
     r = np.asarray(residual, dtype=float)
     return float(np.sum(r * (tau - (r < 0.0))))
-
-
-def frisch_newton(X, y, tau):
-    """The interior point run to its full gap stop, and its step count."""
-    beta, steps, vertex = _frisch_newton(_Design(X, y), tau)
-    assert vertex is None
-    return beta, steps
 
 
 def mid_times(n):
@@ -162,10 +157,9 @@ class TestConditionalFit:
             check_loss(pairs.y_cur - pred_marg, 0.5), abs=1e-6
         )
         assert np.max(np.abs(pred_cond - pred_marg)) < 1e-5
-        # The history columns repeat the intercept, so the least-squares start
-        # and the interior point's normal matrix are singular and the fit
-        # must come from the LP; the regular marginal design pivots to the
-        # interior point's vertex.
+        # The history columns repeat the intercept, so the pivots' least-squares
+        # start is singular and the fit must come from the LP; the regular
+        # marginal design pivots to its certified vertex.
         assert cond.solver == "lp"
         assert marg.solver == "pivot"
         X = design_matrix(spec5, t_cur)
@@ -295,25 +289,24 @@ class TestSolver:
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
         assert _sign_counts_ok(X, y, beta, tau)  # the subgradient_ok condition
 
-    def test_near_zero_start_residual_lifted(self, model, monkeypatch):
+    def test_near_zero_start_residual(self, model):
         # With an odd count at tau=0.5 the tau-shifted start puts one residual
-        # within rounding of zero; unlifted, its Newton weight is ~1e14. The
-        # pivots are declined, so that the interior point fits.
-        monkeypatch.setattr(quantreg, "_pivot_vertex", lambda design, tau: (None, 0))
+        # within rounding of zero, and that row enters the start basis first;
+        # the pivots still reach the certified median.
         fit = fit_marginal_qr(mid_times(41), np.linspace(50.0, 90.0, 41), 0.5, INTERCEPT_SPEC)
-        assert fit.solver == "ipm"
+        assert fit.solver == "pivot"
         assert predict_centile(fit, 26.0) == pytest.approx(70.0, abs=1e-9)
         for seed in (0, 2):
             cohort = generate_cohort(model, VisitSchedule(), 200, RngStream(seed).child(0))
             t, y = cohort.observed_points()
             odd = t.size - (1 - t.size % 2)
             fit = fit_marginal_qr(t[:odd], y[:odd], 0.5, SplineSpec())
-            assert fit.solver == "ipm"
+            assert fit.solver == "pivot"
             assert fit.subgradient_ok
 
     def test_rank_deficient_design_falls_back(self):
-        # A singular normal matrix raises LinAlgError inside the interior
-        # point; the fit must come from the LP instead of raising.
+        # A singular X'X raises LinAlgError at the pivots' least-squares
+        # start; the fit must come from the LP instead of raising.
         X = np.column_stack([np.ones(50), np.ones(50), np.linspace(0.0, 1.0, 50)])
         y = np.linspace(0.0, 1.0, 50) ** 2
         beta, solver, *_ = solve_check_loss(X, y, 0.5)
@@ -339,6 +332,44 @@ class TestSolver:
         np.testing.assert_allclose(moved, vertex, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(moved, _solve_check_loss_lp(X, y, tau), rtol=1e-9)
 
+    def test_primal_lp_answer_is_audited(self, monkeypatch):
+        # A dual answer that fails the subgradient audit sends the LP to its
+        # primal re-solve. Its answer is returned only when it passes the
+        # audit too; otherwise FitError is raised, not a wrong fit returned.
+        X, y = _heavy_tailed_design(300)
+        real = scipy.optimize.linprog
+        methods = []
+
+        def dual_fails(c, **kwargs):
+            methods.append(kwargs["method"])
+            res = real(c, **kwargs)
+            if kwargs["method"] == "highs":
+                res.eqlin.marginals = np.zeros(X.shape[1])
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", dual_fails)
+        beta = _solve_check_loss_lp(X, y, 0.3)
+        assert methods == ["highs", "highs-ds"]
+        assert _sign_counts_ok(X, y, beta, 0.3)
+        assert check_loss(y - X @ beta, 0.3) == pytest.approx(
+            _primal_lp_objective(X, y, 0.3), rel=1e-9
+        )
+
+        def both_fail(c, **kwargs):
+            methods.append(kwargs["method"])
+            # Zero coefficients leave every residual positive.
+            marginals = np.zeros(kwargs["A_eq"].shape[0])
+            return SimpleNamespace(status=0, eqlin=SimpleNamespace(marginals=marginals), x=np.zeros(c.size))
+
+        methods.clear()
+        monkeypatch.setattr(scipy.optimize, "linprog", both_fail)
+        with pytest.raises(FitError, match="primal answer fails the subgradient audit"):
+            _solve_check_loss_lp(X, y, 0.3)
+        assert methods == ["highs", "highs-ds"]
+        # A fit whose pivots decline raises it too.
+        with pytest.raises(FitError):
+            fit_conditional_qr(_constant_prior_pairs(), 0.3, SplineSpec())
+
     def test_degenerate_vertex_falls_back(self):
         # A non-basis observation exactly on the fitted hyperplane leaves its
         # sign to rounding; such a vertex is left to the LP.
@@ -354,47 +385,44 @@ class TestSolver:
             check_loss(y - X @ vertex, 0.5), rel=1e-12
         )
 
-    def test_gap_stop_is_relative(self):
-        # The stop compares the duality gap with the objective, so rescaling y
-        # leaves the steps unchanged; an absolute gap stop quits early on
-        # small y and runs on past convergence on large y.
+    def test_scaled_response_scales_the_vertex(self):
+        # Rescaling y rescales the start, every residual and every breakpoint
+        # alike, and leaves the edges' slopes as they are: the same pivots,
+        # on the preprocessed problem at 20 000 rows, reach the scaled
+        # vertex.
         rng = np.random.default_rng(8)
         n = 20_000
         X = design_matrix(SplineSpec(), rng.uniform(16.0, 36.0, n))
         y = 70.0 * np.exp(0.1 * rng.standard_normal(n))
         for tau in (0.03, 0.97):
-            beta, steps = frisch_newton(X, y, tau)
-            vertex = _certified_vertex(_Design(X, y), beta, tau)
-            assert vertex is not None
+            vertex, solver, pivots, _ = solve_check_loss(X, y, tau)
+            assert solver == "pfn"
+            assert hexes(vertex) == hexes(_full_vertex(X, y, tau))
             for scale in (1e-6, 1e-3, 1e3, 1e6):
-                with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    scaled_beta, scaled_steps = frisch_newton(X, scale * y, tau)
-                assert abs(scaled_steps - steps) <= 1
-                if scale > 1.0:
-                    scaled = _certified_vertex(_Design(X, scale * y), scaled_beta, tau)
-                    assert scaled is not None
-                    np.testing.assert_allclose(scaled, scale * vertex, rtol=1e-9)
-                    # At 20 000 rows the preprocessing finds the same vertex.
-                    scaled, solver, *_ = solve_check_loss(X, scale * y, tau)
-                    assert solver == "pfn"
-                    np.testing.assert_allclose(scaled, scale * vertex, rtol=1e-9)
+                scaled, scaled_solver, scaled_pivots, _ = solve_check_loss(X, scale * y, tau)
+                assert (scaled_solver, scaled_pivots) == (solver, pivots)
+                np.testing.assert_allclose(scaled, scale * vertex, rtol=1e-9)
 
     @pytest.mark.parametrize("tau", [0.02, 0.03, 0.5, 0.97, 0.98])
     def test_start_sits_at_tau_quantile(self, tau):
         # The least-squares start itself has about half its residuals below
         # zero, however extreme tau is; shifted, a tau share is.
         X, y = _heavy_tailed_design()
-        _, resid = _ipm_start(_Design(X, y), tau)
+        _, resid = _shifted_start(_Design(X, y), tau)
         assert abs(np.mean(resid < 0.0) - tau) <= 2.0 / y.size
 
     def test_heavy_tails_at_extreme_tau(self):
-        # t(2) noise at tau=0.02 and 0.98 takes the most steps seen (about
-        # 55); the iteration cap of 100 must leave room for it.
+        # t(2) noise at tau=0.02 and 0.98: cold pivots on all 20 000 rows,
+        # the preprocessing's fallback, take 11 and 9; the cap of 100 must
+        # leave room for them. They reach the preprocessed vertex.
         X, y = _heavy_tailed_design()
         for tau in (0.02, 0.98):
-            beta, steps = frisch_newton(X, y, tau)
-            assert steps <= 90
-            assert _certified_vertex(_Design(X, y), beta, tau) is not None
+            with np.errstate(all="ignore"):
+                vertex, pivots, _ = _pivot_vertex(_Design(X, y), tau)
+            assert vertex is not None and pivots <= 50
+            beta, solver, *_ = solve_check_loss(X, y, tau)
+            assert solver == "pfn"
+            assert hexes(beta) == hexes(vertex)
 
 
 
@@ -446,9 +474,9 @@ def _same_certificate(X, y, beta, tau):
 
 
 def _nearby_betas(X, y, tau, seed=0):
-    """The interior point's answer and perturbations of it, which polish to
-    other, mostly refused, vertices."""
-    beta = frisch_newton(X, y, tau)[0]
+    """The solver's vertex and perturbations of it, which polish to other,
+    mostly refused, vertices."""
+    beta = solve_check_loss(X, y, tau)[0]
     rng = np.random.default_rng(seed)
     scale = np.max(np.abs(beta))
     noise = [eps * scale * rng.standard_normal(beta.size) for eps in (1e-9, 1e-5, 1e-2)]
@@ -457,17 +485,13 @@ def _nearby_betas(X, y, tau, seed=0):
 
 class TestCertificate:
     """The certificate from one n x p product decides as the solve-based
-    one does, and the early certificate gives the full gap stop's vertex."""
+    one does."""
 
     @given(design=_tied_designs())
     @settings(max_examples=60, deadline=None)
     def test_tied_designs(self, design):
         X, y, tau = design
-        try:
-            betas = _nearby_betas(X, y, tau)
-        except np.linalg.LinAlgError:
-            return
-        for beta in betas:
+        for beta in _nearby_betas(X, y, tau):
             if np.all(np.isfinite(beta)):
                 _same_certificate(X, y, beta, tau)
 
@@ -483,23 +507,19 @@ class TestCertificate:
         i = int(np.argmax(y - X @ vertex))
         y[i] = X[i] @ vertex
         assert not _same_certificate(X, y, vertex, 0.5)
-        assert not _same_certificate(X, y, frisch_newton(X, y, 0.5)[0], 0.5)
+        # The pivots' descent ends on a vertex that both refuse.
+        with np.errstate(all="ignore"):
+            refused, _, descent = _pivot_vertex(_Design(X, y), 0.5)
+        assert refused is None and descent is not None
+        assert not _same_certificate(X, y, descent, 0.5)
 
     @pytest.mark.parametrize("n_subjects", [1000, 5000])
     def test_cohort_designs(self, n_subjects):
-        early_count = 0
+        # Both certify every fit's own vertex.
         for X, y in _cohort_designs(n_subjects, 2):
-            design = _Design(X, y)
             for tau in TAUS:
-                for beta in _nearby_betas(X, y, tau):
-                    _same_certificate(X, y, beta, tau)
-                beta, _, early = _frisch_newton(design, tau, certify_on=design)
-                if early is not None:
-                    early_count += 1
-                    assert _same_certificate(X, y, beta, tau)
-                    assert hexes(early) == hexes(_full_vertex(X, y, tau))
-        # The early try certifies most fits (9 and 8 of 10 on these designs).
-        assert early_count >= 8
+                decisions = [_same_certificate(X, y, beta, tau) for beta in _nearby_betas(X, y, tau)]
+                assert decisions[0]
 
     @pytest.mark.parametrize("n_subjects", [1000, 5000])
     def test_first_bound_covers_the_exact_one(self, n_subjects):
@@ -576,22 +596,22 @@ def _stride_design(n, seed, tilt):
 
 def _record_problems(monkeypatch):
     """The subsample designs the preprocessing takes, and the design and
-    ``certify_on`` of every interior point that runs, in order."""
+    ``certify_on`` of every pivot descent that runs, in order."""
     subsamples, problems = [], []
     real_subsample = _Design.subsample
-    real_frisch_newton = quantreg._frisch_newton
+    real_pivot_vertex = quantreg._pivot_vertex
 
     def subsample(design, m):
         out = real_subsample(design, m)
         subsamples.append(out[0])
         return out
 
-    def frisch_newton(design, tau, certify_on=None):
+    def pivot_vertex(design, tau, certify_on=None):
         problems.append((design, certify_on))
-        return real_frisch_newton(design, tau, certify_on)
+        return real_pivot_vertex(design, tau, certify_on)
 
     monkeypatch.setattr(_Design, "subsample", subsample)
-    monkeypatch.setattr(quantreg, "_frisch_newton", frisch_newton)
+    monkeypatch.setattr(quantreg, "_pivot_vertex", pivot_vertex)
     return subsamples, problems
 
 
@@ -618,7 +638,7 @@ class TestPreprocessing:
             for X, y in _cohort_designs(5000, seed):
                 assert y.size >= _PFN_MIN_ROWS
                 for tau in TAUS:
-                    beta, solver, steps, _, fallback = solve_check_loss(X, y, tau)
+                    beta, solver, _, fallback = solve_check_loss(X, y, tau)
                     solvers.append(solver)
                     assert fallback == (solver != "pfn")
                     assert hexes(beta) == hexes(_full_vertex(X, y, tau))
@@ -643,17 +663,18 @@ class TestPreprocessing:
             want = _full_vertex(X, y, tau)
             subsamples.clear()
             problems.clear()
-            beta, solver, _, _, fallback = solve_check_loss(X, y, tau)
+            beta, solver, _, fallback = solve_check_loss(X, y, tau)
             assert (solver, fallback) == ("pfn", False)
             assert hexes(beta) == hexes(want)
-            # The reduced problem, and a re-solve with the wrong rows back
-            # in it; the subsample is never doubled.
+            # The reduced problem, whose optimum the full certificate
+            # refuses, and a re-solve with the wrong rows back in it; the
+            # subsample is never doubled.
             rows = [design.y.size for design, _ in problems]
             assert len(rows) >= 2 and rows[1] > rows[0]
             assert len(subsamples) == 1
 
     def test_reduced_problems_start_from_the_shifted_subsample_fit(self, monkeypatch):
-        # No interior point runs on the subsample: every one that runs is a
+        # No pivots run on the subsample: every descent that runs is on a
         # reduced problem certified on the full data, and it starts from
         # the subsample's least-squares fit shifted to its tau order
         # statistic.
@@ -663,11 +684,12 @@ class TestPreprocessing:
             for tau in TAUS:
                 subsamples.clear()
                 problems.clear()
-                vertex, _ = _preprocessed_vertex(design, tau)
+                with np.errstate(all="ignore"):
+                    vertex, _ = _preprocessed_vertex(design, tau)
                 assert vertex is not None
                 assert hexes(vertex) == hexes(_full_vertex(X, y, tau))
                 (sub,) = subsamples
-                start = hexes(_ipm_start(sub, tau)[0])
+                start = hexes(_shifted_start(sub, tau)[0])
                 assert problems
                 for reduced, certify_on in problems:
                     assert certify_on is design
@@ -677,70 +699,85 @@ class TestPreprocessing:
         X, y = _stride_design(10_000, 0, 1.0)
         want = _full_vertex(X, y, 0.5)
         subsamples, _ = _record_problems(monkeypatch)
-        beta, solver, _, _, fallback = solve_check_loss(X, y, 0.5)
+        beta, solver, _, fallback = solve_check_loss(X, y, 0.5)
         assert (solver, fallback) == ("pfn", False)
         assert hexes(beta) == hexes(want)
         sizes = [sub.y.size for sub in subsamples]
         assert sizes[1] == 2 * sizes[0]
 
-    def test_refused_reduced_answer_falls_back_to_full_interior_point(self, monkeypatch):
+    def test_refused_reduced_answer_falls_back_to_full_pivots(self, monkeypatch):
         X, y = _cohort_designs(5000, 1)[0]
         tau = 0.9
         want = _full_vertex(X, y, tau)
-        full = _Design(X, y)
-        _, full_steps, early = _frisch_newton(full, tau, certify_on=full)
-        assert early is not None
+        with np.errstate(all="ignore"):
+            _, full_pivots, _ = _pivot_vertex(_Design(X, y), tau)
+        _, problems = _record_problems(monkeypatch)
         certify = quantreg._certified_vertex
         calls = []
 
-        def refuse_all(design, beta, tau):
+        def refuse_all(design, beta, tau, unique=False, basis=None):
             calls.append(beta)
 
-        # The preprocessing's certificates: each reduced interior point's
-        # early one, and the one on its answer.
+        # The preprocessing's certificates: one on each reduced problem's
+        # final vertex, on the full design.
         monkeypatch.setattr(quantreg, "_certified_vertex", refuse_all)
-        vertex, pfn_steps = _preprocessed_vertex(_Design(X, y), tau)
+        with np.errstate(all="ignore"):
+            vertex, pfn_pivots = _preprocessed_vertex(_Design(X, y), tau)
         assert vertex is None
         n_pfn = len(calls)
-        assert n_pfn >= 2
+        assert n_pfn == len(problems) >= 1
+        assert all(certify_on.y is y for _, certify_on in problems)
         calls.clear()
+        problems.clear()
 
-        def refuse_preprocessing(design, beta, tau):
+        def refuse_preprocessing(design, beta, tau, unique=False, basis=None):
             calls.append(beta)
-            return None if len(calls) <= n_pfn else certify(design, beta, tau)
+            return None if len(calls) <= n_pfn else certify(design, beta, tau, unique, basis)
+
+        def no_lp(*args):
+            raise AssertionError("the LP ran")
 
         monkeypatch.setattr(quantreg, "_certified_vertex", refuse_preprocessing)
-        beta, solver, steps, pivots, fallback = solve_check_loss(X, y, tau)
-        assert (solver, pivots, fallback) == ("ipm", 0, True)
-        # The full interior point certifies at its early try.
+        monkeypatch.setattr(quantreg, "_solve_check_loss_lp", no_lp)
+        beta, solver, pivots, fallback = solve_check_loss(X, y, tau)
+        assert (solver, fallback) == ("pivot", True)
+        # The pivots on the full design run last and certify at once.
         assert len(calls) == n_pfn + 1
+        assert len(problems) == n_pfn + 1
+        full, certify_on = problems[-1]
+        assert full.y is y and certify_on is None
         assert hexes(beta) == hexes(want)
-        assert steps == pfn_steps + full_steps
+        assert pivots == pfn_pivots + full_pivots
 
-    def test_below_threshold_only_the_full_interior_point_runs(self, monkeypatch):
+    def test_below_threshold_only_the_full_pivots_run(self, monkeypatch):
         # Headline-sized designs, and the leading rows of a large one just
-        # below and at the threshold. The pivots, which run first below it,
-        # are declined, so that the interior point fits.
-        monkeypatch.setattr(quantreg, "_pivot_vertex", lambda design, tau: (None, 0))
+        # below and at the threshold. Below it the preprocessing never
+        # starts: one descent on the full design fits.
         designs = _cohort_designs(1000, 1)
         X_big, y_big = _cohort_designs(5000, 1)[0]
         designs.append((X_big[: _PFN_MIN_ROWS - 1], y_big[: _PFN_MIN_ROWS - 1]))
+        subsamples, problems = _record_problems(monkeypatch)
         for X, y in designs:
             assert y.size < _PFN_MIN_ROWS
             for tau in TAUS:
-                beta, solver, steps, _, fallback = solve_check_loss(X, y, tau)
-                assert (solver, fallback) == ("ipm", False)
-                design = _Design(X, y)
-                _, early_steps, early = _frisch_newton(design, tau, certify_on=design)
-                assert steps == early_steps
-                full, full_steps = frisch_newton(X, y, tau)
-                assert hexes(beta) == hexes(_certified_vertex(_Design(X, y), full, tau))
-                if early is None:
-                    assert early_steps == full_steps
-                else:
-                    assert early_steps < full_steps
-                    assert hexes(early) == hexes(beta)
+                problems.clear()
+                beta, solver, pivots, fallback = solve_check_loss(X, y, tau)
+                assert (solver, fallback) == ("pivot", False)
+                ((full, certify_on),) = problems
+                assert full.y is y and certify_on is None
+                assert hexes(beta) == hexes(_full_vertex(X, y, tau))
+        assert subsamples == []
         assert solve_check_loss(X_big[:_PFN_MIN_ROWS], y_big[:_PFN_MIN_ROWS], 0.5)[1] == "pfn"
+        assert len(subsamples) == 1
+        # Declined pivots leave a design below the threshold to the LP.
+        monkeypatch.setattr(
+            quantreg, "_pivot_vertex", lambda design, tau, certify_on=None: (None, 0, None)
+        )
+        X, y = designs[0]
+        beta, solver, pivots, fallback = solve_check_loss(X, y, 0.5)
+        assert (solver, pivots, fallback) == ("lp", 0, False)
+        assert hexes(beta) == hexes(_solve_check_loss_lp(X, y, 0.5))
+        assert len(subsamples) == 1
 
     def test_fit_records_the_path(self):
         cohort = generate_cohort(
@@ -749,7 +786,7 @@ class TestPreprocessing:
         t, y = cohort.observed_points()
         fit = fit_marginal_qr(t, y, 0.5, SplineSpec())
         assert (fit.solver, fit.pfn_fallback) == ("pfn", False)
-        assert fit.ipm_steps == solve_check_loss(design_matrix(SplineSpec(), t), y, 0.5)[2]
+        assert fit.pivots == solve_check_loss(design_matrix(SplineSpec(), t), y, 0.5)[2] > 0
         assert fit.subgradient_ok
 
 
@@ -788,7 +825,7 @@ def searchsorted_breakpoint(near, fall, need):
 
 class TestPivots:
     """Below the preprocessing threshold the simplex pivots give the
-    interior point's vertex bit for bit, or decline."""
+    certified vertex, or decline."""
 
     @pytest.mark.parametrize("n_subjects", [200, 1000])
     def test_cohort_designs_give_the_full_vertex_bit_for_bit(self, n_subjects):
@@ -799,13 +836,14 @@ class TestPivots:
                 design = _Design(X, y)
                 counts.append([])
                 for tau in TAUS:
-                    want = hexes(_full_vertex(X, y, tau))
                     with np.errstate(all="ignore"):
-                        vertex, pivots = _pivot_vertex(design, tau)
+                        vertex, pivots, descent = _pivot_vertex(design, tau)
                     assert vertex is not None and 0 < pivots <= quantreg._PIVOT_MAX
-                    assert hexes(vertex) == want
-                    beta, solver, steps, solved_pivots, fallback = solve_check_loss(X, y, tau)
-                    assert (solver, steps, solved_pivots, fallback) == ("pivot", 0, pivots, False)
+                    # The solve-based certificate polishes it to itself.
+                    want = hexes(solve_certified_vertex(X, y, vertex, tau))
+                    assert hexes(vertex) == hexes(descent) == want
+                    beta, solver, solved_pivots, fallback = solve_check_loss(X, y, tau)
+                    assert (solver, solved_pivots, fallback) == ("pivot", pivots, False)
                     assert hexes(beta) == want
                     counts[-1].append(pivots)
             assert [tuple(c) for c in counts] == PINNED_PIVOTS[n_subjects][seed]
@@ -899,7 +937,7 @@ class TestPivots:
         # declined, and every vertex given must be optimal.
         X, y, tau = design
         with np.errstate(all="ignore"):
-            vertex, pivots = _pivot_vertex(_Design(X, y), tau)
+            vertex, pivots, _ = _pivot_vertex(_Design(X, y), tau)
         assert 0 <= pivots <= quantreg._PIVOT_MAX
         if vertex is None:
             return
@@ -911,28 +949,28 @@ class TestPivots:
     @pytest.mark.parametrize("n", [40, 41])
     def test_median_of_an_even_count_is_declined(self, n):
         # With an even count every point between the two middle values is a
-        # median; the pivots decline, and the interior point's vertex stands.
+        # median; the pivots decline, and the LP's vertex stands.
         X = np.ones((n, 1))
         y = np.linspace(50.0, 90.0, n)
         with np.errstate(all="ignore"):
-            vertex, pivots = _pivot_vertex(_Design(X, y), 0.5)
-        beta, solver, steps, solved_pivots, _ = solve_check_loss(X, y, 0.5)
+            vertex, pivots, _ = _pivot_vertex(_Design(X, y), 0.5)
+        beta, solver, solved_pivots, _ = solve_check_loss(X, y, 0.5)
         assert solved_pivots == pivots
-        want = _certified_vertex(_Design(X, y), frisch_newton(X, y, 0.5)[0], 0.5)
-        assert hexes(beta) == hexes(want)
         if n % 2 == 0:
             assert vertex is None
-            assert solver == "ipm" and steps > 0
+            assert solver == "lp"
+            assert hexes(beta) == hexes(_solve_check_loss_lp(X, y, 0.5))
+            assert y[n // 2 - 1] <= beta[0] <= y[n // 2]
         else:
-            assert hexes(vertex) == hexes(beta)
-            assert (solver, steps) == ("pivot", 0)
+            assert hexes(vertex) == hexes(beta) == hexes(y[n // 2])
+            assert solver == "pivot"
 
     def test_declines_when_the_least_squares_start_fails(self):
         # Collinear columns: the start's X'X is singular, so the pivots
-        # decline before their first, as does the interior point.
+        # decline before their first.
         X = np.column_stack([np.ones(50), np.ones(50), np.linspace(0.0, 1.0, 50)])
         y = np.linspace(0.0, 1.0, 50) ** 2
-        assert _pivot_vertex(_Design(X, y), 0.5) == (None, 0)
+        assert _pivot_vertex(_Design(X, y), 0.5) == (None, 0, None)
 
 
 class TestPredictErrors:
@@ -1040,12 +1078,14 @@ class TestTauGrid:
         assert {f.solver for f in grid} == {solver}
 
     @pytest.mark.parametrize(
-        "n_subjects, solver", [(1000, "pivot"), (1000, "ipm"), (5000, "pfn")]
+        "n_subjects, solver", [(1000, "pivot"), (1000, "lp"), (5000, "pfn")]
     )
     def test_grid_equals_scalar_calls(self, monkeypatch, n_subjects, solver, spec5):
-        if solver == "ipm":
-            # Declined pivots leave the fits to the interior point.
-            monkeypatch.setattr(quantreg, "_pivot_vertex", lambda design, tau: (None, 0))
+        if solver == "lp":
+            # Declined pivots leave the fits to the LP.
+            monkeypatch.setattr(
+                quantreg, "_pivot_vertex", lambda design, tau, certify_on=None: (None, 0, None)
+            )
         (t, y), pairs = _cohort_data(n_subjects)
         self._assert_grid_matches_scalars(fit_marginal_qr, (t, y), spec5, solver)
         self._assert_grid_matches_scalars(fit_conditional_qr, (pairs,), spec5, solver)
@@ -1091,7 +1131,7 @@ class TestTauGrid:
         design = _Design(X, pairs.y_cur)
         for tau in TAUS:
             with pytest.raises(np.linalg.LinAlgError):
-                _ipm_start(design, tau)
+                _shifted_start(design, tau)
         assert len(factored) == 2
 
     def test_call_shapes(self, recovery_cohort, spec5):
